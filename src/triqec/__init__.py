@@ -71,5 +71,4 @@ from .protocol import (
     run_pipeline,
     run_pipeline_mc,
     sector_slope_at_zero,
-    sector_survival,
 )

@@ -14,10 +14,12 @@ cosh - sinh cancellation at large t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .models import named_model
+from .models import survival_correlated, survival_uncorrelated  # noqa: F401  (re-exported)
 from .noise import validate_covariance
 
 PROVENANCES = ("analytic", "monte-carlo", "fitted")
@@ -71,30 +73,22 @@ def _triple_quantum_product(cov: np.ndarray, t):
     return 0.25 * np.exp(-0.5 * np.multiply.outer(t, quads)).sum(axis=-1)
 
 
-def survival_factor(cov, t):
+def survival_factor(cov, t, sign2: int = +1, sign3: int = +1):
     """Corrected survival of the protected Bloch components at time(s) t.
 
     Accepts a scalar or array of times; equals 1 at t = 0 for every valid
-    covariance.
+    covariance.  ``sign2`` and ``sign3`` pick the diagonal sector the
+    ancillae start in: flipping an ancilla flips the sign of its single-spin
+    term, and their product the sign of the three-spin term.  The default
+    ground sector (+, +) is the code's working point.
     """
+    if sign2 not in (1, -1) or sign3 not in (1, -1):
+        raise ValueError(f"ancilla signs must be +1 or -1, got {(sign2, sign3)!r}")
     c = validate_covariance(cov)
     t = np.asarray(t, dtype=float)
-    singles = np.exp(-0.5 * np.multiply.outer(t, np.diagonal(c))).sum(axis=-1)
-    out = 0.5 * (singles - _triple_quantum_product(c, t))
-    return float(out) if out.ndim == 0 else out
-
-
-def survival_uncorrelated(tau: float, t):
-    """Corrected survival (3 exp(-t/tau) - exp(-3t/tau)) / 2."""
-    t = np.asarray(t, dtype=float) / tau
-    out = 0.5 * (3 * np.exp(-t) - np.exp(-3 * t))
-    return float(out) if out.ndim == 0 else out
-
-
-def survival_correlated(tau: float, t):
-    """Corrected survival (9 exp(-t/tau) - exp(-9t/tau)) / 8."""
-    t = np.asarray(t, dtype=float) / tau
-    out = 0.125 * (9 * np.exp(-t) - np.exp(-9 * t))
+    signs = np.array([1.0, sign2, sign3])
+    singles = (np.exp(-0.5 * np.multiply.outer(t, np.diagonal(c))) * signs).sum(axis=-1)
+    out = 0.5 * (singles - sign2 * sign3 * _triple_quantum_product(c, t))
     return float(out) if out.ndim == 0 else out
 
 
@@ -113,28 +107,18 @@ def survival_second_derivative_at_zero(cov) -> float:
     return -0.25 * (off + diag)
 
 
-def survival_third_derivative_at_zero(cov, variant: str = "symmetric") -> float:
+def survival_third_derivative_at_zero(cov) -> float:
     """d^3 survival / dt^3 at t = 0.
 
-    ``variant`` selects between two published-looking forms that differ in a
-    single term: "symmetric" uses 3*c33^2*(c11 + c22), which respects the
-    spin-relabeling symmetry of the decay law and matches finite differences;
-    "asymmetric" uses 3*c33^2*(c22 + c33) and is retained only so the two can
-    be compared against an independent oracle.
+    Symmetric under relabeling the spins, like the decay law itself.
     """
     c = validate_covariance(cov)
     c11, c22, c33 = c[0, 0], c[1, 1], c[2, 2]
     c12, c13, c23 = c[0, 1], c[0, 2], c[1, 2]
-    if variant == "symmetric":
-        last = 3 * c33**2 * (c11 + c22)
-    elif variant == "asymmetric":
-        last = 3 * c33**2 * (c22 + c33)
-    else:
-        raise ValueError(f"variant must be 'symmetric' or 'asymmetric', got {variant!r}")
     return (
         3 * c11**2 * (c22 + c33)
         + 3 * c22**2 * (c11 + c33)
-        + last
+        + 3 * c33**2 * (c11 + c22)
         + 6 * c11 * c22 * c33
         + 12 * (c12**2 + c13**2 + c23**2) * (c11 + c22 + c33)
         + 48 * c12 * c13 * c23
@@ -145,13 +129,12 @@ def survival_derivatives_at_zero(cov) -> tuple[float, float, float]:
     """(first, second, third) time derivatives of the survival factor at 0.
 
     The first derivative vanishes identically: the code removes the linear
-    decay for every covariance.  The third derivative uses the symmetric
-    variant, the one the finite-difference oracle supports.
+    decay for every covariance.
     """
     return (
         0.0,
         survival_second_derivative_at_zero(cov),
-        survival_third_derivative_at_zero(cov, "symmetric"),
+        survival_third_derivative_at_zero(cov),
     )
 
 
@@ -163,11 +146,7 @@ def inflection_point(model: str, tau: float) -> float:
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau!r}")
-    if model == "uncorrelated":
-        return float(np.log(3.0) * tau / 2)
-    if model in ("totally-correlated", "correlated"):
-        return float(np.log(3.0) * tau / 4)
-    raise ValueError(f"unknown model {model!r}")
+    return float(named_model(model).inflection * tau)
 
 
 def fit_exponential_rate(curve: DecayCurve) -> FitResult:
@@ -205,13 +184,7 @@ def predict_corrected_curve(rate: float, model: str, times) -> DecayCurve:
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate!r}")
     times = np.asarray(times, dtype=float)
-    tau = 1.0 / rate
-    if model == "uncorrelated":
-        values = survival_uncorrelated(tau, times)
-    elif model in ("totally-correlated", "correlated"):
-        values = survival_correlated(tau, times)
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    values = named_model(model).closed_form(1.0 / rate, times)
     return DecayCurve(times=times, values=np.asarray(values), provenance="fitted")
 
 

@@ -44,11 +44,12 @@ from .analytics import (
     survival_factor,
     uncorrected_decay,
 )
-from .noise import CovarianceError, NoiseChannel, effective_covariance
+from .models import NAMED_MODELS
+from .noise import CovarianceError, NoiseChannel, effective_covariance, validate_covariance
 from .protocol import PipelineConfig, ancilla_mixture_nogo_search, run_pipeline_mc
 
 SEED_ENV = "TRIQEC_SEED"
-MODELS = ("correlated", "totally-correlated", "uncorrelated", "custom")
+MODELS = (*NAMED_MODELS, "custom")
 
 
 class CommandError(Exception):
@@ -89,18 +90,12 @@ def read_covariance_file(path: str) -> np.ndarray:
 
 
 def _resolve_covariance(args) -> np.ndarray:
+    # Invalid matrices and taus raise ValueError, which main() reports with code 2.
     if getattr(args, "cov", None):
-        matrix = read_covariance_file(args.cov)
-        try:
-            return effective_covariance("custom", matrix=matrix)
-        except (CovarianceError, ValueError) as exc:
-            raise CommandError(str(exc), 2)
-    if args.model is None or args.model == "custom":
+        return validate_covariance(read_covariance_file(args.cov))
+    if args.model not in NAMED_MODELS:
         raise CommandError("give --cov FILE or --model with --tau", 2)
-    try:
-        return effective_covariance(args.model, tau=args.tau)
-    except ValueError as exc:
-        raise CommandError(str(exc), 2)
+    return effective_covariance(args.model, tau=args.tau)
 
 
 def _resolve_seed(args) -> int:
@@ -237,7 +232,7 @@ def cmd_decay(args) -> int:
 
 def cmd_fit(args) -> int:
     model = args.model
-    if model == "custom" or model is None:
+    if model not in NAMED_MODELS:
         raise CommandError("fit needs a named model (correlated or uncorrelated)", 2)
     measured = read_curve_csv(args.infile)
     if (measured.values <= 0).any():
@@ -257,11 +252,7 @@ def cmd_fit(args) -> int:
     header = ["t", "theta_predicted"]
     columns = [predicted.times, predicted.values]
     if args.corrected:
-        corrected = read_curve_csv(args.corrected)
-        try:
-            scaled = scale_to_rms(corrected, predicted)
-        except ValueError as exc:
-            raise CommandError(str(exc), 2)
+        scaled = scale_to_rms(read_curve_csv(args.corrected), predicted)
         print(f"prediction_correlation = {_fmt(curve_correlation(scaled, predicted))}")
         header.append("corrected_scaled")
         columns.append(scaled.values)
@@ -277,14 +268,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_nogo(args) -> int:
-    cov = _resolve_covariance(args)
-    if cov[0, 0] <= 0:
-        raise CommandError(
-            "the no-go search requires a positive data-spin variance c11", 2
-        )
-    if not (0 < args.step <= 1):
-        raise CommandError(f"--step must be in (0, 1], got {args.step}", 2)
-    cert = ancilla_mixture_nogo_search(cov, grid_step=args.step)
+    cert = ancilla_mixture_nogo_search(_resolve_covariance(args), grid_step=args.step)
     for zero in cert.zeros:
         print("zero-slope mixture: (" + ", ".join(_fmt(w) for w in zero) + ")")
     print(f"unique_ground_zero = {str(cert.unique_ground_zero).lower()}")
@@ -300,7 +284,7 @@ def cmd_derivatives(args) -> int:
     print(f"first_derivative_at_zero = {_fmt(first)}")
     print(f"second_derivative_at_zero = {_fmt(second)}")
     print(f"third_derivative_at_zero = {_fmt(third)}")
-    if args.model in ("correlated", "totally-correlated", "uncorrelated") and args.tau:
+    if args.model in NAMED_MODELS and args.tau:
         print(f"inflection_point = {_fmt(inflection_point(args.model, args.tau))}")
     return 0
 

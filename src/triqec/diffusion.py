@@ -19,7 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SCHEMES = ("totally-correlated", "uncorrelated")
+from .models import NAMED_MODELS
+
+#: The canonical named models (aliases excluded), each one pulse arrangement.
+SCHEMES = tuple(name for name, model in NAMED_MODELS.items() if model.name == name)
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,7 @@ class GradientDiffusionSpec:
     gradient_wavenumber: float
     diffusion_coefficient: float
     diffusion_time: float
-    scheme: str = "totally-correlated"
+    scheme: str = SCHEMES[0]
 
     def __post_init__(self):
         if self.diffusion_coefficient < 0:
@@ -67,6 +70,4 @@ def spec_to_covariance(spec: GradientDiffusionSpec) -> np.ndarray:
     Feeding the result to the analytic dephasing channel reproduces
     :func:`attenuation_factor` for every coherence order.
     """
-    if spec.scheme == "totally-correlated":
-        return np.full((3, 3), spec.rate)
-    return np.diag(np.full(3, spec.rate))
+    return spec.rate * NAMED_MODELS[spec.scheme].pattern

@@ -1,16 +1,17 @@
 """Unitary gates of the three-spin majority-vote code.
 
 The controlled gates are built from their idempotent-algebra closed forms
-(products of spin operators and z projectors), which the tests cross-check
-against matrix exponentials.  Rotation propagators follow the convention
-U = exp(-i * angle * I_axis), acting on operators by conjugation U X U†.
+(products of spin operators and z projectors), and every propagator from the
+closed form exp(-i a P) = cos(a) - i sin(a) P of a Pauli product P; the
+tests cross-check both against matrix exponentials.  Rotation propagators
+follow the convention U = exp(-i * angle * I_axis), acting on operators by
+conjugation U X U†.
 Under that convention a +pi/2 rotation about y maps Ix -> -Iz and Iz -> +Ix.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .operators import (
     DIM,
@@ -21,6 +22,7 @@ from .operators import (
     angular_momentum,
     idempotent,
     kron3,
+    product_operator,
 )
 
 
@@ -83,18 +85,19 @@ def toffoli_product_expansion() -> list[np.ndarray]:
     dropped without changing any data-spin observable taken after the
     ancilla partial trace.
     """
-    ix1 = angular_momentum(1, "x")
-    iz2 = angular_momentum(2, "z")
-    iz3 = angular_momentum(3, "z")
-    return [
-        np.exp(1j * np.pi / 8) * IDENTITY8,
-        expm(-1j * np.pi / 4 * ix1),
-        expm(-1j * np.pi / 4 * iz2),
-        expm(-1j * np.pi / 4 * iz3),
-        expm(1j * np.pi / 2 * ix1 @ iz2),
-        expm(1j * np.pi / 2 * ix1 @ iz3),
-        expm(1j * np.pi / 2 * iz2 @ iz3),
-        expm(-1j * np.pi * ix1 @ iz2 @ iz3),
+    # Each factor is exp(-i angle P) for a Pauli product P, and P^2 = 1.
+    angle = np.pi / 8
+    factors = [
+        (angle, ("x", None, None)),
+        (angle, (None, "z", None)),
+        (angle, (None, None, "z")),
+        (-angle, ("x", "z", None)),
+        (-angle, ("x", None, "z")),
+        (-angle, (None, "z", "z")),
+        (angle, ("x", "z", "z")),
+    ]
+    return [np.exp(1j * angle) * IDENTITY8] + [
+        np.cos(a) * IDENTITY8 - 1j * np.sin(a) * product_operator(axes) for a, axes in factors
     ]
 
 

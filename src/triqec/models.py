@@ -1,0 +1,67 @@
+"""The named noise models: one table from each name to its closed forms.
+
+A named covariance is 2/tau times a rate pattern: all-ones for one field
+shared by the three spins ("totally-correlated", alias "correlated"), the
+identity for independent, identically distributed fields ("uncorrelated").
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+
+def survival_uncorrelated(tau: float, t):
+    """Corrected survival (3 exp(-t/tau) - exp(-3t/tau)) / 2."""
+    t = np.asarray(t, dtype=float) / tau
+    out = 0.5 * (3 * np.exp(-t) - np.exp(-3 * t))
+    return float(out) if out.ndim == 0 else out
+
+
+def survival_correlated(tau: float, t):
+    """Corrected survival (9 exp(-t/tau) - exp(-9t/tau)) / 8."""
+    t = np.asarray(t, dtype=float) / tau
+    out = 0.125 * (9 * np.exp(-t) - np.exp(-9 * t))
+    return float(out) if out.ndim == 0 else out
+
+
+@dataclass(frozen=True, eq=False)
+class NamedModel:
+    """A named covariance (2/tau) * pattern and its closed forms.
+
+    ``closed_form(tau, t)`` is the corrected survival and ``inflection`` its
+    inflection time in units of tau.
+    """
+
+    name: str
+    pattern: np.ndarray
+    closed_form: Callable
+    inflection: float
+
+    def covariance(self, tau: float) -> np.ndarray:
+        """The rate covariance for a decay time tau > 0."""
+        if tau is None or tau <= 0:
+            raise ValueError(f"tau must be positive, got {tau!r}")
+        return (2.0 / float(tau)) * self.pattern
+
+
+TOTALLY_CORRELATED = NamedModel(
+    "totally-correlated", np.ones((3, 3)), survival_correlated, np.log(3.0) / 4
+)
+UNCORRELATED = NamedModel("uncorrelated", np.eye(3), survival_uncorrelated, np.log(3.0) / 2)
+
+#: Every accepted model name, in the order the command line offers them.
+NAMED_MODELS = {
+    "correlated": TOTALLY_CORRELATED,
+    "totally-correlated": TOTALLY_CORRELATED,
+    "uncorrelated": UNCORRELATED,
+}
+
+
+def named_model(name: str) -> NamedModel:
+    """Look up a model by name or alias; unknown names raise ValueError."""
+    if name not in NAMED_MODELS:
+        raise ValueError(f"unknown model {name!r}")
+    return NAMED_MODELS[name]

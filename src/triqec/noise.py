@@ -24,11 +24,13 @@ how many workers split the blocks.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .models import TOTALLY_CORRELATED, UNCORRELATED, named_model
 from .operators import IDENTITY2, PAULI, kron3
 
 #: Samples per reduction block; fixed so the summation order never varies.
@@ -84,40 +86,37 @@ def validate_covariance(cov) -> np.ndarray:
 
 def totally_correlated(tau: float) -> np.ndarray:
     """Covariance with every entry 2/tau: one field shared by all spins."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau!r}")
-    return np.full((3, 3), 2.0 / tau)
+    return TOTALLY_CORRELATED.covariance(tau)
 
 
 def uncorrelated(tau: float) -> np.ndarray:
     """Diagonal covariance 2/tau: independent, identically distributed fields."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau!r}")
-    return np.diag(np.full(3, 2.0 / tau))
+    return UNCORRELATED.covariance(tau)
 
 
 def effective_covariance(model: str, tau: float | None = None, matrix=None) -> np.ndarray:
     """Build a covariance from a named model or validate a custom one.
 
-    ``model`` is "totally-correlated" (alias "correlated"), "uncorrelated",
-    or "custom".  Named models need ``tau`` > 0; "custom" validates
-    ``matrix`` for symmetry and positive semidefiniteness.
+    ``model`` is a name in :data:`models.NAMED_MODELS` or "custom".  Named
+    models need ``tau`` > 0; "custom" validates ``matrix`` for symmetry and
+    positive semidefiniteness.
     """
-    if model in ("totally-correlated", "correlated"):
-        return totally_correlated(_require_tau(tau))
-    if model == "uncorrelated":
-        return uncorrelated(_require_tau(tau))
     if model == "custom":
         if matrix is None:
             raise ValueError("custom model requires a covariance matrix")
         return validate_covariance(matrix)
-    raise ValueError(f"unknown covariance model {model!r}")
+    return named_model(model).covariance(tau)
 
 
-def _require_tau(tau: float | None) -> float:
-    if tau is None or tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau!r}")
-    return float(tau)
+def _positive_count(value, name: str) -> int:
+    """An integer count >= 1, or a ValueError naming the argument."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    return count
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +124,7 @@ class NoiseChannel:
     """A dephasing channel: covariance, axis, and how to average over it.
 
     ``kind`` is "analytic" for the exact Gaussian average or "monte-carlo"
-    for sampled trajectories (which then requires ``samples`` >= 1).
+    for sampled trajectories (which then requires an integer ``samples`` >= 1).
     """
 
     covariance: np.ndarray
@@ -141,8 +140,9 @@ class NoiseChannel:
             raise ValueError(f"axis must be 'x' or 'z', got {self.axis!r}")
         if self.kind not in ("analytic", "monte-carlo"):
             raise ValueError(f"kind must be 'analytic' or 'monte-carlo', got {self.kind!r}")
-        if self.kind == "monte-carlo" and (self.samples is None or self.samples < 1):
-            raise ValueError("monte-carlo channel requires samples >= 1")
+        object.__setattr__(self, "workers", _positive_count(self.workers, "workers"))
+        if self.kind == "monte-carlo":
+            object.__setattr__(self, "samples", _positive_count(self.samples, "samples"))
 
 
 def _sqrt_factor(sigma: np.ndarray) -> np.ndarray:
@@ -223,6 +223,23 @@ def apply_channel_analytic(rho: np.ndarray, cov, t: float, axis: str = "x") -> n
     raise ValueError(f"axis must be 'x' or 'z', got {axis!r}")
 
 
+def map_phase_blocks(block_fn, cov, t: float, samples: int, seed: int, workers: int = 1) -> list:
+    """Draw the seeded phase stream and apply ``block_fn`` to each block.
+
+    The stream is cut into fixed blocks of ``BLOCK`` phase vectors and the
+    results come back in block order, so any in-order reduction over them is
+    bit-identical whatever the number of worker threads.
+    """
+    samples = _positive_count(samples, "samples")
+    workers = _positive_count(workers, "workers")
+    chis = phase_stream(cov, t, seed, samples)
+    blocks = [chis[start : start + BLOCK] for start in range(0, samples, BLOCK)]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(block_fn, blocks))
+    return [block_fn(block) for block in blocks]
+
+
 def apply_channel_mc(rho: np.ndarray, channel: NoiseChannel, t: float) -> np.ndarray:
     """Monte Carlo dephasing: mean over samples of U(chi) rho U(chi)†.
 
@@ -231,19 +248,12 @@ def apply_channel_mc(rho: np.ndarray, channel: NoiseChannel, t: float) -> np.nda
     if channel.kind != "monte-carlo":
         raise ValueError("apply_channel_mc requires a monte-carlo channel")
     rho = np.asarray(rho, dtype=complex)
-    chis = phase_stream(channel.covariance, t, channel.seed, channel.samples)
 
     def block_sum(block: np.ndarray) -> np.ndarray:
         units = _propagator_batch(block, channel.axis)
         return np.einsum("nij,jk,nlk->il", units, rho, units.conj())
 
-    blocks = [chis[start : start + BLOCK] for start in range(0, len(chis), BLOCK)]
-    if channel.workers > 1:
-        with ThreadPoolExecutor(max_workers=channel.workers) as pool:
-            partials = list(pool.map(block_sum, blocks))
-    else:
-        partials = [block_sum(block) for block in blocks]
-    total = np.zeros_like(rho)
-    for part in partials:
-        total += part
-    return total / channel.samples
+    partials = map_phase_blocks(
+        block_sum, channel.covariance, t, channel.samples, channel.seed, channel.workers
+    )
+    return sum(partials) / channel.samples

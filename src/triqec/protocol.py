@@ -16,23 +16,22 @@ package.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import _triple_quantum_product
+from .analytics import survival_factor
 from .gates import encoder, global_rotation, toffoli
 from .noise import (
-    BLOCK,
     NoiseChannel,
     _propagator_batch,
     apply_channel_analytic,
-    phase_stream,
+    map_phase_blocks,
     validate_covariance,
 )
 from .operators import (
     ANCILLA_SECTORS,
+    IDENTITY2,
     PAULI,
     BlochVector,
     bloch_of,
@@ -94,6 +93,17 @@ class CorrelatedComponent:
             raise ConfigError(f"sector must be a pair of +-1, got {self.sector!r}")
 
 
+def _correlated_components(components) -> tuple[CorrelatedComponent, ...]:
+    # A nonempty tuple of components whose weights sum to one.
+    components = tuple(components)
+    if not components:
+        raise ConfigError("correlated mixture needs at least one component")
+    total = sum(comp.weight for comp in components)
+    if abs(total - 1.0) > 1e-12:
+        raise ConfigError(f"correlated mixture weights must sum to 1, got {total!r}")
+    return components
+
+
 @dataclass(frozen=True, eq=False)
 class PipelineConfig:
     """What to run: initial state, ancilla preparation, channel, options.
@@ -122,12 +132,7 @@ class PipelineConfig:
             raise ConfigError("give both alpha and beta or neither")
         correlated = self.ancillae is not None and not isinstance(self.ancillae, AncillaMixture)
         if correlated:
-            components = tuple(self.ancillae)
-            if not components:
-                raise ConfigError("correlated mixture needs at least one component")
-            total = sum(c.weight for c in components)
-            if abs(total - 1.0) > 1e-12:
-                raise ConfigError(f"correlated mixture weights must sum to 1, got {total!r}")
+            components = _correlated_components(self.ancillae)
             if has_amplitudes or self.bloch is not None:
                 raise ConfigError(
                     "a correlated mixture carries its own data states; "
@@ -156,34 +161,30 @@ class PipelineResult:
     survival_stderr: float | None = None
 
 
-def _ancilla_matrix(mix: AncillaMixture) -> np.ndarray:
-    out = np.zeros((4, 4), dtype=complex)
-    for weight, (s2, s3) in zip(mix.weights, ANCILLA_SECTORS):
-        half2 = (np.eye(2) + s2 * PAULI["z"]) / 2
-        half3 = (np.eye(2) + s3 * PAULI["z"]) / 2
-        out += weight * np.kron(half2, half3)
-    return out
+def _sector_projector(sign2: int, sign3: int) -> np.ndarray:
+    # 4x4 projector onto one ancilla z-basis sector.
+    half2 = (IDENTITY2 + sign2 * PAULI["z"]) / 2
+    half3 = (IDENTITY2 + sign3 * PAULI["z"]) / 2
+    return np.kron(half2, half3)
 
 
 def initial_state(config: PipelineConfig) -> np.ndarray:
     """The 8x8 state the pipeline starts from."""
     ancillae = config.ancillae
     if ancillae is not None and not isinstance(ancillae, AncillaMixture):
-        out = np.zeros((8, 8), dtype=complex)
-        for comp in ancillae:
-            s2, s3 = comp.sector
-            sector = np.kron(
-                (np.eye(2) + s2 * PAULI["z"]) / 2, (np.eye(2) + s3 * PAULI["z"]) / 2
-            )
-            out += comp.weight * np.kron(data_state_from_bloch(comp.bloch), sector)
-        return out
+        return sum(
+            comp.weight
+            * np.kron(data_state_from_bloch(comp.bloch), _sector_projector(*comp.sector))
+            for comp in ancillae
+        )
     if config.alpha is not None:
         # pure_data_state validates the normalization; keep its data factor.
         data = partial_trace_ancillae(pure_data_state(config.alpha, config.beta))
     else:
         data = data_state_from_bloch(config.bloch)
     mix = ancillae if isinstance(ancillae, AncillaMixture) else GROUND_ANCILLAE
-    return np.kron(data, _ancilla_matrix(mix))
+    ancilla_state = sum(w * _sector_projector(*s) for w, s in zip(mix.weights, ANCILLA_SECTORS))
+    return np.kron(data, ancilla_state)
 
 
 def _conjugators(correction: bool, basis_rotation: str) -> tuple[np.ndarray, np.ndarray]:
@@ -270,8 +271,6 @@ def run_pipeline_mc(
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples!r}")
     rho0 = initial_state(config)
     bloch_in = bloch_of(partial_trace_ancillae(rho0))
     pre, post = _conjugators(config.correction, config.basis_rotation)
@@ -284,8 +283,6 @@ def run_pipeline_mc(
         full = np.kron(PAULI[axis], np.eye(4, dtype=complex))
         pauli_obs[axis] = post.conj().T @ full @ post
 
-    chis = phase_stream(config.channel.covariance, t, seed, samples)
-
     def block_stats(block: np.ndarray):
         units = _propagator_batch(block, config.channel.axis)
         noisy = np.einsum("nij,jk,nlk->nil", units, rho_encoded, units.conj())
@@ -296,17 +293,8 @@ def run_pipeline_mc(
         }
         return state_sum, comps
 
-    blocks = [chis[start : start + BLOCK] for start in range(0, len(chis), BLOCK)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(block_stats, blocks))
-    else:
-        results = [block_stats(block) for block in blocks]
-
-    state_sum = np.zeros((8, 8), dtype=complex)
-    for part, _ in results:
-        state_sum += part
-    mean_encoded = state_sum / samples
+    results = map_phase_blocks(block_stats, config.channel.covariance, t, samples, seed, workers)
+    mean_encoded = sum(part for part, _ in results) / samples
     reduced = partial_trace_ancillae(post @ mean_encoded @ post.conj().T)
     bloch_out = bloch_of(reduced)
 
@@ -331,33 +319,17 @@ def run_pipeline_mc(
     )
 
 
-def sector_survival(cov, t, sign2: int = +1, sign3: int = +1):
-    """Survival factor when the ancillae start in one diagonal sector.
-
-    Flipping an ancilla flips the sign of the matching single-spin term (and
-    their product flips the three-spin term) in the closed form; the ground
-    sector (+, +) reduces to :func:`analytics.survival_factor`.
-    """
-    c = validate_covariance(cov)
-    t = np.asarray(t, dtype=float)
-    f1, f2, f3 = (np.exp(-0.5 * t * c[j, j]) for j in range(3))
-    triple = _triple_quantum_product(c, t)
-    out = 0.5 * (f1 + sign2 * f2 + sign3 * f3 - sign2 * sign3 * triple)
-    return float(out) if out.ndim == 0 else out
-
-
 def mixed_ancilla_survival(mix: AncillaMixture, cov, t):
     """Survival of the protected components for a diagonal ancilla mixture.
 
     The weighted combination of the four sector survivals; equals the
     pure-ancilla survival factor for the mixture (1, 0, 0, 0).
     """
-    parts = [
-        weight * sector_survival(cov, t, s2, s3)
+    return sum(
+        weight * survival_factor(cov, t, s2, s3)
         for weight, (s2, s3) in zip(mix.weights, ANCILLA_SECTORS)
         if weight != 0.0
-    ]
-    return sum(parts)
+    )
 
 
 def sector_slope_at_zero(cov, sign2: int, sign3: int) -> float:
@@ -370,17 +342,13 @@ def sector_slope_at_zero(cov, sign2: int, sign3: int) -> float:
 def mixed_ancilla_slope_at_zero(mix: AncillaMixture, cov) -> float:
     """Initial decay slope of a diagonal ancilla mixture.
 
-    Zero for the ground mixture regardless of the covariance; any weight on
-    the other sectors couples the slope to the variances.
+    The weighted sum of the sector slopes: zero for the ground mixture
+    regardless of the covariance; any weight on the other sectors couples the
+    slope to the variances.
     """
-    c = validate_covariance(cov)
-    mpp, mpm, mmp, mmm = mix.weights
-    c11, c22, c33 = c[0, 0], c[1, 1], c[2, 2]
-    return 0.25 * (
-        (mpp - 1) * c11
-        - mpm * (c11 + 2 * c22)
-        - mmp * (c11 + 2 * c33)
-        + mmm * (c11 + 2 * c22 + 2 * c33)
+    return sum(
+        weight * sector_slope_at_zero(cov, s2, s3)
+        for weight, (s2, s3) in zip(mix.weights, ANCILLA_SECTORS)
     )
 
 
@@ -425,7 +393,7 @@ def ancilla_mixture_nogo_search(cov, grid_step: float = 0.01) -> NoGoCertificate
     c11, c22, c33 = c[0, 0], c[1, 1], c[2, 2]
     if c11 <= 0:
         raise ValueError("the no-go search requires a positive data-spin variance c11")
-    if grid_step <= 0 or grid_step > 1:
+    if not (0 < grid_step <= 1):
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step!r}")
     n = max(1, round(1.0 / grid_step))
 
@@ -464,15 +432,9 @@ def correlated_mixture_residuals(components, cov) -> tuple[float, float]:
     vanish exactly when the mixture is protected to first order.
     """
     c = validate_covariance(cov)
-    components = tuple(components)
-    if not components:
-        raise ConfigError("correlated mixture needs at least one component")
-    total = sum(comp.weight for comp in components)
-    if abs(total - 1.0) > 1e-12:
-        raise ConfigError(f"correlated mixture weights must sum to 1, got {total!r}")
     residual_y = 0.0
     residual_z = 0.0
-    for comp in components:
+    for comp in _correlated_components(components):
         slope = sector_slope_at_zero(c, *comp.sector)
         _, y, z = comp.bloch
         residual_y += comp.weight * y * slope

@@ -60,3 +60,24 @@ def richardson_third_derivative(f, t: float, h: float) -> float:
         ) / (2.0 * step**3)
 
     return (4.0 * central(h) - central(2.0 * h)) / 3.0
+
+
+def asymmetric_third_derivative_at_zero(cov) -> float:
+    """A rejected form of the survival's third derivative at t = 0.
+
+    It differs from the library's symmetric formula in one term, 3 c33^2
+    (c22 + c33) in place of 3 c33^2 (c11 + c22), which breaks the
+    spin-relabeling symmetry of the decay law.  Kept as an oracle so tests
+    can show that finite differences single out the symmetric form.
+    """
+    c = np.asarray(cov, dtype=float)
+    c11, c22, c33 = c[0, 0], c[1, 1], c[2, 2]
+    c12, c13, c23 = c[0, 1], c[0, 2], c[1, 2]
+    return (
+        3 * c11**2 * (c22 + c33)
+        + 3 * c22**2 * (c11 + c33)
+        + 3 * c33**2 * (c22 + c33)
+        + 6 * c11 * c22 * c33
+        + 12 * (c12**2 + c13**2 + c23**2) * (c11 + c22 + c33)
+        + 48 * c12 * c13 * c23
+    ) / 16

@@ -14,6 +14,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from conftest import (
+    asymmetric_third_derivative_at_zero,
     random_psd,
     richardson_first_derivative,
     richardson_second_derivative,
@@ -167,8 +168,8 @@ def test_acceptance_06_third_derivative_variant_resolution():
             cov = random_psd(rng)
             cov *= 3.0 / np.trace(cov)
             oracle = richardson_third_derivative(lambda s: survival_factor(cov, s), 0.0, 5e-3)
-            sym = survival_third_derivative_at_zero(cov, "symmetric")
-            asym = survival_third_derivative_at_zero(cov, "asymmetric")
+            sym = survival_third_derivative_at_zero(cov)
+            asym = asymmetric_third_derivative_at_zero(cov)
             scale = max(abs(oracle), 1e-12)
             sym_ok &= abs(sym - oracle) / scale <= 1e-4
             asym_ok &= abs(asym - oracle) / scale <= 1e-4

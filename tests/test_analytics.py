@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import (
+    asymmetric_third_derivative_at_zero,
     random_psd,
     richardson_second_derivative,
     richardson_third_derivative,
@@ -93,11 +94,9 @@ def test_derivatives_match_finite_differences():
 def test_third_derivative_variants_disagree_generically():
     rng = np.random.default_rng(3)
     cov = random_psd(rng)
-    sym = survival_third_derivative_at_zero(cov, "symmetric")
-    asym = survival_third_derivative_at_zero(cov, "asymmetric")
+    sym = survival_third_derivative_at_zero(cov)
+    asym = asymmetric_third_derivative_at_zero(cov)
     assert sym != pytest.approx(asym, rel=1e-6)
-    with pytest.raises(ValueError):
-        survival_third_derivative_at_zero(cov, "no-such-variant")
 
 
 def test_third_derivative_sign_probe():

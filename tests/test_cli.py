@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import triqec
 from triqec.cli import main, read_covariance_file
 
 
@@ -162,11 +167,33 @@ def test_nogo_vertices_only_grid(capsys):
     assert printed.count("zero-slope mixture") == 1
 
 
+def test_decay_mc_rejects_bad_worker_count(tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    assert run_cli("decay", "--model", "uncorrelated", "--tau", 1.0, "--points", 2,
+                   "--mc", 100, "--workers", 0, "--out", out) == 2
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(triqec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, triqec.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_nogo_requires_data_variance(tmp_path, capsys):
     cov = tmp_path / "silent.cov"
     cov.write_text("0 0 0\n0 1 0\n0 0 1\n")
     assert run_cli("nogo", "--cov", cov) == 2
     assert "c11" in capsys.readouterr().err
+    assert run_cli("nogo", "--model", "uncorrelated", "--tau", 1.0, "--step", "nan") == 2
+    assert "grid_step" in capsys.readouterr().err
 
 
 def test_derivatives_output(capsys):

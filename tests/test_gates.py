@@ -164,6 +164,26 @@ def test_toffoli_expansion_product_and_commutativity():
             assert np.abs(comm).max() < 1e-12
 
 
+def test_toffoli_expansion_factors_match_matrix_exponentials():
+    ix1 = angular_momentum(1, "x")
+    iz2 = angular_momentum(2, "z")
+    iz3 = angular_momentum(3, "z")
+    generators = [
+        1j * np.pi / 8 * IDENTITY8,
+        -1j * np.pi / 4 * ix1,
+        -1j * np.pi / 4 * iz2,
+        -1j * np.pi / 4 * iz3,
+        1j * np.pi / 2 * ix1 @ iz2,
+        1j * np.pi / 2 * ix1 @ iz3,
+        1j * np.pi / 2 * iz2 @ iz3,
+        -1j * np.pi * ix1 @ iz2 @ iz3,
+    ]
+    factors = toffoli_product_expansion()
+    assert len(factors) == len(generators)
+    for factor, generator in zip(factors, generators):
+        assert np.abs(factor - expm(generator)).max() < 1e-12
+
+
 def test_toffoli_expansion_ancilla_only_factors_drop_out():
     # Keeping only the factors that touch the data spin changes nothing that
     # survives the ancilla partial trace.

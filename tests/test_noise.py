@@ -4,12 +4,14 @@ from scipy.linalg import expm
 
 from conftest import random_density, random_psd
 from triqec.noise import (
+    BLOCK,
     CovarianceError,
     NoiseChannel,
     apply_channel_analytic,
     apply_channel_mc,
     dephasing_factors,
     effective_covariance,
+    map_phase_blocks,
     phase_stream,
     random_propagator,
     sample_phases,
@@ -76,6 +78,33 @@ def test_noise_channel_validation():
     with pytest.raises(ValueError):
         NoiseChannel(covariance=np.eye(3), kind="monte-carlo")  # samples missing
     NoiseChannel(covariance=np.eye(3), kind="monte-carlo", samples=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        ({"workers": -3}, "workers"),
+        ({"workers": 0}, "workers"),
+        ({"kind": "monte-carlo", "samples": 1e3}, "samples"),
+        ({"kind": "monte-carlo", "samples": 0}, "samples"),
+    ],
+)
+def test_noise_channel_rejects_bad_counts(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        NoiseChannel(covariance=np.eye(3), **kwargs)
+
+
+def test_phase_blocks_come_back_in_order_and_are_validated():
+    cov, n = uncorrelated(1.0), 3 * BLOCK + 5
+    serial = map_phase_blocks(lambda b: b.copy(), cov, 0.3, n, 4, workers=1)
+    threaded = map_phase_blocks(lambda b: b.copy(), cov, 0.3, n, 4, workers=3)
+    assert [len(b) for b in serial] == [BLOCK, BLOCK, BLOCK, 5]
+    assert np.array_equal(np.concatenate(serial), phase_stream(cov, 0.3, 4, n))
+    assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
+    with pytest.raises(ValueError, match="workers"):
+        map_phase_blocks(len, cov, 0.3, n, 4, workers=0)
+    with pytest.raises(ValueError, match="samples"):
+        map_phase_blocks(len, cov, 0.3, 1e3, 4)
 
 
 def test_sample_phases_zero_time():

@@ -4,7 +4,12 @@ import pytest
 from conftest import random_psd
 from triqec.analytics import survival_factor, uncorrected_decay
 from triqec.noise import NoiseChannel, totally_correlated, uncorrelated
-from triqec.operators import bloch_of, partial_trace_ancillae, polar_amplitudes
+from triqec.operators import (
+    ANCILLA_SECTORS,
+    bloch_of,
+    partial_trace_ancillae,
+    polar_amplitudes,
+)
 from triqec.protocol import (
     AncillaMixture,
     ConfigError,
@@ -20,7 +25,6 @@ from triqec.protocol import (
     run_pipeline,
     run_pipeline_mc,
     sector_slope_at_zero,
-    sector_survival,
 )
 
 BLOCH = (0.3, 0.6, 0.64)
@@ -149,6 +153,23 @@ def test_run_pipeline_dispatches_on_channel_kind():
     assert via_run.survival_stderr == via_mc.survival_stderr
 
 
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        ({"workers": 0}, "workers"),
+        ({"workers": -2}, "workers"),
+        ({"workers": 1.5}, "workers"),
+        ({"samples": 1e3}, "samples"),
+        ({"samples": 0}, "samples"),
+    ],
+)
+def test_mc_pipeline_rejects_bad_counts(kwargs, name):
+    config = make_config(uncorrelated(1.0), bloch=BLOCH)
+    args = {"samples": 100, "seed": 0, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        run_pipeline_mc(config, 0.2, **args)
+
+
 def test_mc_pipeline_deterministic_across_workers():
     config = make_config(totally_correlated(0.7), bloch=BLOCH)
     one = run_pipeline_mc(config, 0.5, samples=9000, seed=2, workers=1)
@@ -189,12 +210,20 @@ def test_corrected_deficit_is_second_order_uncorrected_first_order():
 
 
 def test_sector_survival_ground_sector_is_the_survival_factor():
+    # The sector-aware survival_factor defaults to the ground sector, and each
+    # other sector flips the signs of its single-spin and three-spin terms.
     rng = np.random.default_rng(6)
     cov = random_psd(rng)
     for t in (0.0, 0.3, 1.1):
-        assert sector_survival(cov, t, +1, +1) == pytest.approx(
-            survival_factor(cov, t), abs=1e-14
-        )
+        ground = survival_factor(cov, t)
+        assert survival_factor(cov, t, +1, +1) == ground
+        f1, f2, f3 = (np.exp(-0.5 * t * cov[j, j]) for j in range(3))
+        triple = f1 + f2 + f3 - 2 * ground
+        for s2, s3 in ANCILLA_SECTORS:
+            expected = 0.5 * (f1 + s2 * f2 + s3 * f3 - s2 * s3 * triple)
+            assert survival_factor(cov, t, s2, s3) == pytest.approx(expected, abs=1e-14)
+    with pytest.raises(ValueError, match="signs"):
+        survival_factor(cov, 0.3, 0, +1)
 
 
 def test_mixed_ancilla_survival_reduces_to_pure_case():
@@ -279,6 +308,9 @@ def test_nogo_search_requires_data_spin_variance():
     silent_data = np.diag([0.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="c11"):
         ancilla_mixture_nogo_search(silent_data)
+    for step in (0.0, -0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="grid_step"):
+            ancilla_mixture_nogo_search(np.eye(3), grid_step=step)
 
 
 def test_correlated_mixture_all_ground_sector_is_flat():
