@@ -64,7 +64,6 @@ from .protocol import (
     ancilla_mixture_nogo_search,
     correlated_mixture_residuals,
     evolve_corrected,
-    evolve_uncorrected,
     initial_state,
     mixed_ancilla_slope_at_zero,
     mixed_ancilla_survival,

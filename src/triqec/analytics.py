@@ -20,7 +20,7 @@ import numpy as np
 
 from .models import named_model
 from .models import survival_correlated, survival_uncorrelated  # noqa: F401  (re-exported)
-from .noise import validate_covariance
+from .noise import validate_covariance, validate_time
 
 PROVENANCES = ("analytic", "monte-carlo", "fitted")
 
@@ -85,7 +85,7 @@ def survival_factor(cov, t, sign2: int = +1, sign3: int = +1):
     if sign2 not in (1, -1) or sign3 not in (1, -1):
         raise ValueError(f"ancilla signs must be +1 or -1, got {(sign2, sign3)!r}")
     c = validate_covariance(cov)
-    t = np.asarray(t, dtype=float)
+    t = np.asarray(validate_time(t), dtype=float)
     signs = np.array([1.0, sign2, sign3])
     singles = (np.exp(-0.5 * np.multiply.outer(t, np.diagonal(c))) * signs).sum(axis=-1)
     out = 0.5 * (singles - sign2 * sign3 * _triple_quantum_product(c, t))
@@ -95,7 +95,7 @@ def survival_factor(cov, t, sign2: int = +1, sign3: int = +1):
 def uncorrected_decay(cov, t):
     """Survival exp(-t c11 / 2) of the unprotected transverse components."""
     c = validate_covariance(cov)
-    out = np.exp(-0.5 * np.asarray(t, dtype=float) * c[0, 0])
+    out = np.exp(-0.5 * np.asarray(validate_time(t), dtype=float) * c[0, 0])
     return float(out) if out.ndim == 0 else out
 
 

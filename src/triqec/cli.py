@@ -111,10 +111,10 @@ def _resolve_seed(args) -> int:
 
 
 def _git_commit() -> str | None:
+    # The commit of the checkout holding this package, not of the cwd.
+    command = ["git", "-C", str(Path(__file__).resolve().parent), "rev-parse", "HEAD"]
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True, timeout=5
-        )
+        out = subprocess.run(command, capture_output=True, text=True, timeout=5)
     except (OSError, subprocess.SubprocessError):
         return None
     return out.stdout.strip() if out.returncode == 0 else None
@@ -184,8 +184,8 @@ def cmd_decay(args) -> int:
     seed = _resolve_seed(args)
     if args.points < 1:
         raise CommandError(f"--points must be >= 1, got {args.points}", 2)
-    if args.tmax <= 0:
-        raise CommandError(f"--tmax must be positive, got {args.tmax}", 2)
+    if not (0 < args.tmax < np.inf):
+        raise CommandError(f"--tmax must be positive and finite, got {args.tmax}", 2)
     if args.mc is not None and args.mc < 1:
         raise CommandError(f"--mc must be >= 1, got {args.mc}", 2)
     times = np.linspace(0.0, args.tmax, args.points)

@@ -40,10 +40,13 @@ class GradientDiffusionSpec:
     scheme: str = SCHEMES[0]
 
     def __post_init__(self):
-        if self.diffusion_coefficient < 0:
-            raise ValueError(f"diffusion coefficient must be >= 0, got {self.diffusion_coefficient!r}")
-        if self.diffusion_time < 0:
-            raise ValueError(f"diffusion time must be >= 0, got {self.diffusion_time!r}")
+        if not np.isfinite(self.gradient_wavenumber):
+            raise ValueError(
+                f"gradient_wavenumber must be finite, got {self.gradient_wavenumber!r}"
+            )
+        for name in ("diffusion_coefficient", "diffusion_time"):
+            if not (0 <= getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 

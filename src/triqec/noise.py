@@ -6,15 +6,16 @@ C*t (C in rad^2/s).  A delta-correlated field makes a single Gaussian draw
 per trajectory per evolution period exact, so no time stepping of the field
 is ever performed.
 
-Two routes through the average are provided and kept independent so they can
-cross-validate each other:
+Both routes work in the eigenbasis of the dephasing axis (``FRAMES``), where
+a trajectory multiplies each matrix element |r><c| by exp(-i eps . chi), eps
+being the halved difference of the two basis states' 2Iz signs.  ``dephase``
+applies an 8x8 table of such factors; the routes differ only in how each
+factor is averaged, and stay independent so they can cross-validate:
 
-* ``apply_channel_analytic`` computes the exact Gaussian average.  In the
-  eigenbasis of the dephasing axis every matrix element connecting states
-  with signed eigenvalue-difference vector eps in {-1, 0, +1}^3 is damped by
-  exp(-(t/2) eps^T C eps); axis-diagonal elements are fixed points.
-* ``apply_channel_mc`` draws phase vectors, builds the exact unitary for each
-  sample, and averages the conjugated states directly.
+* ``apply_channel_analytic``: the exact Gaussian average
+  exp(-(t/2) eps^T C eps) of ``dephasing_factors``.
+* ``apply_channel_mc``: the sample mean of ``trajectory_phases``; it never
+  evaluates the Gaussian formula.
 
 Monte Carlo reproducibility: the phases come from a counter-based Philox
 stream keyed by the seed, drawn in one deterministic block, and the reduction
@@ -31,19 +32,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import TOTALLY_CORRELATED, UNCORRELATED, named_model
-from .operators import IDENTITY2, PAULI, kron3
+from .operators import IDENTITY2, IDENTITY8, PAULI, kron3
 
 #: Samples per reduction block; fixed so the summation order never varies.
 BLOCK = 4096
 
-#: Unitary that maps Ix to Iz under conjugation (a +pi/2 rotation about y),
-#: used to reduce the x-axis channel to the diagonal z-axis primitive.
-_TO_Z_FRAME = kron3(*[np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)] * 3)
+#: Unitary taking each dephasing axis to z under conjugation: for x a +pi/2
+#: rotation about y (Ix -> Iz), for z the identity.
+FRAMES = {
+    "x": kron3(*[np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)] * 3),
+    "z": IDENTITY8,
+}
 
 #: Per-basis-state signs of 2Iz for each spin, shape (8, 3).
-_Z_SIGNS = np.array(
-    [[1 - 2 * ((idx >> bit) & 1) for bit in (2, 1, 0)] for idx in range(8)], dtype=float
-)
+_Z_SIGNS = 1.0 - 2 * ((np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1)
+
+#: Halved sign differences eps of the element |r><c|, row 8 r + c, shape (64, 3).
+_EPS = ((_Z_SIGNS[:, None, :] - _Z_SIGNS[None, :, :]) / 2.0).reshape(64, 3)
 
 
 class CovarianceError(ValueError):
@@ -82,6 +87,15 @@ def validate_covariance(cov) -> np.ndarray:
             f"covariance is not positive semidefinite: eigenvalue {lowest!r} < 0"
         )
     return c
+
+
+def validate_time(t):
+    """Return ``t`` if every time in it is finite and >= 0, else raise ValueError."""
+    times = np.asarray(t, dtype=float)
+    bad = ~(np.isfinite(times) & (times >= 0))
+    if bad.any():
+        raise ValueError(f"time must be finite and >= 0, got {float(times[bad].flat[0])!r}")
+    return t
 
 
 def totally_correlated(tau: float) -> np.ndarray:
@@ -160,8 +174,7 @@ def sample_phases(
     Returns shape (3,) or (size, 3).
     """
     c = validate_covariance(cov)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
+    t = validate_time(t)
     loads = _sqrt_factor(c * t)
     draws = rng.standard_normal(3 if size is None else (size, 3))
     return draws @ loads.T
@@ -174,53 +187,49 @@ def phase_stream(cov, t: float, seed: int, samples: int) -> np.ndarray:
 
 
 def random_propagator(chi, axis: str = "x") -> np.ndarray:
-    """Exact unitary exp(-i sum_k chi^k I_axis^k) for one phase vector."""
-    return _propagator_batch(np.asarray(chi, dtype=float).reshape(1, 3), axis)[0]
-
-
-def _propagator_batch(chis: np.ndarray, axis: str) -> np.ndarray:
-    # (n, 3) phase vectors -> (n, 8, 8) product unitaries, built from the
-    # closed form cos(chi/2) - i sin(chi/2) sigma per spin.
+    """Exact unitary exp(-i sum_k chi^k I_axis^k), a kron of per-spin closed forms."""
     if axis not in PAULI:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    half = chis / 2.0
-    singles = (
-        np.cos(half)[..., None, None] * IDENTITY2
-        - 1j * np.sin(half)[..., None, None] * PAULI[axis]
-    )
-    out = np.einsum("nab,ncd->nacbd", singles[:, 0], singles[:, 1]).reshape(-1, 4, 4)
-    out = np.einsum("nab,ncd->nacbd", out, singles[:, 2]).reshape(-1, 8, 8)
-    return out
+    half = np.asarray(chi, dtype=float).reshape(3) / 2.0
+    return kron3(*(np.cos(h) * IDENTITY2 - 1j * np.sin(h) * PAULI[axis] for h in half))
 
 
 def dephasing_factors(cov, t: float) -> np.ndarray:
-    """The 8x8 damping factors exp(-(t/2) eps^T C eps) in the z eigenbasis.
+    """The 8x8 Gaussian-averaged factors exp(-(t/2) eps^T C eps).
 
-    Entry (r, c) multiplies the matrix element |r><c|, with eps the per-spin
-    difference of 2Iz signs between the two basis states, halved.
+    Entry (r, c) multiplies the element |r><c| in the dephasing frame.
     """
     c = validate_covariance(cov)
-    eps = (_Z_SIGNS[:, None, :] - _Z_SIGNS[None, :, :]) / 2.0
-    quad = np.einsum("rcj,jk,rck->rc", eps, c, eps)
+    t = validate_time(t)
+    quad = np.einsum("pj,jk,pk->p", _EPS, c, _EPS).reshape(8, 8)
     return np.exp(-0.5 * t * quad)
+
+
+def trajectory_phases(chis) -> np.ndarray:
+    """Per-trajectory factors exp(-i eps . chi): (..., 3) phases to (..., 8, 8) tables.
+
+    Laid out like :func:`dephasing_factors`, whose table is their Gaussian mean.
+    """
+    chis = np.asarray(chis, dtype=float)
+    return np.exp(-1j * (chis @ _EPS.T)).reshape(*chis.shape[:-1], 8, 8)
+
+
+def dephase(rho: np.ndarray, factors: np.ndarray, axis: str = "x") -> np.ndarray:
+    """Multiply rho's elements in the dephasing frame by one 8x8 table or a stack."""
+    if axis not in FRAMES:
+        raise ValueError(f"axis must be 'x' or 'z', got {axis!r}")
+    frame = FRAMES[axis]
+    rotated = frame @ np.asarray(rho, dtype=complex) @ frame.conj().T
+    return frame.conj().T @ (factors * rotated) @ frame
 
 
 def apply_channel_analytic(rho: np.ndarray, cov, t: float, axis: str = "x") -> np.ndarray:
     """Exact Gaussian-averaged dephasing channel.
 
     Completely positive and trace preserving; operators diagonal in the
-    dephasing-axis eigenbasis are fixed points.  The z-axis channel damps
-    matrix elements directly; the x-axis channel conjugates into the z frame
-    first.
+    dephasing-axis eigenbasis are fixed points.
     """
-    rho = np.asarray(rho, dtype=complex)
-    factors = dephasing_factors(cov, t)
-    if axis == "z":
-        return factors * rho
-    if axis == "x":
-        rotated = _TO_Z_FRAME @ rho @ _TO_Z_FRAME.conj().T
-        return _TO_Z_FRAME.conj().T @ (factors * rotated) @ _TO_Z_FRAME
-    raise ValueError(f"axis must be 'x' or 'z', got {axis!r}")
+    return dephase(rho, dephasing_factors(cov, t), axis)
 
 
 def map_phase_blocks(block_fn, cov, t: float, samples: int, seed: int, workers: int = 1) -> list:
@@ -243,17 +252,15 @@ def map_phase_blocks(block_fn, cov, t: float, samples: int, seed: int, workers: 
 def apply_channel_mc(rho: np.ndarray, channel: NoiseChannel, t: float) -> np.ndarray:
     """Monte Carlo dephasing: mean over samples of U(chi) rho U(chi)†.
 
+    Each element's factor is the sample mean of exp(-i eps . chi).
     Deterministic for a fixed seed regardless of the worker count.
     """
     if channel.kind != "monte-carlo":
         raise ValueError("apply_channel_mc requires a monte-carlo channel")
-    rho = np.asarray(rho, dtype=complex)
-
     def block_sum(block: np.ndarray) -> np.ndarray:
-        units = _propagator_batch(block, channel.axis)
-        return np.einsum("nij,jk,nlk->il", units, rho, units.conj())
+        return trajectory_phases(block).sum(axis=0)
 
     partials = map_phase_blocks(
         block_sum, channel.covariance, t, channel.samples, channel.seed, channel.workers
     )
-    return sum(partials) / channel.samples
+    return dephase(rho, sum(partials) / channel.samples, channel.axis)

@@ -126,7 +126,7 @@ def pure_data_state(alpha: complex, beta: complex) -> np.ndarray:
         If |alpha|^2 + |beta|^2 deviates from 1 beyond tolerance.
     """
     norm = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm - 1.0) > STATE_TOL:
+    if not (abs(norm - 1.0) <= STATE_TOL):
         raise NormalizationError(f"|alpha|^2 + |beta|^2 = {norm!r}, expected 1")
     ket = np.zeros(DIM, dtype=complex)
     ket[0b000] = alpha
@@ -137,6 +137,8 @@ def pure_data_state(alpha: complex, beta: complex) -> np.ndarray:
 def data_state_from_bloch(bloch) -> np.ndarray:
     """2x2 data-spin density matrix with the given (<2Ix>, <2Iy>, <2Iz>)."""
     x, y, z = bloch
+    if not np.isfinite([x, y, z]).all():
+        raise NormalizationError(f"Bloch vector components must be finite, got {tuple(bloch)!r}")
     r2 = x * x + y * y + z * z
     if r2 > 1.0 + STATE_TOL:
         raise NormalizationError(f"Bloch vector has norm {np.sqrt(r2)!r} > 1")

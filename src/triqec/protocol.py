@@ -7,27 +7,30 @@ is the partial trace.  With ground-state ancillae the protected (y, z)
 components of the data spin come back scaled by the closed-form survival
 factor; the x component is untouched by construction.
 
-The pipeline exists in two independent flavors: ``run_pipeline`` evolves the
-state through the exact Gaussian-averaged channel, while ``run_pipeline_mc``
-propagates every sampled trajectory through the actual gate sequence and
-averages at the end.  Their agreement is the central cross-check of the
-package.
+Both flavors share one body: the encoded state, in the dephasing frame, has
+its elements multiplied by an 8x8 factor table, then is decoded, corrected
+and reduced.  ``run_pipeline`` passes the exact Gaussian-averaged factors,
+``run_pipeline_mc`` the sample mean of the trajectory phases, reading each
+trajectory's survival off the protected observable pulled back into that
+frame.  Their agreement is the central cross-check of the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .analytics import survival_factor
 from .gates import encoder, global_rotation, toffoli
 from .noise import (
+    FRAMES,
     NoiseChannel,
-    _propagator_batch,
-    apply_channel_analytic,
+    dephasing_factors,
     map_phase_blocks,
+    trajectory_phases,
     validate_covariance,
+    validate_time,
 )
 from .operators import (
     ANCILLA_SECTORS,
@@ -60,11 +63,14 @@ class AncillaMixture:
     mu_mm: float
 
     def __post_init__(self):
-        w = self.weights
-        if min(w) < -1e-12:
-            raise ConfigError(f"mixture weights must be nonnegative, got {w}")
-        if abs(sum(w) - 1.0) > 1e-12:
-            raise ConfigError(f"mixture weights must sum to 1, got {sum(w)!r}")
+        for field in fields(self):
+            weight = getattr(self, field.name)
+            if not (-1e-12 <= weight < np.inf):
+                raise ConfigError(
+                    f"mixture weight {field.name} must be finite and >= 0, got {weight!r}"
+                )
+        if not (abs(sum(self.weights) - 1.0) <= 1e-12):
+            raise ConfigError(f"mixture weights must sum to 1, got {sum(self.weights)!r}")
 
     @property
     def weights(self) -> tuple[float, float, float, float]:
@@ -87,8 +93,9 @@ class CorrelatedComponent:
     sector: tuple[int, int]
 
     def __post_init__(self):
-        if self.weight < -1e-12:
-            raise ConfigError(f"component weight must be nonnegative, got {self.weight!r}")
+        if not (-1e-12 <= self.weight < np.inf):
+            raise ConfigError(f"component weight must be finite and >= 0, got {self.weight!r}")
+        data_state_from_bloch(self.bloch)  # rejects non-finite or too long Bloch vectors
         if self.sector not in ANCILLA_SECTORS:
             raise ConfigError(f"sector must be a pair of +-1, got {self.sector!r}")
 
@@ -99,7 +106,7 @@ def _correlated_components(components) -> tuple[CorrelatedComponent, ...]:
     if not components:
         raise ConfigError("correlated mixture needs at least one component")
     total = sum(comp.weight for comp in components)
-    if abs(total - 1.0) > 1e-12:
+    if not (abs(total - 1.0) <= 1e-12):
         raise ConfigError(f"correlated mixture weights must sum to 1, got {total!r}")
     return components
 
@@ -143,6 +150,10 @@ class PipelineConfig:
             raise ConfigError("give either amplitudes or a Bloch vector, not both")
         elif not has_amplitudes and self.bloch is None:
             raise ConfigError("no initial data state given")
+        elif self.bloch is not None:
+            data_state_from_bloch(self.bloch)  # rejects non-finite or too long Bloch vectors
+        else:
+            pure_data_state(self.alpha, self.beta)  # rejects non-normalized amplitudes
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,40 +198,53 @@ def initial_state(config: PipelineConfig) -> np.ndarray:
     return np.kron(data, ancilla_state)
 
 
-def _conjugators(correction: bool, basis_rotation: str) -> tuple[np.ndarray, np.ndarray]:
-    # Constant unitaries applied before and after the noise:
-    # pre = (rotation) encode, post = correct decode (rotation inverse).
+def _conjugators(
+    correction: bool, basis_rotation: str, axis: str
+) -> tuple[np.ndarray, np.ndarray]:
+    # Constant unitaries applied before and after the noise, with the
+    # dephasing frame folded in: pre = frame (rotation) encode, post =
+    # correct decode (rotation inverse) frame^-1.
+    frame = FRAMES[axis]
     if not correction:
-        eye = np.eye(8, dtype=complex)
-        return eye, eye
+        return frame, frame.conj().T
     enc = encoder()
+    dec = toffoli() @ enc
     if basis_rotation == "y-pi/2":
         rot = global_rotation("y", np.pi / 2)
-        return rot @ enc, toffoli() @ enc @ rot.conj().T
-    return enc, toffoli() @ enc
+        enc, dec = rot @ enc, dec @ rot.conj().T
+    return frame @ enc, dec @ frame.conj().T
 
 
 def evolve_corrected(
     rho: np.ndarray, cov, t: float, axis: str = "x", basis_rotation: str = "none"
 ) -> np.ndarray:
     """Encode, dephase through the exact channel, decode, and correct."""
-    pre, post = _conjugators(True, basis_rotation)
-    noisy = apply_channel_analytic(pre @ rho @ pre.conj().T, cov, t, axis)
-    return post @ noisy @ post.conj().T
+    pre, post = _conjugators(True, basis_rotation, axis)
+    return post @ (dephasing_factors(cov, t) * (pre @ rho @ pre.conj().T)) @ post.conj().T
 
 
-def evolve_uncorrected(rho: np.ndarray, cov, t: float, axis: str = "x") -> np.ndarray:
-    """Dephase through the exact channel with no coding at all."""
-    return apply_channel_analytic(rho, cov, t, axis)
-
-
-def _survival_ratio(bloch_in: BlochVector, bloch_out: BlochVector) -> float | None:
-    # Least-squares scalar on the protected (y, z) plane; undefined when the
-    # input carries no protected component.
+def _run(config: PipelineConfig, t: float, average) -> PipelineResult:
+    # The body of both pipelines.  ``average(state, post, bloch_in)`` gets
+    # the encoded frame state and the post-noise conjugator, and returns the
+    # 8x8 factor table for that state plus the per-sample survivals (None
+    # from the exact route, whose survival is read off the output).
+    validate_time(t)
+    rho0 = initial_state(config)
+    bloch_in = bloch_of(partial_trace_ancillae(rho0))
+    pre, post = _conjugators(config.correction, config.basis_rotation, config.channel.axis)
+    state = pre @ rho0 @ pre.conj().T
+    factors, per_sample = average(state, post, bloch_in)
+    reduced = partial_trace_ancillae(post @ (factors * state) @ post.conj().T)
+    bloch_out = bloch_of(reduced)
     weight = bloch_in.y**2 + bloch_in.z**2
-    if weight == 0:
-        return None
-    return (bloch_out.y * bloch_in.y + bloch_out.z * bloch_in.z) / weight
+    survival = stderr = None
+    if per_sample is not None:
+        survival = float(per_sample.mean())
+        n = len(per_sample)
+        stderr = float(per_sample.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    elif weight > 0:  # least squares on the protected plane
+        survival = (bloch_out.y * bloch_in.y + bloch_out.z * bloch_in.z) / weight
+    return PipelineResult(reduced, bloch_in, bloch_out, survival, stderr)
 
 
 def run_pipeline(config: PipelineConfig, t: float) -> PipelineResult:
@@ -230,32 +254,10 @@ def run_pipeline(config: PipelineConfig, t: float) -> PipelineResult:
     channels delegate to :func:`run_pipeline_mc` with the channel's sample
     count and seed.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
-    if config.channel.kind == "monte-carlo":
-        return run_pipeline_mc(
-            config,
-            t,
-            config.channel.samples,
-            config.channel.seed,
-            workers=config.channel.workers,
-        )
-    rho0 = initial_state(config)
-    bloch_in = bloch_of(partial_trace_ancillae(rho0))
-    if config.correction:
-        out = evolve_corrected(
-            rho0, config.channel.covariance, t, config.channel.axis, config.basis_rotation
-        )
-    else:
-        out = evolve_uncorrected(rho0, config.channel.covariance, t, config.channel.axis)
-    reduced = partial_trace_ancillae(out)
-    bloch_out = bloch_of(reduced)
-    return PipelineResult(
-        reduced=reduced,
-        bloch_in=bloch_in,
-        bloch_out=bloch_out,
-        survival=_survival_ratio(bloch_in, bloch_out),
-    )
+    channel = config.channel
+    if channel.kind == "monte-carlo":
+        return run_pipeline_mc(config, t, channel.samples, channel.seed, workers=channel.workers)
+    return _run(config, t, lambda *_: (dephasing_factors(channel.covariance, t), None))
 
 
 def run_pipeline_mc(
@@ -263,60 +265,38 @@ def run_pipeline_mc(
 ) -> PipelineResult:
     """Monte Carlo pipeline: every sampled trajectory runs the full circuit.
 
-    Each sample draws a phase vector, builds the exact random propagator, and
-    conjugates the encoded state through noise, decoding, and correction; the
-    trajectory average and the per-sample spread of the survival ratio give
-    the estimate and its standard error.  Results are bit-identical for a
-    fixed seed regardless of ``workers``.
+    Each sample draws a phase vector; in the dephasing frame its propagator
+    multiplies every element of the encoded state by exp(-i eps . chi), and
+    its survival is the protected observable read through decoding and
+    correction.  The trajectory average and the per-sample spread of the
+    survival give the estimate and its standard error.  Results are
+    bit-identical for a fixed seed regardless of ``workers``.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
-    rho0 = initial_state(config)
-    bloch_in = bloch_of(partial_trace_ancillae(rho0))
-    pre, post = _conjugators(config.correction, config.basis_rotation)
-    rho_encoded = pre @ rho0 @ pre.conj().T
 
-    # Data-spin observables pulled back through the post-noise gates, so each
-    # trajectory needs only one conjugation by its random propagator.
-    pauli_obs = {}
-    for axis in ("x", "y", "z"):
-        full = np.kron(PAULI[axis], np.eye(4, dtype=complex))
-        pauli_obs[axis] = post.conj().T @ full @ post
+    def average(state, post, bloch_in):
+        # The protected observable, pulled back through the post-noise gates
+        # and contracted with the frame state: a trajectory's factor table f
+        # gives its survival Re(f.ravel() @ contraction).
+        weight = bloch_in.y**2 + bloch_in.z**2
+        contraction = None
+        if weight > 0:
+            observable = np.kron(bloch_in.y * PAULI["y"] + bloch_in.z * PAULI["z"], np.eye(4))
+            contraction = ((post.conj().T @ observable @ post).T * state).ravel() / weight
 
-    def block_stats(block: np.ndarray):
-        units = _propagator_batch(block, config.channel.axis)
-        noisy = np.einsum("nij,jk,nlk->nil", units, rho_encoded, units.conj())
-        state_sum = noisy.sum(axis=0)
-        comps = {
-            axis: np.einsum("nij,ji->n", noisy, obs).real
-            for axis, obs in pauli_obs.items()
-        }
-        return state_sum, comps
+        def block_stats(block: np.ndarray):
+            phases = trajectory_phases(block)
+            if contraction is None:
+                return phases.sum(axis=0), None
+            return phases.sum(axis=0), (phases.reshape(-1, 64) @ contraction).real
 
-    results = map_phase_blocks(block_stats, config.channel.covariance, t, samples, seed, workers)
-    mean_encoded = sum(part for part, _ in results) / samples
-    reduced = partial_trace_ancillae(post @ mean_encoded @ post.conj().T)
-    bloch_out = bloch_of(reduced)
+        cov = config.channel.covariance
+        results = map_phase_blocks(block_stats, cov, t, samples, seed, workers)
+        mean = sum(phase_sum for phase_sum, _ in results) / samples
+        if contraction is None:
+            return mean, None
+        return mean, np.concatenate([survivals for _, survivals in results])
 
-    survival = None
-    stderr = None
-    weight = bloch_in.y**2 + bloch_in.z**2
-    if weight > 0:
-        ys = np.concatenate([comps["y"] for _, comps in results])
-        zs = np.concatenate([comps["z"] for _, comps in results])
-        per_sample = (ys * bloch_in.y + zs * bloch_in.z) / weight
-        survival = float(per_sample.mean())
-        if samples > 1:
-            stderr = float(per_sample.std(ddof=1) / np.sqrt(samples))
-        else:
-            stderr = 0.0
-    return PipelineResult(
-        reduced=reduced,
-        bloch_in=bloch_in,
-        bloch_out=bloch_out,
-        survival=survival,
-        survival_stderr=stderr,
-    )
+    return _run(config, t, average)
 
 
 def mixed_ancilla_survival(mix: AncillaMixture, cov, t):

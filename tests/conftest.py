@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -33,15 +35,6 @@ def brute_partial_trace(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def richardson_first_derivative(f, t: float, h: float) -> float:
-    """Central first difference with one Richardson extrapolation step."""
-
-    def central(step: float) -> float:
-        return (f(t + step) - f(t - step)) / (2.0 * step)
-
-    return (4.0 * central(h) - central(2.0 * h)) / 3.0
-
-
 def richardson_second_derivative(f, t: float, h: float) -> float:
     """Central second difference with one Richardson extrapolation step."""
 
@@ -51,15 +44,19 @@ def richardson_second_derivative(f, t: float, h: float) -> float:
     return (4.0 * central(h) - central(2.0 * h)) / 3.0
 
 
-def richardson_third_derivative(f, t: float, h: float) -> float:
-    """Central third difference with one Richardson extrapolation step."""
+def forward_derivative(f, t: float, h: float, order: int) -> float:
+    """One-sided difference for the given derivative order, error O(h^6).
 
-    def central(step: float) -> float:
-        return (
-            f(t + 2 * step) - 2.0 * f(t + step) + 2.0 * f(t - step) - f(t - 2 * step)
-        ) / (2.0 * step**3)
-
-    return (4.0 * central(h) - central(2.0 * h)) / 3.0
+    Samples only f(t), f(t + h), ..., so it works at t = 0, where the decay
+    laws (defined for nonnegative times only) cannot be sampled on both
+    sides.  The weights solve the Taylor conditions
+    sum_j w_j j^m / m! = delta(m, order) for m < order + 6.
+    """
+    n = order + 6
+    offsets = np.arange(n)
+    taylor = np.array([offsets**m / math.factorial(m) for m in range(n)], dtype=float)
+    weights = np.linalg.solve(taylor, np.eye(n)[order])
+    return sum(w * f(t + j * h) for j, w in enumerate(weights)) / h**order
 
 
 def asymmetric_third_derivative_at_zero(cov) -> float:

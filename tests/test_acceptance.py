@@ -15,10 +15,9 @@ from scipy.optimize import brentq
 
 from conftest import (
     asymmetric_third_derivative_at_zero,
+    forward_derivative,
     random_psd,
-    richardson_first_derivative,
     richardson_second_derivative,
-    richardson_third_derivative,
 )
 from triqec.analytics import (
     DecayCurve,
@@ -144,7 +143,7 @@ def test_acceptance_05_derivative_landmarks():
             assert abs(second_u + 3.0 / tau**2) < 1e-9
             assert abs(second_c + 9.0 / tau**2) < 1e-9
             for cov, second in [(uncorrelated(tau), second_u), (totally_correlated(tau), second_c)]:
-                fd = richardson_second_derivative(lambda s: survival_factor(cov, s), 0.0, 1e-3)
+                fd = forward_derivative(lambda s: survival_factor(cov, s), 0.0, 1e-3, 2)
                 assert abs(fd - second) < 1e-5
 
             for model, cov, landmark in [
@@ -167,7 +166,7 @@ def test_acceptance_06_third_derivative_variant_resolution():
         for _ in range(25):
             cov = random_psd(rng)
             cov *= 3.0 / np.trace(cov)
-            oracle = richardson_third_derivative(lambda s: survival_factor(cov, s), 0.0, 5e-3)
+            oracle = forward_derivative(lambda s: survival_factor(cov, s), 0.0, 5e-3, 3)
             sym = survival_third_derivative_at_zero(cov)
             asym = asymmetric_third_derivative_at_zero(cov)
             scale = max(abs(oracle), 1e-12)
@@ -250,8 +249,8 @@ def test_acceptance_08_mixed_ancilla_nogo():
                 (0.5, 0.0, 0.3, 0.2),
             ]:
                 mix = AncillaMixture(*weights)
-                fd = richardson_first_derivative(
-                    lambda s, mix=mix: mixed_ancilla_survival(mix, cov, s), 0.0, 1e-3
+                fd = forward_derivative(
+                    lambda s, mix=mix: mixed_ancilla_survival(mix, cov, s), 0.0, 1e-3, 1
                 )
                 assert abs(fd - mixed_ancilla_slope_at_zero(mix, cov)) < 1e-6
         assert time.perf_counter() - start < 5.0

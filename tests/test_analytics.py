@@ -4,9 +4,9 @@ from scipy.optimize import brentq
 
 from conftest import (
     asymmetric_third_derivative_at_zero,
+    forward_derivative,
     random_psd,
     richardson_second_derivative,
-    richardson_third_derivative,
 )
 from triqec.analytics import (
     DecayCurve,
@@ -82,9 +82,9 @@ def test_derivatives_match_finite_differences():
             return survival_factor(cov, t)
 
         h = 1e-3
-        fd_first = (theta(h) - theta(-h)) / (2 * h)
-        fd_second = richardson_second_derivative(theta, 0.0, h)
-        fd_third = richardson_third_derivative(theta, 0.0, h)
+        fd_first = forward_derivative(theta, 0.0, h, 1)
+        fd_second = forward_derivative(theta, 0.0, h, 2)
+        fd_third = forward_derivative(theta, 0.0, h, 3)
         assert first == 0.0
         assert abs(fd_first - first) < 1e-5
         assert fd_second == pytest.approx(second, rel=1e-5)
@@ -114,7 +114,7 @@ def test_first_derivative_vanishes_for_every_covariance():
     h = 1e-4
     for _ in range(20):
         cov = random_psd(rng)
-        slope = (survival_factor(cov, h) - survival_factor(cov, -h)) / (2 * h)
+        slope = forward_derivative(lambda s: survival_factor(cov, s), 0.0, h, 1)
         assert abs(slope) < 1e-6
 
 

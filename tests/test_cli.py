@@ -89,8 +89,29 @@ def test_decay_bad_parameters(tmp_path):
     assert run_cli("decay", "--model", "correlated", "--tau", -1, "--out", out) == 2
     assert run_cli("decay", "--model", "correlated", "--tau", 1, "--points", 0, "--out", out) == 2
     assert run_cli("decay", "--model", "correlated", "--tau", 1, "--mc", 0, "--out", out) == 2
+    for tmax in ("nan", "inf"):
+        assert run_cli("decay", "--model", "correlated", "--tau", 1, "--tmax", tmax, "--out", out) == 2
     assert run_cli("decay", "--out", out) == 2  # neither model nor cov file
     assert not out.exists()
+
+
+def test_manifest_commit_comes_from_the_package_not_the_cwd(tmp_path, monkeypatch):
+    # Run from inside an unrelated repository: its HEAD must not be recorded.
+    other = tmp_path / "other"
+    other.mkdir()
+    git = ["git", "-C", str(other), "-c", "user.name=t", "-c", "user.email=t@t"]
+    try:
+        subprocess.run([*git, "init", "-q"], check=True, timeout=30)
+        subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "x"], check=True, timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        pytest.skip("git is not available")
+    other_head = subprocess.run(
+        [*git, "rev-parse", "HEAD"], capture_output=True, text=True, check=True, timeout=30
+    ).stdout.strip()
+    monkeypatch.chdir(other)
+    assert run_cli("decay", "--model", "correlated", "--tau", 1, "--points", 2, "--out", "d.csv") == 0
+    manifest = json.loads((other / "d.csv.manifest.json").read_text())
+    assert manifest["git_commit"] != other_head
 
 
 def test_covariance_file_parsing(tmp_path):

@@ -9,6 +9,7 @@ from triqec.noise import (
     NoiseChannel,
     apply_channel_analytic,
     apply_channel_mc,
+    dephase,
     dephasing_factors,
     effective_covariance,
     map_phase_blocks,
@@ -16,6 +17,7 @@ from triqec.noise import (
     random_propagator,
     sample_phases,
     totally_correlated,
+    trajectory_phases,
     uncorrelated,
     validate_covariance,
 )
@@ -174,6 +176,18 @@ def test_random_propagator_first_order_expansion():
 
     r1, r2 = residual(1e-3), residual(5e-4)
     assert r1 / r2 == pytest.approx(4.0, rel=0.05)
+
+
+@pytest.mark.parametrize("axis", ["x", "z"])
+def test_trajectory_phases_reproduce_the_random_propagator(axis):
+    # Per sample, the frame kernel equals conjugation by the 8x8 unitary.
+    rng = np.random.default_rng(9)
+    rho = random_density(rng)
+    chis = sample_phases(random_psd(rng), 0.8, rng, size=64)
+    states = dephase(rho, trajectory_phases(chis), axis)
+    for chi, state in zip(chis, states):
+        u = random_propagator(chi, axis)
+        assert np.abs(state - u @ rho @ u.conj().T).max() < 1e-12
 
 
 def test_dephasing_factors_structure():

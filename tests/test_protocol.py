@@ -1,12 +1,24 @@
 import numpy as np
 import pytest
 
-from conftest import random_psd
+from conftest import forward_derivative, random_psd
 from triqec.analytics import survival_factor, uncorrected_decay
-from triqec.noise import NoiseChannel, totally_correlated, uncorrelated
+from triqec.diffusion import GradientDiffusionSpec
+from triqec.gates import encoder, global_rotation, toffoli
+from triqec.noise import (
+    NoiseChannel,
+    apply_channel_analytic,
+    dephasing_factors,
+    phase_stream,
+    random_propagator,
+    sample_phases,
+    totally_correlated,
+    uncorrelated,
+)
 from triqec.operators import (
     ANCILLA_SECTORS,
     bloch_of,
+    data_state_from_bloch,
     partial_trace_ancillae,
     polar_amplitudes,
 )
@@ -73,9 +85,85 @@ def test_pipeline_is_identity_at_time_zero(basis_rotation, axis):
 def test_pipeline_preserves_x_component():
     config = make_config(totally_correlated(0.5), bloch=(1.0, 0.0, 0.0))
     for t in (0.0, 0.2, 1.0, 3.0):
-        result = run_pipeline(config, t)
-        assert result.bloch_out.x == pytest.approx(1.0, abs=1e-10)
-        assert result.survival is None  # nothing in the protected plane
+        for result in (run_pipeline(config, t), run_pipeline_mc(config, t, samples=500, seed=1)):
+            assert result.bloch_out.x == pytest.approx(1.0, abs=1e-10)
+            assert result.survival is None  # nothing in the protected plane
+            assert result.survival_stderr is None
+
+
+@pytest.mark.parametrize("basis_rotation,axis", [("none", "x"), ("y-pi/2", "z")])
+def test_mc_survival_per_sample_matches_explicit_circuit(basis_rotation, axis):
+    # Oracle: encode, propagate by the 8x8 random unitary, decode, correct,
+    # and read the protected components, one trajectory at a time.  With
+    # one sample the MC pipeline's survival is that trajectory's value.
+    cov = random_psd(np.random.default_rng(14))
+    config = make_config(cov, bloch=BLOCH, axis=axis, basis_rotation=basis_rotation)
+    rho0 = initial_state(config)
+    enc = encoder()
+    rot = global_rotation("y", np.pi / 2) if basis_rotation == "y-pi/2" else np.eye(8)
+    t = 0.7
+    for seed in range(64):
+        chi = phase_stream(cov, t, seed, 1)[0]
+        u = random_propagator(chi, axis)
+        circuit = toffoli() @ enc @ rot.conj().T @ u @ rot @ enc
+        reduced = partial_trace_ancillae(circuit @ rho0 @ circuit.conj().T)
+        out = bloch_of(reduced)
+        expected = (out.y * BLOCH[1] + out.z * BLOCH[2]) / (BLOCH[1] ** 2 + BLOCH[2] ** 2)
+        result = run_pipeline_mc(config, t, samples=1, seed=seed)
+        assert result.survival == pytest.approx(expected, abs=1e-12)
+        assert np.abs(result.reduced - reduced).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        lambda t: survival_factor(uncorrelated(0.389), t),
+        lambda t: survival_factor(uncorrelated(0.389), np.array([0.0, t])),
+        lambda t: uncorrected_decay(uncorrelated(0.389), t),
+        lambda t: dephasing_factors(np.eye(3), t),
+        lambda t: apply_channel_analytic(np.eye(8) / 8, np.eye(3), t),
+        lambda t: sample_phases(np.eye(3), t, np.random.default_rng(0)),
+        lambda t: run_pipeline(make_config(np.eye(3), bloch=BLOCH), t),
+        lambda t: run_pipeline_mc(make_config(np.eye(3), bloch=BLOCH), t, samples=10, seed=0),
+        lambda t: evolve_corrected(np.eye(8) / 8, np.eye(3), t),
+    ],
+    ids=[
+        "survival_factor",
+        "survival_factor_array",
+        "uncorrected_decay",
+        "dephasing_factors",
+        "apply_channel_analytic",
+        "sample_phases",
+        "run_pipeline",
+        "run_pipeline_mc",
+        "evolve_corrected",
+    ],
+)
+def test_entry_points_reject_bad_times(entry_point, bad):
+    with pytest.raises(ValueError, match="time must be finite and >= 0"):
+        entry_point(bad)
+
+
+@pytest.mark.parametrize(
+    "make,field",
+    [
+        (lambda v: AncillaMixture(v, 0.0, 0.0, 0.0), "mu_pp"),
+        (lambda v: AncillaMixture(1.0, 0.0, 0.0, v), "mu_mm"),
+        (lambda v: CorrelatedComponent(v, (0.0, 0.0, 1.0), (+1, +1)), "weight"),
+        (lambda v: CorrelatedComponent(1.0, (0.0, v, 0.0), (+1, +1)), "Bloch"),
+        (lambda v: data_state_from_bloch((0.0, v, 0.0)), "Bloch"),
+        (lambda v: make_config(np.eye(3), bloch=(0.0, v, 0.0)), "Bloch"),
+        (lambda v: make_config(np.eye(3), alpha=v, beta=0.0), "alpha"),
+        (lambda v: GradientDiffusionSpec(v, 1e-9, 0.1), "gradient_wavenumber"),
+        (lambda v: GradientDiffusionSpec(6e4, v, 0.1), "diffusion_coefficient"),
+        (lambda v: GradientDiffusionSpec(6e4, 1e-9, v), "diffusion_time"),
+    ],
+)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_records_reject_non_finite_fields(make, field, bad):
+    with pytest.raises(ValueError, match=field):
+        make(bad)
 
 
 def test_pipeline_correlated_landmark_value():
@@ -273,7 +361,7 @@ def test_mixture_slope_matches_finite_difference(weights):
     cov = random_psd(rng)
     mix = AncillaMixture(*weights)
     h = 1e-5
-    fd = (mixed_ancilla_survival(mix, cov, h) - mixed_ancilla_survival(mix, cov, -h)) / (2 * h)
+    fd = forward_derivative(lambda s: mixed_ancilla_survival(mix, cov, s), 0.0, h, 1)
     assert fd == pytest.approx(mixed_ancilla_slope_at_zero(mix, cov), abs=1e-6)
 
 
