@@ -17,6 +17,12 @@ factor is averaged, and stay independent so they can cross-validate:
 * ``apply_channel_mc``: the sample mean of ``trajectory_phases``; it never
   evaluates the Gaussian formula.
 
+The 56 off-diagonal elements share only 13 conjugate pairs of patterns
+eps = +-p (``PAIRS``), so the Monte Carlo kernel (``mean_phases``) averages
+the real cos(p . chi) and sin(p . chi) of each pair and scatters the means
+back to the 8x8 table once (``phase_table``); ``pair_weights`` folds a
+64-element observable onto the same 13 pairs.
+
 Monte Carlo reproducibility: the phases come from a counter-based Philox
 stream keyed by the seed, drawn in one deterministic block, and the reduction
 sums fixed-size blocks in index order, so results are bit-identical no matter
@@ -25,6 +31,7 @@ how many workers split the blocks.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,16 +39,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import TOTALLY_CORRELATED, UNCORRELATED, named_model
-from .operators import IDENTITY2, IDENTITY8, PAULI, kron3
+from .operators import IDENTITY2, PAULI, kron3
 
 #: Samples per reduction block; fixed so the summation order never varies.
 BLOCK = 4096
 
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    # Shared module tables are read-only so no caller can alter them.
+    table.setflags(write=False)
+    return table
+
+
 #: Unitary taking each dephasing axis to z under conjugation: for x a +pi/2
 #: rotation about y (Ix -> Iz), for z the identity.
 FRAMES = {
-    "x": kron3(*[np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)] * 3),
-    "z": IDENTITY8,
+    "x": _frozen(kron3(*[np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)] * 3)),
+    "z": _frozen(np.eye(8, dtype=complex)),
 }
 
 #: Per-basis-state signs of 2Iz for each spin, shape (8, 3).
@@ -49,6 +63,18 @@ _Z_SIGNS = 1.0 - 2 * ((np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1)
 
 #: Halved sign differences eps of the element |r><c|, row 8 r + c, shape (64, 3).
 _EPS = ((_Z_SIGNS[:, None, :] - _Z_SIGNS[None, :, :]) / 2.0).reshape(64, 3)
+
+#: One pattern p per conjugate pair +-p of nonzero eps, the one whose first
+#: nonzero entry is positive, shape (13, 3).
+PAIRS = _frozen(
+    np.array([p for p in itertools.product((-1.0, 0.0, 1.0), repeat=3) if p > (0, 0, 0)])
+)
+
+#: Each element's pair: eps = _PAIR_SIGN * PAIRS[_PAIR_INDEX] row by row, with
+#: sign 0 (and index 0) on the diagonal, where eps = 0.
+_PAIR_SIGN = np.sign(_EPS[np.arange(64), np.argmax(_EPS != 0, axis=1)])
+_PAIR_INDEX = np.argmax((_PAIR_SIGN[:, None, None] * _EPS[:, None] == PAIRS).all(axis=2), axis=1)
+_DIAGONAL = _PAIR_SIGN == 0
 
 
 class CovarianceError(ValueError):
@@ -60,31 +86,34 @@ def validate_covariance(cov) -> np.ndarray:
 
     Checks symmetry, nonnegative diagonal, the Cauchy-Schwarz bound on the
     off-diagonal entries, and positive semidefiniteness (eigenvalues at worst
-    -1e-12 at unit scale).
+    -1e-12 at unit scale).  The checks run on the matrix divided by its
+    largest entry (when above 1), so no intermediate overflows.
     """
     c = np.array(cov, dtype=float)
     if c.shape != (3, 3):
         raise CovarianceError(f"covariance must be 3x3, got shape {c.shape}")
     if not np.isfinite(c).all():
         raise CovarianceError("covariance has non-finite entries")
-    tol = 1e-12 * max(1.0, float(np.abs(c).max()))
-    if np.abs(c - c.T).max() > tol:
+    scale = max(1.0, float(np.abs(c).max()))
+    u = c / scale
+    tol = 1e-12
+    if np.abs(u - u.T).max() > tol:
         raise CovarianceError("covariance is not symmetric")
     for j in range(3):
-        if c[j, j] < -tol:
+        if u[j, j] < -tol:
             raise CovarianceError(f"variance c[{j},{j}] = {float(c[j, j])!r} is negative")
     for j in range(3):
         for k in range(j + 1, 3):
-            bound = np.sqrt(max(c[j, j], 0.0) * max(c[k, k], 0.0))
-            if abs(c[j, k]) > bound + max(tol, 1e-12 * bound):
+            bound = np.sqrt(max(u[j, j], 0.0) * max(u[k, k], 0.0))
+            if abs(u[j, k]) > bound + tol:
                 raise CovarianceError(
                     f"cross-rate c[{j},{k}] = {float(c[j, k])!r} exceeds the "
-                    f"Cauchy-Schwarz bound {float(bound)!r}"
+                    f"Cauchy-Schwarz bound {float(bound * scale)!r}"
                 )
-    lowest = float(np.linalg.eigvalsh(c).min())
+    lowest = float(np.linalg.eigvalsh(u).min())
     if lowest < -tol:
         raise CovarianceError(
-            f"covariance is not positive semidefinite: eigenvalue {lowest!r} < 0"
+            f"covariance is not positive semidefinite: eigenvalue {lowest * scale!r} < 0"
         )
     return c
 
@@ -177,7 +206,14 @@ def sample_phases(
     t = validate_time(t)
     loads = _sqrt_factor(c * t)
     draws = rng.standard_normal(3 if size is None else (size, 3))
-    return draws @ loads.T
+    # Loaded in place, BLOCK rows at a time: a product this small stays on
+    # the calling thread, where one over every row would wake a BLAS worker
+    # that keeps spinning on another core after the call has returned.
+    rows = draws.reshape(-1, 3)
+    for start in range(0, len(rows), BLOCK):
+        block = rows[start : start + BLOCK]
+        np.matmul(block, loads.T, out=block)
+    return draws
 
 
 def phase_stream(cov, t: float, seed: int, samples: int) -> np.ndarray:
@@ -205,13 +241,44 @@ def dephasing_factors(cov, t: float) -> np.ndarray:
     return np.exp(-0.5 * t * quad)
 
 
+def _pair_trig(chis) -> tuple[np.ndarray, np.ndarray]:
+    # cos and sin of the pair angles p . chi: (..., 3) phases to two (..., 13).
+    angles = np.asarray(chis, dtype=float) @ PAIRS.T
+    return np.cos(angles), np.sin(angles)
+
+
+def phase_table(cos, sin) -> np.ndarray:
+    """Scatter (..., 13) pair cosines and sines to (..., 8, 8) factor tables.
+
+    The element with eps = s p gets cos - i s sin of pair p, the diagonal 1.
+    Fed the sample means of cos(p . chi) and sin(p . chi), it gives the mean
+    of :func:`trajectory_phases`.
+    """
+    cos, sin = np.asarray(cos), np.asarray(sin)
+    table = cos[..., _PAIR_INDEX] - 1j * (_PAIR_SIGN * sin[..., _PAIR_INDEX])
+    table[..., _DIAGONAL] = 1.0
+    return table.reshape(*cos.shape[:-1], 8, 8)
+
+
 def trajectory_phases(chis) -> np.ndarray:
     """Per-trajectory factors exp(-i eps . chi): (..., 3) phases to (..., 8, 8) tables.
 
     Laid out like :func:`dephasing_factors`, whose table is their Gaussian mean.
     """
-    chis = np.asarray(chis, dtype=float)
-    return np.exp(-1j * (chis @ _EPS.T)).reshape(*chis.shape[:-1], 8, 8)
+    return phase_table(*_pair_trig(chis))
+
+
+def pair_weights(weights) -> tuple[float, np.ndarray, np.ndarray]:
+    """Fold an 8x8 table of element weights onto the 13 pairs.
+
+    Returns (w0, wc, ws) such that Re sum(weights * phase_table(cos, sin))
+    equals w0 + cos @ wc + sin @ ws.
+    """
+    w = np.asarray(weights, dtype=complex).ravel()
+    off = ~_DIAGONAL
+    wc = np.bincount(_PAIR_INDEX[off], w[off].real, minlength=len(PAIRS))
+    ws = np.bincount(_PAIR_INDEX[off], (_PAIR_SIGN * w)[off].imag, minlength=len(PAIRS))
+    return float(w[_DIAGONAL].real.sum()), wc, ws
 
 
 def dephase(rho: np.ndarray, factors: np.ndarray, axis: str = "x") -> np.ndarray:
@@ -249,6 +316,25 @@ def map_phase_blocks(block_fn, cov, t: float, samples: int, seed: int, workers: 
     return [block_fn(block) for block in blocks]
 
 
+def mean_phases(cov, t: float, samples: int, seed: int, workers: int = 1, weights=None):
+    """Sample mean of :func:`trajectory_phases` over the seeded phase stream.
+
+    Each block reduces to the column sums of its trajectories' 13 pair
+    cosines and sines; the block sums, added in order, are scattered to the
+    8x8 table once.  With ``weights`` from :func:`pair_weights`, also returns
+    every trajectory's w0 + cos @ wc + sin @ ws (else None).
+    """
+
+    def block_stats(block: np.ndarray):
+        cos, sin = _pair_trig(block)
+        values = None if weights is None else weights[0] + cos @ weights[1] + sin @ weights[2]
+        return cos.sum(axis=0), sin.sum(axis=0), values
+
+    cos_sums, sin_sums, values = zip(*map_phase_blocks(block_stats, cov, t, samples, seed, workers))
+    mean = phase_table(sum(cos_sums) / samples, sum(sin_sums) / samples)
+    return mean, None if weights is None else np.concatenate(values)
+
+
 def apply_channel_mc(rho: np.ndarray, channel: NoiseChannel, t: float) -> np.ndarray:
     """Monte Carlo dephasing: mean over samples of U(chi) rho U(chi)†.
 
@@ -257,10 +343,7 @@ def apply_channel_mc(rho: np.ndarray, channel: NoiseChannel, t: float) -> np.nda
     """
     if channel.kind != "monte-carlo":
         raise ValueError("apply_channel_mc requires a monte-carlo channel")
-    def block_sum(block: np.ndarray) -> np.ndarray:
-        return trajectory_phases(block).sum(axis=0)
-
-    partials = map_phase_blocks(
-        block_sum, channel.covariance, t, channel.samples, channel.seed, channel.workers
+    factors, _ = mean_phases(
+        channel.covariance, t, channel.samples, channel.seed, channel.workers
     )
-    return dephase(rho, sum(partials) / channel.samples, channel.axis)
+    return dephase(rho, factors, channel.axis)

@@ -10,14 +10,19 @@ factor; the x component is untouched by construction.
 Both flavors share one body: the encoded state, in the dephasing frame, has
 its elements multiplied by an 8x8 factor table, then is decoded, corrected
 and reduced.  ``run_pipeline`` passes the exact Gaussian-averaged factors,
-``run_pipeline_mc`` the sample mean of the trajectory phases, reading each
+``run_pipeline_mc`` the sample mean of the trajectory phases.  It reads each
 trajectory's survival off the protected observable pulled back into that
-frame.  Their agreement is the central cross-check of the package.
+frame and folded once per run onto the 13 conjugate phase pairs, so a
+trajectory costs 13 cosines and sines.  Their agreement is the central
+cross-check of the package.  The constant gates (the encode/decode
+unitaries per correction, rotation and axis, and the ancilla sector
+projectors) are built once and cached read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,8 +32,8 @@ from .noise import (
     FRAMES,
     NoiseChannel,
     dephasing_factors,
-    map_phase_blocks,
-    trajectory_phases,
+    mean_phases,
+    pair_weights,
     validate_covariance,
     validate_time,
 )
@@ -172,11 +177,14 @@ class PipelineResult:
     survival_stderr: float | None = None
 
 
+@lru_cache(maxsize=4)
 def _sector_projector(sign2: int, sign3: int) -> np.ndarray:
-    # 4x4 projector onto one ancilla z-basis sector.
+    # 4x4 projector onto one ancilla z-basis sector.  Cached, hence read-only.
     half2 = (IDENTITY2 + sign2 * PAULI["z"]) / 2
     half3 = (IDENTITY2 + sign3 * PAULI["z"]) / 2
-    return np.kron(half2, half3)
+    projector = np.kron(half2, half3)
+    projector.setflags(write=False)
+    return projector
 
 
 def initial_state(config: PipelineConfig) -> np.ndarray:
@@ -198,21 +206,26 @@ def initial_state(config: PipelineConfig) -> np.ndarray:
     return np.kron(data, ancilla_state)
 
 
+@lru_cache(maxsize=8)  # 2 correction flags x 2 basis rotations x 2 axes
 def _conjugators(
     correction: bool, basis_rotation: str, axis: str
 ) -> tuple[np.ndarray, np.ndarray]:
     # Constant unitaries applied before and after the noise, with the
     # dephasing frame folded in: pre = frame (rotation) encode, post =
-    # correct decode (rotation inverse) frame^-1.
+    # correct decode (rotation inverse) frame^-1.  Cached, hence read-only.
     frame = FRAMES[axis]
     if not correction:
-        return frame, frame.conj().T
-    enc = encoder()
-    dec = toffoli() @ enc
-    if basis_rotation == "y-pi/2":
-        rot = global_rotation("y", np.pi / 2)
-        enc, dec = rot @ enc, dec @ rot.conj().T
-    return frame @ enc, dec @ frame.conj().T
+        pre, post = frame, frame.conj().T
+    else:
+        enc = encoder()
+        dec = toffoli() @ enc
+        if basis_rotation == "y-pi/2":
+            rot = global_rotation("y", np.pi / 2)
+            enc, dec = rot @ enc, dec @ rot.conj().T
+        pre, post = frame @ enc, dec @ frame.conj().T
+    for gate in (pre, post):
+        gate.setflags(write=False)
+    return pre, post
 
 
 def evolve_corrected(
@@ -268,7 +281,8 @@ def run_pipeline_mc(
     Each sample draws a phase vector; in the dephasing frame its propagator
     multiplies every element of the encoded state by exp(-i eps . chi), and
     its survival is the protected observable read through decoding and
-    correction.  The trajectory average and the per-sample spread of the
+    correction, a weighted sum of the cosines and sines of its 13 pair
+    angles.  The trajectory average and the per-sample spread of the
     survival give the estimate and its standard error.  Results are
     bit-identical for a fixed seed regardless of ``workers``.
     """
@@ -276,25 +290,14 @@ def run_pipeline_mc(
     def average(state, post, bloch_in):
         # The protected observable, pulled back through the post-noise gates
         # and contracted with the frame state: a trajectory's factor table f
-        # gives its survival Re(f.ravel() @ contraction).
+        # gives its survival Re sum(f * contraction), which the pair weights
+        # turn into w0 + cos @ wc + sin @ ws.
         weight = bloch_in.y**2 + bloch_in.z**2
-        contraction = None
+        weights = None
         if weight > 0:
             observable = np.kron(bloch_in.y * PAULI["y"] + bloch_in.z * PAULI["z"], np.eye(4))
-            contraction = ((post.conj().T @ observable @ post).T * state).ravel() / weight
-
-        def block_stats(block: np.ndarray):
-            phases = trajectory_phases(block)
-            if contraction is None:
-                return phases.sum(axis=0), None
-            return phases.sum(axis=0), (phases.reshape(-1, 64) @ contraction).real
-
-        cov = config.channel.covariance
-        results = map_phase_blocks(block_stats, cov, t, samples, seed, workers)
-        mean = sum(phase_sum for phase_sum, _ in results) / samples
-        if contraction is None:
-            return mean, None
-        return mean, np.concatenate([survivals for _, survivals in results])
+            weights = pair_weights((post.conj().T @ observable @ post).T * state / weight)
+        return mean_phases(config.channel.covariance, t, samples, seed, workers, weights)
 
     return _run(config, t, average)
 

@@ -46,6 +46,15 @@ def test_decay_is_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_decay_mc_csv_is_identical_across_worker_counts(tmp_path):
+    args = ("decay", "--model", "correlated", "--tau", 0.389, "--mc", 2000,
+            "--points", 4, "--seed", 3)
+    one, two = tmp_path / "w1.csv", tmp_path / "w2.csv"
+    assert run_cli(*args, "--workers", 1, "--out", one) == 0
+    assert run_cli(*args, "--workers", 2, "--out", two) == 0
+    assert one.read_bytes() == two.read_bytes()
+
+
 def test_decay_mc_column_tracks_analytic(tmp_path):
     out = tmp_path / "mc.csv"
     code = run_cli("decay", "--model", "uncorrelated", "--tau", 0.304,

@@ -1,10 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from conftest import random_density, random_psd
 from triqec.noise import (
+    _EPS,
+    _PAIR_INDEX,
+    _PAIR_SIGN,
     BLOCK,
+    FRAMES,
+    PAIRS,
     CovarianceError,
     NoiseChannel,
     apply_channel_analytic,
@@ -13,7 +20,9 @@ from triqec.noise import (
     dephasing_factors,
     effective_covariance,
     map_phase_blocks,
+    pair_weights,
     phase_stream,
+    phase_table,
     random_propagator,
     sample_phases,
     totally_correlated,
@@ -53,6 +62,21 @@ def test_validate_covariance_names_offending_eigenvalue():
     bad = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
     with pytest.raises(CovarianceError, match="eigenvalue"):
         validate_covariance(bad)
+
+
+def test_validate_covariance_does_not_overflow_at_huge_scale():
+    # sqrt(c_jj c_kk) of the raw entries would overflow; the checks run in
+    # units of the largest entry instead.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(validate_covariance(np.eye(3) * 1e300), np.eye(3) * 1e300)
+        validate_covariance(np.full((3, 3), 1.7e308))
+        bad = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]) * 1e300
+        with pytest.raises(CovarianceError, match="Cauchy-Schwarz"):
+            validate_covariance(bad)
+        indefinite = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]) * 1.7e308
+        with pytest.raises(CovarianceError, match="eigenvalue"):
+            validate_covariance(indefinite)
 
 
 def test_effective_covariance_models():
@@ -138,6 +162,19 @@ def test_sample_phases_totally_correlated_rank_one():
     assert np.abs(draws - draws[:, [0]]).max() < 1e-12
 
 
+@pytest.mark.parametrize("size", [None, 1, BLOCK, 2 * BLOCK + 5])
+def test_sample_phases_load_every_row(size):
+    # The normals are loaded in place BLOCK rows at a time; every row, the
+    # short last block included, must equal its normals times the loading.
+    cov, t = random_psd(np.random.default_rng(3)), 0.8
+    normals = np.random.default_rng(5).standard_normal(3 if size is None else (size, 3))
+    eigvals, eigvecs = np.linalg.eigh(cov * t)
+    expected = normals @ (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))).T
+    draws = sample_phases(cov, t, np.random.default_rng(5), size=size)
+    assert draws.shape == expected.shape
+    np.testing.assert_allclose(draws, expected, rtol=0, atol=1e-12)
+
+
 def test_phase_stream_deterministic():
     a = phase_stream(uncorrelated(1.0), 0.3, seed=9, samples=100)
     b = phase_stream(uncorrelated(1.0), 0.3, seed=9, samples=100)
@@ -188,6 +225,44 @@ def test_trajectory_phases_reproduce_the_random_propagator(axis):
     for chi, state in zip(chis, states):
         u = random_propagator(chi, axis)
         assert np.abs(state - u @ rho @ u.conj().T).max() < 1e-12
+
+
+def test_pair_maps_cover_each_off_diagonal_element_once():
+    # Element |r><c| has eps = s p for one of the 13 pairs p and s = +-1;
+    # its conjugate |c><r| has the same pair and the opposite sign.
+    eps = _EPS.reshape(8, 8, 3)
+    index, sign = _PAIR_INDEX.reshape(8, 8), _PAIR_SIGN.reshape(8, 8)
+    counts = np.zeros(len(PAIRS), dtype=int)
+    for r in range(8):
+        for c in range(8):
+            if r == c:
+                assert sign[r, c] == 0 and not eps[r, c].any()
+                continue
+            assert sign[r, c] in (-1, 1)
+            assert np.array_equal(eps[r, c], sign[r, c] * PAIRS[index[r, c]])
+            assert index[c, r] == index[r, c] and sign[c, r] == -sign[r, c]
+            counts[index[r, c]] += sign[r, c] > 0
+    assert PAIRS.shape == (13, 3)
+    assert len({tuple(p) for p in PAIRS} | {tuple(-p) for p in PAIRS}) == 26
+    # eps = +p for 4, 2 or 1 elements as p has 1, 2 or 3 nonzero entries,
+    # and eps = -p for as many conjugates: 2 * 28 = 56 elements in all.
+    assert counts.sum() == 28
+    assert np.array_equal(counts, np.array([0, 4, 2, 1])[np.count_nonzero(PAIRS, axis=1)])
+
+
+def test_pair_weights_fold_an_element_table_onto_the_pairs():
+    rng = np.random.default_rng(12)
+    weights = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    cos, sin = rng.normal(size=(2, 5, 13))
+    w0, wc, ws = pair_weights(weights)
+    direct = (phase_table(cos, sin) * weights).sum(axis=(1, 2)).real
+    assert np.abs(w0 + cos @ wc + sin @ ws - direct).max() < 1e-12
+
+
+def test_shared_tables_are_read_only():
+    for table in (*FRAMES.values(), PAIRS):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
 
 
 def test_dephasing_factors_structure():

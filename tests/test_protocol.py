@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import forward_derivative, random_psd
+from triqec import noise, protocol
 from triqec.analytics import survival_factor, uncorrected_decay
 from triqec.diffusion import GradientDiffusionSpec
 from triqec.gates import encoder, global_rotation, toffoli
 from triqec.noise import (
+    _EPS,
+    FRAMES,
     NoiseChannel,
     apply_channel_analytic,
+    apply_channel_mc,
     dephasing_factors,
     phase_stream,
     random_propagator,
@@ -17,6 +21,7 @@ from triqec.noise import (
 )
 from triqec.operators import (
     ANCILLA_SECTORS,
+    PAULI,
     bloch_of,
     data_state_from_bloch,
     partial_trace_ancillae,
@@ -112,6 +117,60 @@ def test_mc_survival_per_sample_matches_explicit_circuit(basis_rotation, axis):
         result = run_pipeline_mc(config, t, samples=1, seed=seed)
         assert result.survival == pytest.approx(expected, abs=1e-12)
         assert np.abs(result.reduced - reduced).max() < 1e-12
+
+
+@pytest.mark.parametrize("basis_rotation,axis", [("none", "x"), ("y-pi/2", "z")])
+def test_mc_pipeline_matches_the_64_element_reference_kernel(basis_rotation, axis):
+    # Reference: each trajectory's 64 factors exp(-i eps . chi) taken
+    # directly, its survival Re sum(factors * contraction) with the protected
+    # observable pulled back into the frame, and the mean table applied once.
+    cov = random_psd(np.random.default_rng(21))
+    config = make_config(cov, bloch=BLOCH, axis=axis, basis_rotation=basis_rotation)
+    rot = global_rotation("y", np.pi / 2) if basis_rotation == "y-pi/2" else np.eye(8)
+    pre = FRAMES[axis] @ rot @ encoder()
+    post = toffoli() @ encoder() @ rot.conj().T @ FRAMES[axis].conj().T
+    state = pre @ initial_state(config) @ pre.conj().T
+    observable = np.kron(BLOCH[1] * PAULI["y"] + BLOCH[2] * PAULI["z"], np.eye(4))
+    weight = BLOCH[1] ** 2 + BLOCH[2] ** 2
+    contraction = ((post.conj().T @ observable @ post).T * state).ravel() / weight
+    t = 0.6
+    for seed, samples in [(0, 5000), (3, 9000), (17, 100)]:
+        phases = np.exp(-1j * phase_stream(cov, t, seed, samples) @ _EPS.T)
+        per_sample = (phases @ contraction).real
+        mean = phases.mean(axis=0).reshape(8, 8)
+        reduced = partial_trace_ancillae(post @ (mean * state) @ post.conj().T)
+        result = run_pipeline_mc(config, t, samples, seed)
+        assert abs(result.survival - per_sample.mean()) < 1e-13
+        assert abs(result.survival_stderr - per_sample.std(ddof=1) / np.sqrt(samples)) < 1e-13
+        assert np.abs(result.reduced - reduced).max() < 1e-13
+
+
+def test_monte_carlo_routes_never_evaluate_the_gaussian_average(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Monte Carlo route evaluated the Gaussian average")
+
+    monkeypatch.setattr(noise, "dephasing_factors", forbidden)
+    monkeypatch.setattr(protocol, "dephasing_factors", forbidden)
+    cov = uncorrelated(0.5)
+    for axis in ("x", "z"):
+        channel = NoiseChannel(covariance=cov, axis=axis, kind="monte-carlo", samples=3000, seed=1)
+        config = PipelineConfig(channel=channel, bloch=BLOCH)
+        run_pipeline_mc(config, 0.3, samples=3000, seed=1, workers=2)
+        run_pipeline(config, 0.3)  # dispatches to the Monte Carlo route
+        apply_channel_mc(np.eye(8) / 8, channel, 0.3)
+    with pytest.raises(AssertionError, match="Gaussian average"):  # the guard is live
+        run_pipeline(make_config(cov, bloch=BLOCH), 0.3)
+
+
+def test_constant_gates_are_cached_read_only():
+    pre, post = protocol._conjugators(True, "y-pi/2", "z")
+    again = protocol._conjugators(True, "y-pi/2", "z")
+    assert again[0] is pre and again[1] is post
+    frame_pre, frame_post = protocol._conjugators(False, "none", "x")
+    assert frame_pre is FRAMES["x"]
+    for gate in (pre, post, frame_pre, frame_post, protocol._sector_projector(1, -1)):
+        with pytest.raises(ValueError):
+            gate[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
