@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import named_model
+from .models import named_model, positive_finite
 from .models import survival_correlated, survival_uncorrelated  # noqa: F401  (re-exported)
 from .noise import validate_covariance, validate_time
+from .operators import sector_index
 
 PROVENANCES = ("analytic", "monte-carlo", "fitted")
 
@@ -82,8 +83,7 @@ def survival_factor(cov, t, sign2: int = +1, sign3: int = +1):
     term, and their product the sign of the three-spin term.  The default
     ground sector (+, +) is the code's working point.
     """
-    if sign2 not in (1, -1) or sign3 not in (1, -1):
-        raise ValueError(f"ancilla signs must be +1 or -1, got {(sign2, sign3)!r}")
+    sector_index(sign2, sign3)  # rejects signs other than +-1
     c = validate_covariance(cov)
     t = np.asarray(validate_time(t), dtype=float)
     signs = np.array([1.0, sign2, sign3])
@@ -144,9 +144,7 @@ def inflection_point(model: str, tau: float) -> float:
     ln(3) tau / 2 for the uncorrelated model, ln(3) tau / 4 for the totally
     correlated one.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau!r}")
-    return float(named_model(model).inflection * tau)
+    return float(named_model(model).inflection * positive_finite(tau, "tau"))
 
 
 def fit_exponential_rate(curve: DecayCurve) -> FitResult:
@@ -181,10 +179,8 @@ def predict_corrected_curve(rate: float, model: str, times) -> DecayCurve:
 
     Evaluates the closed form of the named model at the given times.
     """
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate!r}")
     times = np.asarray(times, dtype=float)
-    values = named_model(model).closed_form(1.0 / rate, times)
+    values = named_model(model).closed_form(1.0 / positive_finite(rate, "rate"), times)
     return DecayCurve(times=times, values=np.asarray(values), provenance="fitted")
 
 

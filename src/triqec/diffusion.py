@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import NAMED_MODELS
+from .noise import validate_integer
 
 #: The canonical named models (aliases excluded), each one pulse arrangement.
 SCHEMES = tuple(name for name, model in NAMED_MODELS.items() if model.name == name)
@@ -59,9 +60,10 @@ class GradientDiffusionSpec:
 def attenuation_factor(spec: GradientDiffusionSpec, order: int) -> float:
     """Echo attenuation exp(-n^2 k0^2 D t / 2) of an order-n coherence.
 
-    Equals 1 for order 0 and decays with the square of the coherence order.
+    Equals 1 for order 0 and decays with the square of the coherence order;
+    a non-integer order raises ValueError.
     """
-    order = int(order)
+    order = validate_integer(order, "order")
     return float(np.exp(-0.5 * order**2 * spec.rate * spec.diffusion_time))
 
 

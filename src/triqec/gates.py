@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .operators import (
-    DIM,
     IDENTITY2,
     IDENTITY8,
     PAULI,
@@ -99,14 +98,3 @@ def toffoli_product_expansion() -> list[np.ndarray]:
     return [np.exp(1j * angle) * IDENTITY8] + [
         np.cos(a) * IDENTITY8 - 1j * np.sin(a) * product_operator(axes) for a, axes in factors
     ]
-
-
-def is_unitary(u: np.ndarray, atol: float = 1e-12) -> bool:
-    u = np.asarray(u)
-    return u.shape == (DIM, DIM) and bool(np.allclose(u @ u.conj().T, IDENTITY8, atol=atol))
-
-
-def equal_up_to_phase(u: np.ndarray, v: np.ndarray, atol: float = 1e-9) -> bool:
-    """Phase-insensitive equality of unitaries: |tr(U† V)| = dim."""
-    overlap = np.trace(np.asarray(u).conj().T @ np.asarray(v))
-    return bool(abs(abs(overlap) - DIM) < atol)

@@ -27,6 +27,13 @@ def survival_correlated(tau: float, t):
     return float(out) if out.ndim == 0 else out
 
 
+def positive_finite(value, name: str) -> float:
+    """``value`` as a float if it is finite and > 0, else a ValueError naming it."""
+    if value is None or not (0 < value < np.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True, eq=False)
 class NamedModel:
     """A named covariance (2/tau) * pattern and its closed forms.
@@ -42,9 +49,7 @@ class NamedModel:
 
     def covariance(self, tau: float) -> np.ndarray:
         """The rate covariance for a decay time tau > 0."""
-        if tau is None or tau <= 0:
-            raise ValueError(f"tau must be positive, got {tau!r}")
-        return (2.0 / float(tau)) * self.pattern
+        return (2.0 / positive_finite(tau, "tau")) * self.pattern
 
 
 TOTALLY_CORRELATED = NamedModel(

@@ -151,14 +151,14 @@ def effective_covariance(model: str, tau: float | None = None, matrix=None) -> n
     return named_model(model).covariance(tau)
 
 
-def _positive_count(value, name: str) -> int:
-    """An integer count >= 1, or a ValueError naming the argument."""
+def validate_integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int (numpy integers too) >= ``minimum``, else a ValueError naming it."""
     try:
         count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if count < 1:
-        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    if minimum is not None and count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return count
 
 
@@ -183,9 +183,9 @@ class NoiseChannel:
             raise ValueError(f"axis must be 'x' or 'z', got {self.axis!r}")
         if self.kind not in ("analytic", "monte-carlo"):
             raise ValueError(f"kind must be 'analytic' or 'monte-carlo', got {self.kind!r}")
-        object.__setattr__(self, "workers", _positive_count(self.workers, "workers"))
+        object.__setattr__(self, "workers", validate_integer(self.workers, "workers", 1))
         if self.kind == "monte-carlo":
-            object.__setattr__(self, "samples", _positive_count(self.samples, "samples"))
+            object.__setattr__(self, "samples", validate_integer(self.samples, "samples", 1))
 
 
 def _sqrt_factor(sigma: np.ndarray) -> np.ndarray:
@@ -306,8 +306,8 @@ def map_phase_blocks(block_fn, cov, t: float, samples: int, seed: int, workers: 
     results come back in block order, so any in-order reduction over them is
     bit-identical whatever the number of worker threads.
     """
-    samples = _positive_count(samples, "samples")
-    workers = _positive_count(workers, "workers")
+    samples = validate_integer(samples, "samples", 1)
+    workers = validate_integer(workers, "workers", 1)
     chis = phase_stream(cov, t, seed, samples)
     blocks = [chis[start : start + BLOCK] for start in range(0, samples, BLOCK)]
     if workers > 1:

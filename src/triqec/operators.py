@@ -35,6 +35,13 @@ ALGEBRA_TOL = 1e-12
 STATE_TOL = 1e-9
 
 
+def sector_index(sign2, sign3) -> int:
+    """Position of the sector (sign2, sign3) in ``ANCILLA_SECTORS``."""
+    if (sign2, sign3) not in ANCILLA_SECTORS:
+        raise ValueError(f"ancilla signs must be +1 or -1, got {(sign2, sign3)!r}")
+    return ANCILLA_SECTORS.index((sign2, sign3))
+
+
 class NormalizationError(ValueError):
     """State amplitudes that fail the unit-norm requirement."""
 
@@ -78,11 +85,6 @@ def idempotent(spin: int, sign: int) -> np.ndarray:
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     return embed((IDENTITY2 + sign * PAULI["z"]) / 2, spin)
-
-
-def ancilla_projector(sign2: int, sign3: int) -> np.ndarray:
-    """Product of the two ancilla idempotents for one z-basis sector."""
-    return idempotent(2, sign2) @ idempotent(3, sign3)
 
 
 def product_operator(axes: tuple[str | None, str | None, str | None]) -> np.ndarray:
@@ -156,19 +158,20 @@ def partial_trace_ancillae(rho: np.ndarray) -> np.ndarray:
     return r.reshape(2, 4, 2, 4).trace(axis1=1, axis2=3)
 
 
+#: Elements |r><c| whose ancillae are in the same z-basis sector.
+_SAME_SECTOR = np.arange(DIM)[:, None] % 4 == np.arange(DIM) % 4
+
+
 def project_ancilla_sectors(op: np.ndarray) -> np.ndarray:
     """Pinch an operator over the four ancilla z-basis sectors.
 
-    Sums P op P over the projectors P onto each joint ancilla eigenspace.
-    Idempotent as a superoperator, and invisible to the ancilla partial
-    trace: partial_trace_ancillae(project_ancilla_sectors(X)) equals
+    Sums P op P over the projectors P onto each joint ancilla eigenspace,
+    i.e. keeps the elements inside one sector.  Idempotent as a
+    superoperator, and invisible to the ancilla partial trace:
+    partial_trace_ancillae(project_ancilla_sectors(X)) equals
     partial_trace_ancillae(X) for every X.
     """
-    out = np.zeros((DIM, DIM), dtype=complex)
-    for sign2, sign3 in ANCILLA_SECTORS:
-        proj = ancilla_projector(sign2, sign3)
-        out += proj @ op @ proj
-    return out
+    return np.where(_SAME_SECTOR, np.asarray(op, dtype=complex), 0)
 
 
 def bloch_of(rho: np.ndarray) -> BlochVector:
@@ -181,23 +184,3 @@ def bloch_of(rho: np.ndarray) -> BlochVector:
         float(np.trace(r @ PAULI["y"]).real),
         float(np.trace(r @ PAULI["z"]).real),
     )
-
-
-def validate_density_matrix(rho: np.ndarray, atol: float = STATE_TOL) -> np.ndarray:
-    """Check Hermiticity, unit trace, and positivity (within -atol).
-
-    Returns the input array on success; raises ValueError otherwise.  The
-    negative-eigenvalue allowance absorbs Monte Carlo averaging noise.
-    """
-    r = np.asarray(rho, dtype=complex)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {r.shape}")
-    if not np.allclose(r, r.conj().T, atol=atol):
-        raise ValueError("density matrix is not Hermitian")
-    tr = np.trace(r).real
-    if abs(tr - 1.0) > atol:
-        raise ValueError(f"density matrix has trace {tr!r}, expected 1")
-    lowest = float(np.linalg.eigvalsh(r).min())
-    if lowest < -atol:
-        raise ValueError(f"density matrix has negative eigenvalue {lowest!r}")
-    return r

@@ -21,6 +21,7 @@ projectors) are built once and cached read-only.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -39,13 +40,13 @@ from .noise import (
 )
 from .operators import (
     ANCILLA_SECTORS,
-    IDENTITY2,
     PAULI,
     BlochVector,
     bloch_of,
     data_state_from_bloch,
     partial_trace_ancillae,
     pure_data_state,
+    sector_index,
 )
 
 BASIS_ROTATIONS = ("none", "y-pi/2")
@@ -135,10 +136,7 @@ class PipelineConfig:
     basis_rotation: str = "none"
 
     def __post_init__(self):
-        if self.basis_rotation not in BASIS_ROTATIONS:
-            raise ConfigError(
-                f"basis_rotation must be one of {BASIS_ROTATIONS}, got {self.basis_rotation!r}"
-            )
+        _conjugators(self.correction, self.basis_rotation, self.channel.axis)  # checks the strings
         has_amplitudes = self.alpha is not None or self.beta is not None
         if has_amplitudes and (self.alpha is None or self.beta is None):
             raise ConfigError("give both alpha and beta or neither")
@@ -179,10 +177,9 @@ class PipelineResult:
 
 @lru_cache(maxsize=4)
 def _sector_projector(sign2: int, sign3: int) -> np.ndarray:
-    # 4x4 projector onto one ancilla z-basis sector.  Cached, hence read-only.
-    half2 = (IDENTITY2 + sign2 * PAULI["z"]) / 2
-    half3 = (IDENTITY2 + sign3 * PAULI["z"]) / 2
-    projector = np.kron(half2, half3)
+    # 4x4 projector onto one ancilla z-basis sector; the ancilla basis states
+    # run in ANCILLA_SECTORS order.  Cached, hence read-only.
+    projector = np.diag(np.eye(4, dtype=complex)[sector_index(sign2, sign3)])
     projector.setflags(write=False)
     return projector
 
@@ -202,8 +199,7 @@ def initial_state(config: PipelineConfig) -> np.ndarray:
     else:
         data = data_state_from_bloch(config.bloch)
     mix = ancillae if isinstance(ancillae, AncillaMixture) else GROUND_ANCILLAE
-    ancilla_state = sum(w * _sector_projector(*s) for w, s in zip(mix.weights, ANCILLA_SECTORS))
-    return np.kron(data, ancilla_state)
+    return np.kron(data, np.diag(mix.weights))
 
 
 @lru_cache(maxsize=8)  # 2 correction flags x 2 basis rotations x 2 axes
@@ -213,6 +209,12 @@ def _conjugators(
     # Constant unitaries applied before and after the noise, with the
     # dephasing frame folded in: pre = frame (rotation) encode, post =
     # correct decode (rotation inverse) frame^-1.  Cached, hence read-only.
+    if axis not in FRAMES:
+        raise ValueError(f"axis must be 'x' or 'z', got {axis!r}")
+    if basis_rotation not in BASIS_ROTATIONS:
+        raise ConfigError(
+            f"basis_rotation must be one of {BASIS_ROTATIONS}, got {basis_rotation!r}"
+        )
     frame = FRAMES[axis]
     if not correction:
         pre, post = frame, frame.conj().T
@@ -315,11 +317,21 @@ def mixed_ancilla_survival(mix: AncillaMixture, cov, t):
     )
 
 
+#: First-order decay coefficients: rows c11, c22, c33, columns the ancilla
+#: sectors in ``ANCILLA_SECTORS`` order.  Sector weights mu decay initially
+#: with slope -(SLOPES @ mu) . diag(C); the ground column is zero.
+SLOPES = 0.5 * np.array([[0, 1, 1, 0], [0, 1, 0, -1], [0, 0, 1, -1]], dtype=float)
+SLOPES.setflags(write=False)
+
+
+def _slope(weights, cov):
+    # -(SLOPES @ weights) . diag(C) for sector weights of shape (4,) or (4, k).
+    return -(np.diagonal(validate_covariance(cov)) @ (SLOPES @ weights))
+
+
 def sector_slope_at_zero(cov, sign2: int, sign3: int) -> float:
     """Initial time derivative of one sector's survival factor."""
-    c = validate_covariance(cov)
-    c11, c22, c33 = c[0, 0], c[1, 1], c[2, 2]
-    return -0.25 * (c11 + sign2 * c22 + sign3 * c33 - sign2 * sign3 * (c11 + c22 + c33))
+    return float(_slope(np.eye(4)[sector_index(sign2, sign3)], cov))
 
 
 def mixed_ancilla_slope_at_zero(mix: AncillaMixture, cov) -> float:
@@ -329,10 +341,7 @@ def mixed_ancilla_slope_at_zero(mix: AncillaMixture, cov) -> float:
     regardless of the covariance; any weight on the other sectors couples the
     slope to the variances.
     """
-    return sum(
-        weight * sector_slope_at_zero(cov, s2, s3)
-        for weight, (s2, s3) in zip(mix.weights, ANCILLA_SECTORS)
-    )
+    return float(_slope(mix.weights, cov))
 
 
 @dataclass(frozen=True)
@@ -354,17 +363,26 @@ class NoGoCertificate:
     argmax: tuple[float, float, float, float]
 
 
-def ancilla_mixture_nogo_search(cov, grid_step: float = 0.01) -> NoGoCertificate:
-    """Search the mixture simplex for zeros of the initial decay slope.
+#: The unit steps {0,1}^3 off the mu_pm = mu_mp = 0 edge, as lexicographic
+#: (mu_pm, mu_mp, mu_mm) counts.
+_UNIT_STEPS = np.indices((2, 2, 2)).reshape(3, -1).T[2:]
 
-    The slope is linear in the three variances with coefficients fixed by the
-    mixture, so it vanishes for *every* admissible covariance exactly when
-    those coefficients all vanish; a zero that relies on cancellation between
-    particular variance values offers no protection for unknown noise.  The
-    margin reported for each grid mixture is therefore the cancellation-free
-    magnitude (c11 (mu_pm + mu_mp) + c22 |mu_pm - mu_mm| + c33 |mu_mp -
-    mu_mm|)/2 >= |slope|, evaluated with the model's variances.  With all
-    variances positive the ground vertex (1, 0, 0, 0) is the unique zero.
+
+def ancilla_mixture_nogo_search(cov, grid_step: float = 0.01) -> NoGoCertificate:
+    """Certify that only the ground mixture has a zero initial slope.
+
+    A zero must hold for *every* admissible covariance, not rely on
+    cancellation between particular variances, so a mixture's margin is
+    |SLOPES @ mu| . diag(C) >= |slope|.  The answer is that of the simplex
+    grid of step 1/n, n = round(1 / grid_step), read off at most ten
+    mixtures: the margin is convex (maximum at a vertex), never decreases
+    along the mu_pm = mu_mp = 0 edge (the zeros are its first points), and
+    is additive on the unimodular cones where each |.| keeps its sign (off
+    the zeros, a unit step {0,1}^3/n or the first nonzero edge point has
+    the minimum).  Ties go to the first mixture in lexicographic order of
+    (mu_pm, mu_mp, mu_mm).  A c11 below about 1e-12 n times the largest
+    variance puts margins off the edge under the zero tolerance; those
+    mixtures are not listed as zeros.
 
     Raises
     ------
@@ -372,37 +390,45 @@ def ancilla_mixture_nogo_search(cov, grid_step: float = 0.01) -> NoGoCertificate
         If c11 is not strictly positive (the uniqueness statement is
         conditional on a dephasing data spin).
     """
-    c = validate_covariance(cov)
-    c11, c22, c33 = c[0, 0], c[1, 1], c[2, 2]
-    if c11 <= 0:
+    diag = np.diagonal(validate_covariance(cov))
+    if diag[0] <= 0:
         raise ValueError("the no-go search requires a positive data-spin variance c11")
     if not (0 < grid_step <= 1):
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step!r}")
     n = max(1, round(1.0 / grid_step))
+    tol = 1e-12 * diag.max()
 
-    counts = np.indices((n + 1, n + 1, n + 1)).reshape(3, -1).T
-    counts = counts[counts.sum(axis=1) <= n]
-    mpm, mmp, mmm = (counts[:, j] / n for j in range(3))
-    mpp = 1.0 - mpm - mmp - mmm
-    margins = 0.5 * (c11 * (mpm + mmp) + c22 * np.abs(mpm - mmm) + c33 * np.abs(mmp - mmm))
+    def mixtures(counts):  # (mu_pp, mu_pm, mu_mp, mu_mm) from rows of counts
+        mpm, mmp, mmm = np.asarray(counts).T / n
+        return np.stack([1.0 - mpm - mmp - mmm, mpm, mmp, mmm], axis=-1)
 
-    def mixture(i: int) -> tuple[float, float, float, float]:
-        return (float(mpp[i]), float(mpm[i]), float(mmp[i]), float(mmm[i]))
+    def margin(counts):
+        return (np.abs(mixtures(counts) @ SLOPES.T) * diag).sum(axis=-1)
 
-    tol = 1e-12 * max(c11, c22, c33)
-    zero_idx = np.flatnonzero(margins <= tol)
-    nonzero_idx = np.flatnonzero(margins > tol)
-    zeros = tuple(sorted(mixture(i) for i in zero_idx))
-    imin = nonzero_idx[np.argmin(margins[nonzero_idx])]
-    imax = nonzero_idx[np.argmax(margins[nonzero_idx])]
+    # The first nonzero edge point (0, 0, k), k = n + 1 if none: double, then
+    # bisect, so the cost grows with the number of zeros only.
+    hi = 1
+    while hi <= n and margin([0, 0, hi]) <= tol:
+        hi *= 2
+    edge = range(min(hi, n + 1))
+    first = bisect.bisect_right(edge, tol, lo=hi // 2, key=lambda k: margin([0, 0, k]))
+    zeros = tuple(sorted(map(tuple, mixtures([[0, 0, k] for k in range(first)]).tolist())))
+
+    steps = _UNIT_STEPS[_UNIT_STEPS.sum(axis=1) <= n]
+    vertices = n * np.eye(3, dtype=int)
+    counts = np.unique(np.vstack([steps, vertices, [[0, 0, min(first, n)]]]), axis=0)
+    values = margin(counts)
+    imin = np.where(values > tol, values, np.inf).argmin()
+    imax = np.where((values > tol) & (counts.max(axis=1) == n), values, -np.inf).argmax()
+    mus = mixtures(counts).tolist()
     return NoGoCertificate(
         grid_step=1.0 / n,
         zeros=zeros,
         unique_ground_zero=zeros == ((1.0, 0.0, 0.0, 0.0),),
-        min_margin=float(margins[imin]),
-        argmin=mixture(imin),
-        max_margin=float(margins[imax]),
-        argmax=mixture(imax),
+        min_margin=float(values[imin]),
+        argmin=tuple(mus[imin]),
+        max_margin=float(values[imax]),
+        argmax=tuple(mus[imax]),
     )
 
 
@@ -410,16 +436,12 @@ def correlated_mixture_residuals(components, cov) -> tuple[float, float]:
     """First-order protection conditions for a correlated diagonal mixture.
 
     Returns the pair (y residual, z residual): the initial time derivatives
-    of the protected output components, each a weighted sum of the sector
-    slopes against the per-sector y and z content of the data states.  Both
-    vanish exactly when the mixture is protected to first order.
+    of the protected output components, the slopes of the per-sector y and
+    z content of the data states.  Both vanish exactly when the mixture is
+    protected to first order.
     """
-    c = validate_covariance(cov)
-    residual_y = 0.0
-    residual_z = 0.0
+    content = np.zeros((4, 2))  # per sector: weighted y and z components
     for comp in _correlated_components(components):
-        slope = sector_slope_at_zero(c, *comp.sector)
-        _, y, z = comp.bloch
-        residual_y += comp.weight * y * slope
-        residual_z += comp.weight * z * slope
-    return residual_y, residual_z
+        content[sector_index(*comp.sector)] += comp.weight * np.asarray(comp.bloch[1:], float)
+    residual_y, residual_z = _slope(content, cov)
+    return float(residual_y), float(residual_z)

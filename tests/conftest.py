@@ -6,10 +6,14 @@ import math
 
 import numpy as np
 
+from triqec.noise import validate_covariance
+from triqec.operators import DIM, IDENTITY8, STATE_TOL
+from triqec.protocol import NoGoCertificate
 
-def random_psd(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """A generic symmetric positive semidefinite 3x3 matrix."""
-    a = rng.normal(size=(3, 3))
+
+def random_psd(rng: np.random.Generator, scale: float = 1.0, rank: int = 3) -> np.ndarray:
+    """A generic symmetric positive semidefinite 3x3 matrix of the given rank."""
+    a = rng.normal(size=(3, rank))
     return scale * (a @ a.T)
 
 
@@ -22,6 +26,37 @@ def random_density(rng: np.random.Generator, dim: int = 8) -> np.ndarray:
 
 def random_operator(rng: np.random.Generator, dim: int = 8) -> np.ndarray:
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def is_unitary(u: np.ndarray, atol: float = 1e-12) -> bool:
+    u = np.asarray(u)
+    return u.shape == (DIM, DIM) and bool(np.allclose(u @ u.conj().T, IDENTITY8, atol=atol))
+
+
+def equal_up_to_phase(u: np.ndarray, v: np.ndarray, atol: float = 1e-9) -> bool:
+    """Phase-insensitive equality of unitaries: |tr(U† V)| = dim."""
+    overlap = np.trace(np.asarray(u).conj().T @ np.asarray(v))
+    return bool(abs(abs(overlap) - DIM) < atol)
+
+
+def validate_density_matrix(rho: np.ndarray, atol: float = STATE_TOL) -> np.ndarray:
+    """Check Hermiticity, unit trace, and positivity (within -atol).
+
+    Returns the input array on success; raises ValueError otherwise.  The
+    negative-eigenvalue allowance absorbs Monte Carlo averaging noise.
+    """
+    r = np.asarray(rho, dtype=complex)
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {r.shape}")
+    if not np.allclose(r, r.conj().T, atol=atol):
+        raise ValueError("density matrix is not Hermitian")
+    tr = np.trace(r).real
+    if abs(tr - 1.0) > atol:
+        raise ValueError(f"density matrix has trace {tr!r}, expected 1")
+    lowest = float(np.linalg.eigvalsh(r).min())
+    if lowest < -atol:
+        raise ValueError(f"density matrix has negative eigenvalue {lowest!r}")
+    return r
 
 
 def brute_partial_trace(rho: np.ndarray) -> np.ndarray:
@@ -78,3 +113,44 @@ def asymmetric_third_derivative_at_zero(cov) -> float:
         + 12 * (c12**2 + c13**2 + c23**2) * (c11 + c22 + c33)
         + 48 * c12 * c13 * c23
     ) / 16
+
+
+def grid_nogo_search(cov, grid_step: float = 0.01) -> NoGoCertificate:
+    """Brute-force no-go search over the whole simplex grid (oracle).
+
+    Scans every mixture with weights on the grid of step 1/n and allocates
+    3 (n+1)^3 int64, so keep n small.  The library's certificate must return
+    the same zeros, minimum and argmin, and the exact vertex maximum.
+    """
+    c = validate_covariance(cov)
+    c11, c22, c33 = c[0, 0], c[1, 1], c[2, 2]
+    if c11 <= 0:
+        raise ValueError("the no-go search requires a positive data-spin variance c11")
+    if not (0 < grid_step <= 1):
+        raise ValueError(f"grid_step must be in (0, 1], got {grid_step!r}")
+    n = max(1, round(1.0 / grid_step))
+
+    counts = np.indices((n + 1, n + 1, n + 1)).reshape(3, -1).T
+    counts = counts[counts.sum(axis=1) <= n]
+    mpm, mmp, mmm = (counts[:, j] / n for j in range(3))
+    mpp = 1.0 - mpm - mmp - mmm
+    margins = 0.5 * (c11 * (mpm + mmp) + c22 * np.abs(mpm - mmm) + c33 * np.abs(mmp - mmm))
+
+    def mixture(i: int) -> tuple[float, float, float, float]:
+        return (float(mpp[i]), float(mpm[i]), float(mmp[i]), float(mmm[i]))
+
+    tol = 1e-12 * max(c11, c22, c33)
+    zero_idx = np.flatnonzero(margins <= tol)
+    nonzero_idx = np.flatnonzero(margins > tol)
+    zeros = tuple(sorted(mixture(i) for i in zero_idx))
+    imin = nonzero_idx[np.argmin(margins[nonzero_idx])]
+    imax = nonzero_idx[np.argmax(margins[nonzero_idx])]
+    return NoGoCertificate(
+        grid_step=1.0 / n,
+        zeros=zeros,
+        unique_ground_zero=zeros == ((1.0, 0.0, 0.0, 0.0),),
+        min_margin=float(margins[imin]),
+        argmin=mixture(imin),
+        max_margin=float(margins[imax]),
+        argmax=mixture(imax),
+    )

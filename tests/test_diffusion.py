@@ -20,6 +20,14 @@ def test_zero_order_coherence_is_unaffected():
     assert attenuation_factor(make_spec(), 0) == 1.0
 
 
+def test_attenuation_requires_an_integer_order():
+    spec = make_spec()
+    assert attenuation_factor(spec, np.int64(2)) == attenuation_factor(spec, 2)
+    for order in (1.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            attenuation_factor(spec, order)
+
+
 def test_attenuation_follows_order_squared_law():
     spec = make_spec()
     ratio = np.log(attenuation_factor(spec, 3)) / np.log(attenuation_factor(spec, 1))

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import random_density
+from conftest import equal_up_to_phase, is_unitary, random_density
 from triqec.gates import (
     InvalidGateError,
     cnot,
     encoder,
-    equal_up_to_phase,
     global_rotation,
-    is_unitary,
     toffoli,
     toffoli_product_expansion,
 )

@@ -27,11 +27,15 @@ def test_alias_and_factories_share_one_table_entry():
     assert MODELS == ("correlated", "totally-correlated", "uncorrelated", "custom")
 
 
-@pytest.mark.parametrize("tau", [None, 0.0, -1.0])
+@pytest.mark.parametrize("tau", [None, 0.0, -1.0, float("nan"), float("inf")])
 def test_named_models_require_a_positive_tau(tau):
     for name in NAMED_MODELS:
         with pytest.raises(ValueError, match="tau"):
             effective_covariance(name, tau=tau)
+        with pytest.raises(ValueError, match="tau"):
+            inflection_point(name, tau)
+        with pytest.raises(ValueError, match="rate"):
+            predict_corrected_curve(tau, name, [0.0, 0.1])
     if tau is not None:
         for factory in (totally_correlated, uncorrelated):
             with pytest.raises(ValueError, match="tau"):

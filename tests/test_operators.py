@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import brute_partial_trace, random_density, random_operator
+from conftest import (
+    brute_partial_trace,
+    random_density,
+    random_operator,
+    validate_density_matrix,
+)
 from triqec.operators import (
     ANCILLA_SECTORS,
     IDENTITY8,
@@ -17,7 +22,6 @@ from triqec.operators import (
     product_operator,
     project_ancilla_sectors,
     pure_data_state,
-    validate_density_matrix,
 )
 
 

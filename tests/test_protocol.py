@@ -1,7 +1,12 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import forward_derivative, random_psd
+from conftest import forward_derivative, grid_nogo_search, random_psd
 from triqec import noise, protocol
 from triqec.analytics import survival_factor, uncorrected_decay
 from triqec.diffusion import GradientDiffusionSpec
@@ -28,6 +33,7 @@ from triqec.operators import (
     polar_amplitudes,
 )
 from triqec.protocol import (
+    SLOPES,
     AncillaMixture,
     ConfigError,
     CorrelatedComponent,
@@ -271,6 +277,14 @@ def test_corrected_evolution_is_linear_in_the_state():
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
+def test_evolve_corrected_checks_its_strings():
+    rho = np.eye(8) / 8
+    with pytest.raises(ConfigError, match="basis_rotation must be one of"):
+        evolve_corrected(rho, np.eye(3), 0.5, basis_rotation="bogus")
+    with pytest.raises(ValueError, match="axis must be 'x' or 'z', got 'y'"):
+        evolve_corrected(rho, np.eye(3), 0.5, axis="y")
+
+
 def test_z_axis_noise_with_basis_rotation_is_protected():
     rng = np.random.default_rng(4)
     cov = random_psd(rng)
@@ -398,6 +412,27 @@ def test_mixture_formula_matches_pipeline(weights):
         )
 
 
+def test_slope_table_reproduces_the_sector_formula():
+    # Each column of SLOPES against the sign formula of the decay law's
+    # first derivative, -(c11 + s2 c22 + s3 c33 - s2 s3 tr C) / 4.
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        cov = random_psd(rng)
+        c11, c22, c33 = np.diagonal(cov)
+        for column, (s2, s3) in enumerate(ANCILLA_SECTORS):
+            expected = -0.25 * (c11 + s2 * c22 + s3 * c33 - s2 * s3 * (c11 + c22 + c33))
+            assert sector_slope_at_zero(cov, s2, s3) == pytest.approx(expected, abs=1e-14)
+            assert -(np.diagonal(cov) @ SLOPES[:, column]) == pytest.approx(expected, abs=1e-14)
+    assert not SLOPES[:, 0].any()
+    assert not SLOPES.flags.writeable
+
+
+@pytest.mark.parametrize("signs", [(2, 5), (0, 0), (1, 0), (-1, 2)])
+def test_sector_slope_rejects_signs_other_than_pm1(signs):
+    with pytest.raises(ValueError, match=r"ancilla signs must be \+1 or -1"):
+        sector_slope_at_zero(np.eye(3), *signs)
+
+
 def test_mixture_slope_formula_closed_cases():
     rng = np.random.default_rng(9)
     cov = random_psd(rng)
@@ -458,6 +493,102 @@ def test_nogo_search_requires_data_spin_variance():
     for step in (0.0, -0.1, 1.5, float("nan")):
         with pytest.raises(ValueError, match="grid_step"):
             ancilla_mixture_nogo_search(np.eye(3), grid_step=step)
+
+
+def _assert_matches_the_grid(cov, step):
+    cert = ancilla_mixture_nogo_search(cov, grid_step=step)
+    grid = grid_nogo_search(cov, grid_step=step)
+    assert cert.grid_step == grid.grid_step
+    assert cert.zeros == grid.zeros
+    assert cert.unique_ground_zero == grid.unique_ground_zero
+    assert cert.min_margin == grid.min_margin
+    assert cert.argmin == grid.argmin
+    # The grid's maximum can sit one ulp above the exact vertex value.
+    assert grid.max_margin - np.spacing(grid.max_margin) <= cert.max_margin <= grid.max_margin
+    assert sorted(cert.argmax) == [0.0, 0.0, 0.0, 1.0]
+
+
+ORACLE_COVARIANCES = {
+    "rank1": random_psd(np.random.default_rng(15), rank=1),
+    "rank2": random_psd(np.random.default_rng(16), rank=2),
+    "rank3": random_psd(np.random.default_rng(17), rank=3),
+    "uncorrelated": uncorrelated(1.0),
+    "correlated": totally_correlated(0.389),
+    "data_only": np.diag([1.3, 0.0, 0.0]),
+    "no_c33": np.diag([0.7, 2.1, 0.0]),
+    "tiny_c22": np.diag([1.0, 3e-12, 0.0]),  # edge zeros, then a margin just above tol
+    # At step 1/2 the grid's maximum is the face point (0, 1/2, 1/2, 0), one
+    # ulp above the two vertices it averages.
+    "face_ulp": np.diag([2.3825850917171816, 0.7941713846795612, 0.7941713846795612]),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_COVARIANCES))
+def test_nogo_certificate_matches_the_grid(name):
+    for step in (1, 0.5, 1 / 3, 0.1, 0.05, 0.013, 0.01, 0.005):
+        _assert_matches_the_grid(ORACLE_COVARIANCES[name], step)
+
+
+@st.composite
+def nogo_covariances(draw):
+    kind = draw(st.sampled_from(["rank1", "rank2", "rank3", "named", "data_only", "no_c33"]))
+    entry = st.floats(-3.0, 3.0, allow_subnormal=False)
+    variance = st.floats(1e-3, 10.0)
+    if kind.startswith("rank"):
+        rank = int(kind[-1])
+        a = np.array(draw(st.lists(entry, min_size=3 * rank, max_size=3 * rank))).reshape(3, rank)
+        cov = a @ a.T
+    elif kind == "named":
+        factory = draw(st.sampled_from([uncorrelated, totally_correlated]))
+        cov = factory(draw(st.floats(0.05, 20.0)))
+    else:
+        c22 = draw(variance) if kind == "no_c33" else 0.0
+        cov = np.diag([draw(variance), c22, 0.0])
+    # A c11 below ~1e-12 n of the largest variance is the regime pinned by
+    # test_nogo_certificate_with_a_negligible_data_variance.
+    assume(cov[0, 0] > 1e-9 * np.diagonal(cov).max())
+    return cov
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cov=nogo_covariances(), step=st.floats(0.02, 1.0))
+def test_nogo_certificate_matches_the_grid_property(cov, step):
+    _assert_matches_the_grid(cov, step)
+
+
+def test_nogo_certificate_with_a_negligible_data_variance():
+    # With c11 at 1e-13 of the other variances, the grid's 1e-12 relative
+    # tolerance counts mixtures with a margin c11 k/n as zeros although their
+    # slope has a c11 coefficient.  The certificate lists only the edge zeros.
+    cov = np.diag([1e-13, 1.0, 1.0])
+    cert = ancilla_mixture_nogo_search(cov, grid_step=1 / 3)
+    grid = grid_nogo_search(cov, grid_step=1 / 3)
+    assert grid.zeros[0][1:] == (1 / 3, 1 / 3, 1 / 3) and not grid.unique_ground_zero
+    assert cert.zeros == ((1.0, 0.0, 0.0, 0.0),) and cert.unique_ground_zero
+    assert (cert.min_margin, cert.argmin) == (grid.min_margin, grid.argmin)
+    # On a finer grid the grid's minimum moves onto that ray; the certificate
+    # keeps the smallest margin among its candidates above the tolerance.
+    cov = np.diag([1e-10, 1.0, 1.0])
+    cert = ancilla_mixture_nogo_search(cov, grid_step=0.01)
+    grid = grid_nogo_search(cov, grid_step=0.01)
+    assert (grid.min_margin, grid.argmin) == (2e-12, (0.94, 0.02, 0.02, 0.02))
+    assert cert.unique_ground_zero
+    assert cert.min_margin == 0.5 * (1e-10 + 1.0) * 0.01
+    assert cert.argmin == (0.99, 0.0, 0.01, 0.0)
+    assert (cert.max_margin, cert.argmax) == (1.0, (0.0, 0.0, 0.0, 1.0))
+
+
+def test_nogo_certificate_cost_does_not_grow_with_the_grid():
+    tracemalloc.start()
+    start = time.perf_counter()
+    cert = ancilla_mixture_nogo_search(uncorrelated(1.0), grid_step=1e-6)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert cert.grid_step == 1e-6 and cert.unique_ground_zero
+    assert cert.min_margin == pytest.approx(2e-6, rel=1e-12)
+    assert elapsed < 0.1
+    assert peak < 1 << 20
 
 
 def test_correlated_mixture_all_ground_sector_is_flat():
