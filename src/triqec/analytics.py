@@ -23,8 +23,6 @@ from .models import survival_correlated, survival_uncorrelated  # noqa: F401  (r
 from .noise import validate_covariance, validate_time
 from .operators import sector_index
 
-PROVENANCES = ("analytic", "monte-carlo", "fitted")
-
 #: Triple-quantum sign patterns (one per pair +-eps) entering the product term.
 _TRIPLE_PATTERNS = np.array(
     [[1, 1, 1], [1, 1, -1], [1, -1, 1], [-1, 1, 1]], dtype=float
@@ -37,7 +35,6 @@ class DecayCurve:
 
     times: np.ndarray
     values: np.ndarray
-    provenance: str = "analytic"
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -46,8 +43,6 @@ class DecayCurve:
             raise ValueError("times and values must be 1-d arrays of equal length")
         if len(times) >= 2 and not (np.diff(times) > 0).all():
             raise ValueError("times must be strictly increasing")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"provenance must be one of {PROVENANCES}, got {self.provenance!r}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -131,11 +126,8 @@ def survival_derivatives_at_zero(cov) -> tuple[float, float, float]:
     The first derivative vanishes identically: the code removes the linear
     decay for every covariance.
     """
-    return (
-        0.0,
-        survival_second_derivative_at_zero(cov),
-        survival_third_derivative_at_zero(cov),
-    )
+    c = validate_covariance(cov)
+    return 0.0, survival_second_derivative_at_zero(c), survival_third_derivative_at_zero(c)
 
 
 def inflection_point(model: str, tau: float) -> float:
@@ -160,17 +152,16 @@ def fit_exponential_rate(curve: DecayCurve) -> FitResult:
         If any value is nonpositive (the caller must truncate the curve).
     """
     if (curve.values <= 0).any():
-        raise ValueError("all curve values must be positive for a log-linear fit")
+        raise ValueError(
+            "all amplitudes must be positive for a log-linear fit "
+            f"(found {float(curve.values.min())!r}); truncate the curve first"
+        )
     if len(curve.times) < 2:
         raise ValueError("need at least two points to fit a rate")
     logs = np.log(curve.values)
     slope, intercept = np.polyfit(curve.times, logs, 1)
-    st = curve.times.std()
-    sl = logs.std()
-    if st == 0 or sl == 0:
-        corr = 0.0
-    else:
-        corr = float(np.corrcoef(curve.times, logs)[0, 1])
+    constant = curve.times.std() == 0 or logs.std() == 0
+    corr = 0.0 if constant else float(np.corrcoef(curve.times, logs)[0, 1])
     return FitResult(rate=float(-slope), intercept=float(intercept), correlation=corr)
 
 
@@ -181,7 +172,7 @@ def predict_corrected_curve(rate: float, model: str, times) -> DecayCurve:
     """
     times = np.asarray(times, dtype=float)
     values = named_model(model).closed_form(1.0 / positive_finite(rate, "rate"), times)
-    return DecayCurve(times=times, values=np.asarray(values), provenance="fitted")
+    return DecayCurve(times=times, values=np.asarray(values))
 
 
 def scale_to_rms(measured: DecayCurve, reference: DecayCurve) -> DecayCurve:
@@ -198,10 +189,8 @@ def scale_to_rms(measured: DecayCurve, reference: DecayCurve) -> DecayCurve:
         raise ValueError("reference curve is identically zero")
     meas_rms = float(np.sqrt(np.mean(measured.values**2)))
     if meas_rms == 0:
-        return DecayCurve(measured.times, measured.values.copy(), measured.provenance)
-    return DecayCurve(
-        measured.times, measured.values * (ref_rms / meas_rms), measured.provenance
-    )
+        return DecayCurve(measured.times, measured.values.copy())
+    return DecayCurve(measured.times, measured.values * (ref_rms / meas_rms))
 
 
 def curve_correlation(a: DecayCurve, b: DecayCurve) -> float:

@@ -44,8 +44,8 @@ from .analytics import (
     survival_factor,
     uncorrected_decay,
 )
-from .models import NAMED_MODELS
-from .noise import CovarianceError, NoiseChannel, effective_covariance, validate_covariance
+from .models import NAMED_MODELS, positive_finite
+from .noise import NoiseChannel, effective_covariance, validate_covariance, validate_integer
 from .protocol import PipelineConfig, ancilla_mixture_nogo_search, run_pipeline_mc
 
 SEED_ENV = "TRIQEC_SEED"
@@ -90,12 +90,12 @@ def read_covariance_file(path: str) -> np.ndarray:
 
 
 def _resolve_covariance(args) -> np.ndarray:
-    # Invalid matrices and taus raise ValueError, which main() reports with code 2.
+    # The run's one covariance check; its ValueErrors exit with code 2 (see main).
     if getattr(args, "cov", None):
         return validate_covariance(read_covariance_file(args.cov))
     if args.model not in NAMED_MODELS:
         raise CommandError("give --cov FILE or --model with --tau", 2)
-    return effective_covariance(args.model, tau=args.tau)
+    return validate_covariance(effective_covariance(args.model, tau=args.tau))
 
 
 def _resolve_seed(args) -> int:
@@ -174,7 +174,7 @@ def read_curve_csv(path: str) -> DecayCurve:
     if len(times) < 2:
         raise CommandError(f"{path}: expected at least two (t, value) rows", 2)
     try:
-        return DecayCurve(np.array(times), np.array(values), provenance="monte-carlo")
+        return DecayCurve(np.array(times), np.array(values))
     except ValueError as exc:
         raise CommandError(f"{path}: {exc}", 2)
 
@@ -182,18 +182,15 @@ def read_curve_csv(path: str) -> DecayCurve:
 def cmd_decay(args) -> int:
     cov = _resolve_covariance(args)
     seed = _resolve_seed(args)
-    if args.points < 1:
-        raise CommandError(f"--points must be >= 1, got {args.points}", 2)
-    if not (0 < args.tmax < np.inf):
-        raise CommandError(f"--tmax must be positive and finite, got {args.tmax}", 2)
-    if args.mc is not None and args.mc < 1:
-        raise CommandError(f"--mc must be >= 1, got {args.mc}", 2)
+    validate_integer(args.points, "--points", 1)
+    positive_finite(args.tmax, "--tmax")
+    if args.mc is not None:
+        validate_integer(args.mc, "--mc", 1)
+    validate_integer(args.workers, "--workers", 1)
     times = np.linspace(0.0, args.tmax, args.points)
     corrected = args.correction == "on"
-    if corrected:
-        analytic = np.atleast_1d(survival_factor(cov, times))
-    else:
-        analytic = np.atleast_1d(uncorrected_decay(cov, times))
+    decay = survival_factor if corrected else uncorrected_decay
+    analytic = np.atleast_1d(decay(cov, times))
 
     header = ["t", "theta_analytic"]
     columns = [times, analytic]
@@ -235,13 +232,6 @@ def cmd_fit(args) -> int:
     if model not in NAMED_MODELS:
         raise CommandError("fit needs a named model (correlated or uncorrelated)", 2)
     measured = read_curve_csv(args.infile)
-    if (measured.values <= 0).any():
-        bad = float(measured.values.min())
-        raise CommandError(
-            f"all amplitudes must be positive for a log-linear fit (found {bad!r}); "
-            "truncate the curve first",
-            2,
-        )
     fit = fit_exponential_rate(measured)
     print(f"rate = {_fmt(fit.rate)}")
     print(f"log_fit_correlation = {_fmt(fit.correlation)}")
@@ -339,7 +329,7 @@ def main(argv=None) -> int:
     except CommandError as exc:
         print(f"triqec {args.command}: {exc}", file=sys.stderr)
         return exc.code
-    except (ValueError, CovarianceError) as exc:
+    except ValueError as exc:  # CovarianceError included
         print(f"triqec {args.command}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

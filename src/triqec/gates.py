@@ -16,12 +16,13 @@ import numpy as np
 from .operators import (
     IDENTITY2,
     IDENTITY8,
-    PAULI,
     SPINS,
     angular_momentum,
     idempotent,
     kron3,
+    pauli,
     product_operator,
+    validate_spin,
 )
 
 
@@ -63,14 +64,9 @@ def toffoli() -> np.ndarray:
 
 def global_rotation(axis: str, angle: float, spins=SPINS) -> np.ndarray:
     """Propagator exp(-i * angle * sum of I_axis over ``spins``)."""
-    if axis not in PAULI:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    spins = tuple(spins)
-    for spin in spins:
-        if spin not in SPINS:
-            raise ValueError(f"spin index must be 1, 2 or 3, got {spin!r}")
     half = angle / 2
-    single = np.cos(half) * IDENTITY2 - 1j * np.sin(half) * PAULI[axis]
+    single = np.cos(half) * IDENTITY2 - 1j * np.sin(half) * pauli(axis)
+    spins = [validate_spin(spin) for spin in spins]
     factors = [single if spin in spins else IDENTITY2 for spin in SPINS]
     return kron3(*factors)
 

@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import itertools
 import operator
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .models import TOTALLY_CORRELATED, UNCORRELATED, named_model
-from .operators import IDENTITY2, PAULI, kron3
+from .operators import IDENTITY2, kron3, pauli
 
 #: Samples per reduction block; fixed so the summation order never varies.
 BLOCK = 4096
@@ -57,6 +58,14 @@ FRAMES = {
     "x": _frozen(kron3(*[np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)] * 3)),
     "z": _frozen(np.eye(8, dtype=complex)),
 }
+
+
+def dephasing_frame(axis: str) -> np.ndarray:
+    """``FRAMES[axis]``; an axis other than 'x' or 'z' raises ValueError."""
+    if axis not in FRAMES:
+        raise ValueError(f"axis must be 'x' or 'z', got {axis!r}")
+    return FRAMES[axis]
+
 
 #: Per-basis-state signs of 2Iz for each spin, shape (8, 3).
 _Z_SIGNS = 1.0 - 2 * ((np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1)
@@ -81,14 +90,22 @@ class CovarianceError(ValueError):
     """Covariance matrix that is not symmetric positive semidefinite."""
 
 
+#: Every array :func:`validate_covariance` returned that is still alive, by id.
+_CHECKED = weakref.WeakValueDictionary()
+
+
 def validate_covariance(cov) -> np.ndarray:
-    """Validate a 3x3 dephasing-rate covariance matrix and return a copy.
+    """Validate a 3x3 dephasing-rate covariance matrix and return an immutable copy.
 
     Checks symmetry, nonnegative diagonal, the Cauchy-Schwarz bound on the
     off-diagonal entries, and positive semidefiniteness (eigenvalues at worst
     -1e-12 at unit scale).  The checks run on the matrix divided by its
-    largest entry (when above 1), so no intermediate overflows.
+    largest entry (when above 1), so no intermediate overflows.  The copy is
+    backed by bytes, so nothing can make it writable; an array returned here
+    is accepted as is, without a re-check, and any other array is checked.
     """
+    if _CHECKED.get(id(cov)) is cov:
+        return cov
     c = np.array(cov, dtype=float)
     if c.shape != (3, 3):
         raise CovarianceError(f"covariance must be 3x3, got shape {c.shape}")
@@ -102,19 +119,20 @@ def validate_covariance(cov) -> np.ndarray:
     for j in range(3):
         if u[j, j] < -tol:
             raise CovarianceError(f"variance c[{j},{j}] = {float(c[j, j])!r} is negative")
-    for j in range(3):
-        for k in range(j + 1, 3):
-            bound = np.sqrt(max(u[j, j], 0.0) * max(u[k, k], 0.0))
-            if abs(u[j, k]) > bound + tol:
-                raise CovarianceError(
-                    f"cross-rate c[{j},{k}] = {float(c[j, k])!r} exceeds the "
-                    f"Cauchy-Schwarz bound {float(bound * scale)!r}"
-                )
+    for j, k in itertools.combinations(range(3), 2):
+        bound = np.sqrt(max(u[j, j], 0.0) * max(u[k, k], 0.0))
+        if abs(u[j, k]) > bound + tol:
+            raise CovarianceError(
+                f"cross-rate c[{j},{k}] = {float(c[j, k])!r} exceeds the "
+                f"Cauchy-Schwarz bound {float(bound * scale)!r}"
+            )
     lowest = float(np.linalg.eigvalsh(u).min())
     if lowest < -tol:
         raise CovarianceError(
             f"covariance is not positive semidefinite: eigenvalue {lowest * scale!r} < 0"
         )
+    c = np.frombuffer(c.tobytes()).reshape(3, 3)
+    _CHECKED[id(c)] = c
     return c
 
 
@@ -179,8 +197,7 @@ class NoiseChannel:
 
     def __post_init__(self):
         object.__setattr__(self, "covariance", validate_covariance(self.covariance))
-        if self.axis not in ("x", "z"):
-            raise ValueError(f"axis must be 'x' or 'z', got {self.axis!r}")
+        dephasing_frame(self.axis)  # rejects axes other than 'x' and 'z'
         if self.kind not in ("analytic", "monte-carlo"):
             raise ValueError(f"kind must be 'analytic' or 'monte-carlo', got {self.kind!r}")
         object.__setattr__(self, "workers", validate_integer(self.workers, "workers", 1))
@@ -224,10 +241,9 @@ def phase_stream(cov, t: float, seed: int, samples: int) -> np.ndarray:
 
 def random_propagator(chi, axis: str = "x") -> np.ndarray:
     """Exact unitary exp(-i sum_k chi^k I_axis^k), a kron of per-spin closed forms."""
-    if axis not in PAULI:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
+    sigma = pauli(axis)
     half = np.asarray(chi, dtype=float).reshape(3) / 2.0
-    return kron3(*(np.cos(h) * IDENTITY2 - 1j * np.sin(h) * PAULI[axis] for h in half))
+    return kron3(*(np.cos(h) * IDENTITY2 - 1j * np.sin(h) * sigma for h in half))
 
 
 def dephasing_factors(cov, t: float) -> np.ndarray:
@@ -283,9 +299,7 @@ def pair_weights(weights) -> tuple[float, np.ndarray, np.ndarray]:
 
 def dephase(rho: np.ndarray, factors: np.ndarray, axis: str = "x") -> np.ndarray:
     """Multiply rho's elements in the dephasing frame by one 8x8 table or a stack."""
-    if axis not in FRAMES:
-        raise ValueError(f"axis must be 'x' or 'z', got {axis!r}")
-    frame = FRAMES[axis]
+    frame = dephasing_frame(axis)
     rotated = frame @ np.asarray(rho, dtype=complex) @ frame.conj().T
     return frame.conj().T @ (factors * rotated) @ frame
 

@@ -16,7 +16,6 @@ import numpy as np
 
 DIM = 8
 SPINS = (1, 2, 3)
-AXES = ("x", "y", "z")
 
 #: Ancilla z-basis sectors in the order (+,+), (+,-), (-,+), (-,-).
 ANCILLA_SECTORS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
@@ -29,10 +28,21 @@ PAULI = {
 IDENTITY2 = np.eye(2, dtype=complex)
 IDENTITY8 = np.eye(DIM, dtype=complex)
 
-# Tolerances: exact operator algebra is held to 1e-12; composed pipelines and
-# statistically averaged states get the looser 1e-9 / -1e-9 bounds.
-ALGEBRA_TOL = 1e-12
-STATE_TOL = 1e-9
+STATE_TOL = 1e-9  # tolerance of the unit-norm and Bloch-length checks
+
+
+def pauli(axis: str) -> np.ndarray:
+    """``PAULI[axis]``; an axis other than 'x', 'y' or 'z' raises ValueError."""
+    if axis not in PAULI:
+        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
+    return PAULI[axis]
+
+
+def validate_spin(spin) -> int:
+    """Return ``spin`` if it is 1, 2 or 3, else raise ValueError."""
+    if spin not in SPINS:
+        raise ValueError(f"spin index must be 1, 2 or 3, got {spin!r}")
+    return spin
 
 
 def sector_index(sign2, sign3) -> int:
@@ -60,10 +70,8 @@ def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def embed(op: np.ndarray, spin: int) -> np.ndarray:
     """Embed a 2x2 single-spin operator into the three-spin space."""
-    if spin not in SPINS:
-        raise ValueError(f"spin index must be 1, 2 or 3, got {spin!r}")
     factors = [IDENTITY2, IDENTITY2, IDENTITY2]
-    factors[spin - 1] = np.asarray(op, dtype=complex)
+    factors[validate_spin(spin) - 1] = np.asarray(op, dtype=complex)
     return kron3(*factors)
 
 
@@ -72,9 +80,7 @@ def angular_momentum(spin: int, axis: str) -> np.ndarray:
 
     Hermitian with eigenvalues +-1/2; (2 I_axis)^2 is the identity.
     """
-    if axis not in PAULI:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    return embed(PAULI[axis] / 2, spin)
+    return embed(pauli(axis) / 2, spin)
 
 
 def idempotent(spin: int, sign: int) -> np.ndarray:

@@ -30,9 +30,9 @@ import numpy as np
 from .analytics import survival_factor
 from .gates import encoder, global_rotation, toffoli
 from .noise import (
-    FRAMES,
     NoiseChannel,
     dephasing_factors,
+    dephasing_frame,
     mean_phases,
     pair_weights,
     validate_covariance,
@@ -56,6 +56,17 @@ class ConfigError(ValueError):
     """Pipeline configuration that violates its invariants."""
 
 
+def _nonnegative(weight, name: str) -> None:
+    if not (-1e-12 <= weight < np.inf):
+        raise ConfigError(f"{name} must be finite and >= 0, got {weight!r}")
+
+
+def _unit_sum(weights, name: str) -> None:
+    total = sum(weights)
+    if not (abs(total - 1.0) <= 1e-12):
+        raise ConfigError(f"{name} must sum to 1, got {total!r}")
+
+
 @dataclass(frozen=True)
 class AncillaMixture:
     """Statistical weights of the four diagonal ancilla states.
@@ -70,13 +81,8 @@ class AncillaMixture:
 
     def __post_init__(self):
         for field in fields(self):
-            weight = getattr(self, field.name)
-            if not (-1e-12 <= weight < np.inf):
-                raise ConfigError(
-                    f"mixture weight {field.name} must be finite and >= 0, got {weight!r}"
-                )
-        if not (abs(sum(self.weights) - 1.0) <= 1e-12):
-            raise ConfigError(f"mixture weights must sum to 1, got {sum(self.weights)!r}")
+            _nonnegative(getattr(self, field.name), f"mixture weight {field.name}")
+        _unit_sum(self.weights, "mixture weights")
 
     @property
     def weights(self) -> tuple[float, float, float, float]:
@@ -99,8 +105,7 @@ class CorrelatedComponent:
     sector: tuple[int, int]
 
     def __post_init__(self):
-        if not (-1e-12 <= self.weight < np.inf):
-            raise ConfigError(f"component weight must be finite and >= 0, got {self.weight!r}")
+        _nonnegative(self.weight, "component weight")
         data_state_from_bloch(self.bloch)  # rejects non-finite or too long Bloch vectors
         if self.sector not in ANCILLA_SECTORS:
             raise ConfigError(f"sector must be a pair of +-1, got {self.sector!r}")
@@ -111,9 +116,7 @@ def _correlated_components(components) -> tuple[CorrelatedComponent, ...]:
     components = tuple(components)
     if not components:
         raise ConfigError("correlated mixture needs at least one component")
-    total = sum(comp.weight for comp in components)
-    if not (abs(total - 1.0) <= 1e-12):
-        raise ConfigError(f"correlated mixture weights must sum to 1, got {total!r}")
+    _unit_sum((comp.weight for comp in components), "correlated mixture weights")
     return components
 
 
@@ -209,13 +212,11 @@ def _conjugators(
     # Constant unitaries applied before and after the noise, with the
     # dephasing frame folded in: pre = frame (rotation) encode, post =
     # correct decode (rotation inverse) frame^-1.  Cached, hence read-only.
-    if axis not in FRAMES:
-        raise ValueError(f"axis must be 'x' or 'z', got {axis!r}")
+    frame = dephasing_frame(axis)
     if basis_rotation not in BASIS_ROTATIONS:
         raise ConfigError(
             f"basis_rotation must be one of {BASIS_ROTATIONS}, got {basis_rotation!r}"
         )
-    frame = FRAMES[axis]
     if not correction:
         pre, post = frame, frame.conj().T
     else:
@@ -310,8 +311,9 @@ def mixed_ancilla_survival(mix: AncillaMixture, cov, t):
     The weighted combination of the four sector survivals; equals the
     pure-ancilla survival factor for the mixture (1, 0, 0, 0).
     """
+    c = validate_covariance(cov)
     return sum(
-        weight * survival_factor(cov, t, s2, s3)
+        weight * survival_factor(c, t, s2, s3)
         for weight, (s2, s3) in zip(mix.weights, ANCILLA_SECTORS)
         if weight != 0.0
     )
@@ -395,6 +397,8 @@ def ancilla_mixture_nogo_search(cov, grid_step: float = 0.01) -> NoGoCertificate
         raise ValueError("the no-go search requires a positive data-spin variance c11")
     if not (0 < grid_step <= 1):
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step!r}")
+    if not 1.0 / grid_step < 2.0**63:  # n must be a finite int64 count
+        raise ValueError(f"grid_step must be above 2**-63, got {grid_step!r}")
     n = max(1, round(1.0 / grid_step))
     tol = 1e-12 * diag.max()
 

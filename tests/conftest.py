@@ -1,14 +1,29 @@
-"""Shared helpers: seeded random corpora and independent brute-force oracles."""
+"""Shared helpers: seeded random corpora, independent brute-force oracles, a check counter."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+import pytest
 
 from triqec.noise import validate_covariance
 from triqec.operators import DIM, IDENTITY8, STATE_TOL
 from triqec.protocol import NoGoCertificate
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    # The covariance check is the package's only eigvalsh: count its calls.
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
 
 
 def random_psd(rng: np.random.Generator, scale: float = 1.0, rank: int = 3) -> np.ndarray:

@@ -273,7 +273,7 @@ def test_acceptance_10_fit_workflow_analogue():
         rng = np.random.default_rng(53)
         times = np.linspace(0.0, 1.2, 32)
         noisy = np.exp(-rate * times) * (1 + 0.01 * rng.standard_normal(times.size))
-        fit = fit_exponential_rate(DecayCurve(times, noisy, provenance="monte-carlo"))
+        fit = fit_exponential_rate(DecayCurve(times, noisy))
         assert fit.correlation < -0.99
         assert fit.rate == pytest.approx(rate, rel=0.02)
 
@@ -287,6 +287,6 @@ def test_acceptance_10_fit_workflow_analogue():
             ).survival
             for i, t in enumerate(times)
         ]
-        measured = DecayCurve(times, np.array(mc_values), provenance="monte-carlo")
+        measured = DecayCurve(times, np.array(mc_values))
         scaled = scale_to_rms(measured, predicted)
         assert curve_correlation(scaled, predicted) > 0.98

@@ -200,10 +200,10 @@ def test_predict_corrected_curve_values():
 def test_scale_to_rms_examples():
     times = np.linspace(0.0, 1.0, 16)
     reference = DecayCurve(times, np.exp(-2 * times))
-    doubled = DecayCurve(times, 2 * np.exp(-2 * times), provenance="monte-carlo")
+    doubled = DecayCurve(times, 2 * np.exp(-2 * times))
     assert np.abs(scale_to_rms(doubled, reference).values - reference.values).max() < 1e-12
 
-    zero = DecayCurve(times, np.zeros_like(times), provenance="monte-carlo")
+    zero = DecayCurve(times, np.zeros_like(times))
     assert np.abs(scale_to_rms(zero, reference).values).max() == 0.0
 
     rng = np.random.default_rng(6)
@@ -225,8 +225,6 @@ def test_decay_curve_validation():
         DecayCurve(np.array([0.0, 0.0, 1.0]), np.zeros(3))  # not increasing
     with pytest.raises(ValueError):
         DecayCurve(np.array([0.0, 1.0]), np.zeros(3))  # length mismatch
-    with pytest.raises(ValueError):
-        DecayCurve(np.array([0.0, 1.0]), np.zeros(2), provenance="guessed")
 
 
 def test_fit_result_validation():
@@ -239,5 +237,5 @@ def test_fit_result_validation():
 def test_curve_correlation_of_identical_shapes():
     times = np.linspace(0.0, 1.0, 12)
     a = DecayCurve(times, np.exp(-times))
-    b = DecayCurve(times, 3.0 * np.exp(-times), provenance="monte-carlo")
+    b = DecayCurve(times, 3.0 * np.exp(-times))
     assert curve_correlation(a, b) == pytest.approx(1.0, abs=1e-12)

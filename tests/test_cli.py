@@ -98,6 +98,7 @@ def test_decay_bad_parameters(tmp_path):
     assert run_cli("decay", "--model", "correlated", "--tau", -1, "--out", out) == 2
     assert run_cli("decay", "--model", "correlated", "--tau", 1, "--points", 0, "--out", out) == 2
     assert run_cli("decay", "--model", "correlated", "--tau", 1, "--mc", 0, "--out", out) == 2
+    assert run_cli("decay", "--model", "correlated", "--tau", 1, "--workers", 0, "--out", out) == 2
     for tmax in ("nan", "inf"):
         assert run_cli("decay", "--model", "correlated", "--tau", 1, "--tmax", tmax, "--out", out) == 2
     assert run_cli("decay", "--out", out) == 2  # neither model nor cov file
@@ -222,8 +223,9 @@ def test_nogo_requires_data_variance(tmp_path, capsys):
     cov.write_text("0 0 0\n0 1 0\n0 0 1\n")
     assert run_cli("nogo", "--cov", cov) == 2
     assert "c11" in capsys.readouterr().err
-    assert run_cli("nogo", "--model", "uncorrelated", "--tau", 1.0, "--step", "nan") == 2
-    assert "grid_step" in capsys.readouterr().err
+    for step in ("nan", "5e-324", "1e-19"):
+        assert run_cli("nogo", "--model", "uncorrelated", "--tau", 1.0, "--step", step) == 2
+        assert "grid_step" in capsys.readouterr().err
 
 
 def test_derivatives_output(capsys):

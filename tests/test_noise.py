@@ -79,6 +79,33 @@ def test_validate_covariance_does_not_overflow_at_huge_scale():
             validate_covariance(indefinite)
 
 
+def test_checked_covariance_is_immutable_and_accepted_as_is():
+    raw = random_psd(np.random.default_rng(2))
+    c = validate_covariance(raw)
+    assert validate_covariance(c) is c
+    assert np.array_equal(c, raw) and c is not raw
+    channel = NoiseChannel(covariance=c)
+    assert channel.covariance is c
+    for target in (c, c.base, NoiseChannel(covariance=raw).covariance):
+        with pytest.raises(ValueError):
+            target[0] = 7.0
+        with pytest.raises(ValueError):
+            target.setflags(write=True)
+    raw[0, 0] = 7.0  # the caller's array is not the checked copy
+    assert c[0, 0] != 7.0
+
+
+def test_arrays_derived_from_a_checked_covariance_are_checked_afresh(eigvalsh_calls):
+    c = validate_covariance(np.eye(3))
+    with pytest.raises(CovarianceError, match="negative"):
+        validate_covariance(-c)
+    for derived in (c.copy(), 2 * c, c[:]):
+        eigvalsh_calls.clear()
+        checked = validate_covariance(derived)
+        assert checked is not derived and np.array_equal(checked, derived)
+        assert len(eigvalsh_calls) == 1
+
+
 def test_effective_covariance_models():
     assert np.allclose(effective_covariance("uncorrelated", tau=1.0), np.diag([2.0, 2.0, 2.0]))
     assert np.allclose(effective_covariance("totally-correlated", tau=1.0), np.full((3, 3), 2.0))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import forward_derivative, grid_nogo_search, random_psd
 from triqec import noise, protocol
-from triqec.analytics import survival_factor, uncorrected_decay
+from triqec.analytics import survival_derivatives_at_zero, survival_factor, uncorrected_decay
 from triqec.diffusion import GradientDiffusionSpec
 from triqec.gates import encoder, global_rotation, toffoli
 from triqec.noise import (
@@ -17,6 +17,7 @@ from triqec.noise import (
     NoiseChannel,
     apply_channel_analytic,
     apply_channel_mc,
+    dephase,
     dephasing_factors,
     phase_stream,
     random_propagator,
@@ -27,8 +28,10 @@ from triqec.noise import (
 from triqec.operators import (
     ANCILLA_SECTORS,
     PAULI,
+    angular_momentum,
     bloch_of,
     data_state_from_bloch,
+    embed,
     partial_trace_ancillae,
     polar_amplitudes,
 )
@@ -277,6 +280,59 @@ def test_corrected_evolution_is_linear_in_the_state():
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
+def test_each_public_call_checks_its_covariance_once(eigvalsh_calls):
+    raw = random_psd(np.random.default_rng(9))
+    mix = AncillaMixture(0.4, 0.3, 0.2, 0.1)
+    calls = {
+        "survival_factor": lambda: survival_factor(raw, np.array([0.1, 0.5])),
+        "mixed_ancilla_survival": lambda: mixed_ancilla_survival(mix, raw, 0.3),
+        "survival_derivatives_at_zero": lambda: survival_derivatives_at_zero(raw),
+        "ancilla_mixture_nogo_search": lambda: ancilla_mixture_nogo_search(raw),
+        "run_pipeline_mc": lambda: run_pipeline_mc(make_config(raw, bloch=BLOCH), 0.3, 500, 1),
+    }
+    for name, call in calls.items():
+        eigvalsh_calls.clear()
+        call()
+        assert len(eigvalsh_calls) == 1, name
+    config = make_config(raw, bloch=BLOCH)
+    eigvalsh_calls.clear()
+    run_pipeline(config, 0.3)
+    assert eigvalsh_calls == []
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: NoiseChannel(np.eye(3), axis="y"), "axis must be 'x' or 'z', got 'y'"),
+        (lambda: dephase(np.eye(8), np.ones((8, 8)), "y"), "axis must be 'x' or 'z', got 'y'"),
+        (lambda: angular_momentum(1, "w"), "axis must be one of 'x', 'y', 'z', got 'w'"),
+        (lambda: global_rotation("w", 1.0), "axis must be one of 'x', 'y', 'z', got 'w'"),
+        (lambda: random_propagator(np.zeros(3), "w"), "axis must be one of 'x', 'y', 'z', got 'w'"),
+        (lambda: embed(PAULI["x"], 4), "spin index must be 1, 2 or 3, got 4"),
+        (lambda: global_rotation("x", 1.0, spins=(1, 0)), "spin index must be 1, 2 or 3, got 0"),
+        (
+            lambda: AncillaMixture(1.5, -0.5, 0.0, 0.0),
+            "mixture weight mu_pm must be finite and >= 0, got -0.5",
+        ),
+        (lambda: AncillaMixture(0.5, 0.0, 0.0, 0.0), "mixture weights must sum to 1, got 0.5"),
+        (
+            lambda: CorrelatedComponent(-1.0, (0.0, 0.0, 1.0), (+1, +1)),
+            "component weight must be finite and >= 0, got -1.0",
+        ),
+        (
+            lambda: correlated_mixture_residuals(
+                (CorrelatedComponent(0.5, (0, 0, 1), (+1, +1)),), np.eye(3)
+            ),
+            "correlated mixture weights must sum to 1, got 0.5",
+        ),
+    ],
+)
+def test_each_input_rule_keeps_its_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_evolve_corrected_checks_its_strings():
     rho = np.eye(8) / 8
     with pytest.raises(ConfigError, match="basis_rotation must be one of"):
@@ -490,7 +546,7 @@ def test_nogo_search_requires_data_spin_variance():
     silent_data = np.diag([0.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="c11"):
         ancilla_mixture_nogo_search(silent_data)
-    for step in (0.0, -0.1, 1.5, float("nan")):
+    for step in (0.0, -0.1, 1.5, float("nan"), 5e-324, 1e-19):
         with pytest.raises(ValueError, match="grid_step"):
             ancilla_mixture_nogo_search(np.eye(3), grid_step=step)
 
