@@ -47,7 +47,6 @@ from .operators import (
     bloch_of,
     idempotent,
     partial_trace_ancillae,
-    polar_amplitudes,
     product_basis,
     product_operator,
     project_ancilla_sectors,

@@ -235,8 +235,6 @@ def cmd_fit(args) -> int:
     fit = fit_exponential_rate(measured)
     print(f"rate = {_fmt(fit.rate)}")
     print(f"log_fit_correlation = {_fmt(fit.correlation)}")
-    if fit.rate <= 0:
-        raise CommandError(f"fitted rate {fit.rate!r} is not positive; not a decay", 2)
     predicted = predict_corrected_curve(fit.rate, model, measured.times)
 
     header = ["t", "theta_predicted"]
@@ -257,13 +255,20 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _mixture(weights) -> str:
+    return "(" + ", ".join(_fmt(w) for w in weights) + ")"
+
+
 def cmd_nogo(args) -> int:
     cert = ancilla_mixture_nogo_search(_resolve_covariance(args), grid_step=args.step)
-    for zero in cert.zeros:
-        print("zero-slope mixture: (" + ", ".join(_fmt(w) for w in zero) + ")")
+    last = _mixture(cert.last_zero)
+    if cert.zero_count == 1:
+        print(f"zero-slope mixture: {last}")
+    else:  # the zeros run along an edge from the ground mixture
+        print(f"zero-slope segment: {cert.zero_count} mixtures from (1, 0, 0, 0) to {last}")
     print(f"unique_ground_zero = {str(cert.unique_ground_zero).lower()}")
     print(f"min_margin_off_vertex = {_fmt(cert.min_margin)}")
-    print("argmin_mixture = (" + ", ".join(_fmt(w) for w in cert.argmin) + ")")
+    print(f"argmin_mixture = {_mixture(cert.argmin)}")
     print(f"max_margin = {_fmt(cert.max_margin)}")
     return 0
 

@@ -14,8 +14,8 @@ factor is averaged, and stay independent so they can cross-validate:
 
 * ``apply_channel_analytic``: the exact Gaussian average
   exp(-(t/2) eps^T C eps) of ``dephasing_factors``.
-* ``apply_channel_mc``: the sample mean of ``trajectory_phases``; it never
-  evaluates the Gaussian formula.
+* ``apply_channel_mc``: the sample mean of the factors over sampled phase
+  vectors; it never evaluates the Gaussian formula.
 
 The 56 off-diagonal elements share only 13 conjugate pairs of patterns
 eps = +-p (``PAIRS``), so the Monte Carlo kernel (``mean_phases``) averages
@@ -23,17 +23,20 @@ the real cos(p . chi) and sin(p . chi) of each pair and scatters the means
 back to the 8x8 table once (``phase_table``); ``pair_weights`` folds a
 64-element observable onto the same 13 pairs.
 
-Monte Carlo reproducibility: the phases come from a counter-based Philox
-stream keyed by the seed, drawn in one deterministic block, and the reduction
-sums fixed-size blocks in index order, so results are bit-identical no matter
-how many workers split the blocks.
+Monte Carlo reproducibility and memory: the phases come from a counter-based
+Philox stream keyed by the seed, drawn and reduced ``BLOCK`` vectors at a time
+and added in stream order, so memory does not grow with the sample count and
+results are bit-identical no matter how many worker threads reduce the blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
+import os
 import weakref
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -205,38 +208,25 @@ class NoiseChannel:
             object.__setattr__(self, "samples", validate_integer(self.samples, "samples", 1))
 
 
-def _sqrt_factor(sigma: np.ndarray) -> np.ndarray:
-    # Symmetric square root via eigendecomposition; tolerates rank-deficient
-    # covariances (Cholesky would fail) by clamping tiny negatives to zero.
-    eigvals, eigvecs = np.linalg.eigh(sigma)
+def _phase_loading(cov, t: float) -> np.ndarray:
+    # The loading L of chi = L z, z standard normal: a symmetric square root
+    # of C*t via eigendecomposition, which tolerates rank-deficient covariances
+    # (Cholesky would fail) by clamping tiny negatives to zero.
+    eigvals, eigvecs = np.linalg.eigh(validate_covariance(cov) * validate_time(t))
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def sample_phases(
-    cov, t: float, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
+def _draw(loading: np.ndarray, rng: np.random.Generator, size: int | None) -> np.ndarray:
+    # The next ``size`` phase vectors of ``rng``'s stream (one if None).
+    return rng.standard_normal(3 if size is None else (size, 3)) @ loading.T
+
+
+def sample_phases(cov, t: float, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Draw accumulated phase vectors chi ~ N(0, C*t).
 
     Returns shape (3,) or (size, 3).
     """
-    c = validate_covariance(cov)
-    t = validate_time(t)
-    loads = _sqrt_factor(c * t)
-    draws = rng.standard_normal(3 if size is None else (size, 3))
-    # Loaded in place, BLOCK rows at a time: a product this small stays on
-    # the calling thread, where one over every row would wake a BLAS worker
-    # that keeps spinning on another core after the call has returned.
-    rows = draws.reshape(-1, 3)
-    for start in range(0, len(rows), BLOCK):
-        block = rows[start : start + BLOCK]
-        np.matmul(block, loads.T, out=block)
-    return draws
-
-
-def phase_stream(cov, t: float, seed: int, samples: int) -> np.ndarray:
-    """Deterministic (samples, 3) phase block from a counter-based stream."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    return sample_phases(cov, t, rng, size=samples)
+    return _draw(_phase_loading(cov, t), rng, size)
 
 
 def random_propagator(chi, axis: str = "x") -> np.ndarray:
@@ -257,31 +247,17 @@ def dephasing_factors(cov, t: float) -> np.ndarray:
     return np.exp(-0.5 * t * quad)
 
 
-def _pair_trig(chis) -> tuple[np.ndarray, np.ndarray]:
-    # cos and sin of the pair angles p . chi: (..., 3) phases to two (..., 13).
-    angles = np.asarray(chis, dtype=float) @ PAIRS.T
-    return np.cos(angles), np.sin(angles)
-
-
 def phase_table(cos, sin) -> np.ndarray:
     """Scatter (..., 13) pair cosines and sines to (..., 8, 8) factor tables.
 
     The element with eps = s p gets cos - i s sin of pair p, the diagonal 1.
     Fed the sample means of cos(p . chi) and sin(p . chi), it gives the mean
-    of :func:`trajectory_phases`.
+    of the trajectories' factors exp(-i eps . chi).
     """
     cos, sin = np.asarray(cos), np.asarray(sin)
     table = cos[..., _PAIR_INDEX] - 1j * (_PAIR_SIGN * sin[..., _PAIR_INDEX])
     table[..., _DIAGONAL] = 1.0
     return table.reshape(*cos.shape[:-1], 8, 8)
-
-
-def trajectory_phases(chis) -> np.ndarray:
-    """Per-trajectory factors exp(-i eps . chi): (..., 3) phases to (..., 8, 8) tables.
-
-    Laid out like :func:`dephasing_factors`, whose table is their Gaussian mean.
-    """
-    return phase_table(*_pair_trig(chis))
 
 
 def pair_weights(weights) -> tuple[float, np.ndarray, np.ndarray]:
@@ -313,40 +289,70 @@ def apply_channel_analytic(rho: np.ndarray, cov, t: float, axis: str = "x") -> n
     return dephase(rho, dephasing_factors(cov, t), axis)
 
 
-def map_phase_blocks(block_fn, cov, t: float, samples: int, seed: int, workers: int = 1) -> list:
-    """Draw the seeded phase stream and apply ``block_fn`` to each block.
+def _block_sums(chis: np.ndarray, buffers: np.ndarray, weights):
+    # One block's 13 pair cosine and sine sums (the pair angles p . chi and
+    # their cosines in the two buffers) and, given pair weights, the
+    # (count, mean, M2) of its survivals w0 + cos @ wc + sin @ ws.
+    angles = np.matmul(chis, PAIRS.T, out=buffers[0, : len(chis)])
+    cos = np.cos(angles, out=buffers[1, : len(chis)])
+    sin = np.sin(angles, out=angles)
+    stats = None
+    if weights is not None:
+        values = weights[0] + cos @ weights[1] + sin @ weights[2]
+        mean = values.mean()
+        stats = len(values), mean, ((values - mean) ** 2).sum()
+    return cos.sum(axis=0), sin.sum(axis=0), stats
 
-    The stream is cut into fixed blocks of ``BLOCK`` phase vectors and the
-    results come back in block order, so any in-order reduction over them is
-    bit-identical whatever the number of worker threads.
-    """
-    samples = validate_integer(samples, "samples", 1)
-    workers = validate_integer(workers, "workers", 1)
-    chis = phase_stream(cov, t, seed, samples)
-    blocks = [chis[start : start + BLOCK] for start in range(0, samples, BLOCK)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(block_fn, blocks))
-    return [block_fn(block) for block in blocks]
+
+def _add(total, block):
+    # The running total of the blocks so far plus the next block; the
+    # (count, mean, M2) triples merge by Chan, Golub & LeVeque (1979).
+    (cos, sin, a), (block_cos, block_sin, b) = total, block
+    if a is not None:
+        (na, ma, sa), (nb, mb, sb) = a, b
+        n, delta = na + nb, mb - ma
+        a = n, ma + delta * (nb / n), sa + sb + delta * delta * (na * nb / n)
+    return cos + block_cos, sin + block_sin, a
+
+
+def _stream(loading: np.ndarray, samples: int, seed, workers: int, weights):
+    # _block_sums of each BLOCK of the seeded stream, in stream order.  The
+    # calling thread draws while min(workers, CPUs) threads reduce, with one
+    # block more in flight.  Each in-flight block reuses its slot of one
+    # buffer allocated per call: fresh (BLOCK, 13) temporaries, above the
+    # allocator's mmap threshold, would be mapped and page-faulted per block.
+    rng = np.random.Generator(np.random.Philox(seed))
+    threads, blocks = min(workers, os.cpu_count() or 1), range(0, samples, BLOCK)
+    slots = np.empty((min(threads + 1, len(blocks)), 2, min(BLOCK, samples), len(PAIRS)))
+    window = deque()
+    with ThreadPoolExecutor(threads) as pool:
+        for index, start in enumerate(blocks):
+            chis = _draw(loading, rng, min(BLOCK, samples - start))
+            if len(window) == len(slots):  # frees slot index % len(slots)
+                yield window.popleft().result()
+            window.append(pool.submit(_block_sums, chis, slots[index % len(slots)], weights))
+        while window:
+            yield window.popleft().result()
 
 
 def mean_phases(cov, t: float, samples: int, seed: int, workers: int = 1, weights=None):
-    """Sample mean of :func:`trajectory_phases` over the seeded phase stream.
+    """Sample mean of the factors exp(-i eps . chi) over the seeded phase stream.
 
-    Each block reduces to the column sums of its trajectories' 13 pair
-    cosines and sines; the block sums, added in order, are scattered to the
-    8x8 table once.  With ``weights`` from :func:`pair_weights`, also returns
-    every trajectory's w0 + cos @ wc + sin @ ws (else None).
+    Each block's 13 pair cosine and sine sums, added in stream order, are
+    scattered to the 8x8 table once.  With ``weights`` from
+    :func:`pair_weights`, also returns the mean and standard error of the
+    trajectories' survivals w0 + cos @ wc + sin @ ws (else None).
     """
-
-    def block_stats(block: np.ndarray):
-        cos, sin = _pair_trig(block)
-        values = None if weights is None else weights[0] + cos @ weights[1] + sin @ weights[2]
-        return cos.sum(axis=0), sin.sum(axis=0), values
-
-    cos_sums, sin_sums, values = zip(*map_phase_blocks(block_stats, cov, t, samples, seed, workers))
-    mean = phase_table(sum(cos_sums) / samples, sum(sin_sums) / samples)
-    return mean, None if weights is None else np.concatenate(values)
+    samples = validate_integer(samples, "samples", 1)
+    workers = validate_integer(workers, "workers", 1)
+    blocks = _stream(_phase_loading(cov, t), samples, seed, workers, weights)
+    cos, sin, stats = functools.reduce(_add, blocks)
+    mean = phase_table(cos / samples, sin / samples)
+    if stats is None:
+        return mean, None
+    _, survival, m2 = stats
+    stderr = np.sqrt(m2 / (samples - 1)) / np.sqrt(samples) if samples > 1 else 0.0
+    return mean, (float(survival), float(stderr))
 
 
 def apply_channel_mc(rho: np.ndarray, channel: NoiseChannel, t: float) -> np.ndarray:

@@ -45,11 +45,16 @@ def validate_spin(spin) -> int:
     return spin
 
 
+def validate_signs(*signs, name: str = "ancilla signs") -> tuple:
+    """``signs`` if each is +1 or -1, else a ValueError naming them (the one sign rule)."""
+    if not all(sign in (+1, -1) for sign in signs):
+        raise ValueError(f"{name} must be +1 or -1, got {signs!r}")
+    return signs
+
+
 def sector_index(sign2, sign3) -> int:
     """Position of the sector (sign2, sign3) in ``ANCILLA_SECTORS``."""
-    if (sign2, sign3) not in ANCILLA_SECTORS:
-        raise ValueError(f"ancilla signs must be +1 or -1, got {(sign2, sign3)!r}")
-    return ANCILLA_SECTORS.index((sign2, sign3))
+    return ANCILLA_SECTORS.index(validate_signs(sign2, sign3))
 
 
 class NormalizationError(ValueError):
@@ -88,8 +93,7 @@ def idempotent(spin: int, sign: int) -> np.ndarray:
 
     sign = +1 selects |0> (spin up along z), sign = -1 selects |1>.
     """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    validate_signs(sign, name="sign")
     return embed((IDENTITY2 + sign * PAULI["z"]) / 2, spin)
 
 
@@ -108,19 +112,6 @@ def product_operator(axes: tuple[str | None, str | None, str | None]) -> np.ndar
 def product_basis() -> list[tuple[tuple[str | None, str | None, str | None], np.ndarray]]:
     """All 64 product operators, keyed by their per-spin axis labels."""
     return [(axes, product_operator(axes)) for axes in product((None, "x", "y", "z"), repeat=3)]
-
-
-def polar_amplitudes(theta: float, phi: float) -> tuple[complex, complex]:
-    """Superposition amplitudes (alpha, beta) of the state at polar angles.
-
-    The state is the ground state rotated by theta about x then phi about z,
-    which lands the Bloch vector at (sin(theta)sin(phi), -sin(theta)cos(phi),
-    cos(theta)) in the (<2Ix>, <2Iy>, <2Iz>) convention used here.
-    """
-    return (
-        np.cos(theta / 2) * np.exp(-0.5j * phi),
-        -1j * np.sin(theta / 2) * np.exp(0.5j * phi),
-    )
 
 
 def pure_data_state(alpha: complex, beta: complex) -> np.ndarray:

@@ -107,8 +107,7 @@ class CorrelatedComponent:
     def __post_init__(self):
         _nonnegative(self.weight, "component weight")
         data_state_from_bloch(self.bloch)  # rejects non-finite or too long Bloch vectors
-        if self.sector not in ANCILLA_SECTORS:
-            raise ConfigError(f"sector must be a pair of +-1, got {self.sector!r}")
+        sector_index(*self.sector)  # rejects signs other than +-1
 
 
 def _correlated_components(components) -> tuple[CorrelatedComponent, ...]:
@@ -242,23 +241,19 @@ def evolve_corrected(
 def _run(config: PipelineConfig, t: float, average) -> PipelineResult:
     # The body of both pipelines.  ``average(state, post, bloch_in)`` gets
     # the encoded frame state and the post-noise conjugator, and returns the
-    # 8x8 factor table for that state plus the per-sample survivals (None
-    # from the exact route, whose survival is read off the output).
+    # 8x8 factor table for that state plus (survival, stderr) from the MC
+    # (None from the exact route, whose survival is read off the output).
     validate_time(t)
     rho0 = initial_state(config)
     bloch_in = bloch_of(partial_trace_ancillae(rho0))
     pre, post = _conjugators(config.correction, config.basis_rotation, config.channel.axis)
     state = pre @ rho0 @ pre.conj().T
-    factors, per_sample = average(state, post, bloch_in)
+    factors, estimate = average(state, post, bloch_in)
     reduced = partial_trace_ancillae(post @ (factors * state) @ post.conj().T)
     bloch_out = bloch_of(reduced)
     weight = bloch_in.y**2 + bloch_in.z**2
-    survival = stderr = None
-    if per_sample is not None:
-        survival = float(per_sample.mean())
-        n = len(per_sample)
-        stderr = float(per_sample.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    elif weight > 0:  # least squares on the protected plane
+    survival, stderr = estimate or (None, None)
+    if estimate is None and weight > 0:  # least squares on the protected plane
         survival = (bloch_out.y * bloch_in.y + bloch_out.z * bloch_in.z) / weight
     return PipelineResult(reduced, bloch_in, bloch_out, survival, stderr)
 
@@ -285,9 +280,9 @@ def run_pipeline_mc(
     multiplies every element of the encoded state by exp(-i eps . chi), and
     its survival is the protected observable read through decoding and
     correction, a weighted sum of the cosines and sines of its 13 pair
-    angles.  The trajectory average and the per-sample spread of the
-    survival give the estimate and its standard error.  Results are
-    bit-identical for a fixed seed regardless of ``workers``.
+    angles.  Their mean and spread, accumulated block by block, give the
+    estimate and its standard error; memory does not grow with ``samples``.
+    Results are bit-identical for a fixed seed regardless of ``workers``.
     """
 
     def average(state, post, bloch_in):
@@ -350,14 +345,16 @@ def mixed_ancilla_slope_at_zero(mix: AncillaMixture, cov) -> float:
 class NoGoCertificate:
     """Outcome of the simplex search for first-order-protected mixtures.
 
-    ``zeros`` lists the grid mixtures whose initial slope vanishes for every
-    covariance compatible with the model's variance signs; ``margins`` refer
-    to the remaining grid points (min certifies uniqueness, max is the most
-    fragile mixture).
+    The grid mixtures whose initial slope vanishes for every covariance
+    compatible with the model's variance signs are the first ``zero_count``
+    points of the mu_pm = mu_mp = 0 edge, from the ground mixture to
+    ``last_zero``; ``margins`` refer to the remaining grid points (min
+    certifies uniqueness, max is the most fragile mixture).
     """
 
     grid_step: float
-    zeros: tuple[tuple[float, float, float, float], ...]
+    zero_count: int
+    last_zero: tuple[float, float, float, float]
     unique_ground_zero: bool
     min_margin: float
     argmin: tuple[float, float, float, float]
@@ -384,7 +381,7 @@ def ancilla_mixture_nogo_search(cov, grid_step: float = 0.01) -> NoGoCertificate
     the minimum).  Ties go to the first mixture in lexicographic order of
     (mu_pm, mu_mp, mu_mm).  A c11 below about 1e-12 n times the largest
     variance puts margins off the edge under the zero tolerance; those
-    mixtures are not listed as zeros.
+    mixtures are not counted as zeros.
 
     Raises
     ------
@@ -416,19 +413,21 @@ def ancilla_mixture_nogo_search(cov, grid_step: float = 0.01) -> NoGoCertificate
         hi *= 2
     edge = range(min(hi, n + 1))
     first = bisect.bisect_right(edge, tol, lo=hi // 2, key=lambda k: margin([0, 0, k]))
-    zeros = tuple(sorted(map(tuple, mixtures([[0, 0, k] for k in range(first)]).tolist())))
 
     steps = _UNIT_STEPS[_UNIT_STEPS.sum(axis=1) <= n]
     vertices = n * np.eye(3, dtype=int)
-    counts = np.unique(np.vstack([steps, vertices, [[0, 0, min(first, n)]]]), axis=0)
+    # Sorted without repeats; np.unique(axis=0) would import numpy.ma (~40 ms).
+    candidates = np.vstack([steps, vertices, [[0, 0, min(first, n)]]]).tolist()
+    counts = np.array(sorted(set(map(tuple, candidates))))
     values = margin(counts)
     imin = np.where(values > tol, values, np.inf).argmin()
     imax = np.where((values > tol) & (counts.max(axis=1) == n), values, -np.inf).argmax()
     mus = mixtures(counts).tolist()
     return NoGoCertificate(
         grid_step=1.0 / n,
-        zeros=zeros,
-        unique_ground_zero=zeros == ((1.0, 0.0, 0.0, 0.0),),
+        zero_count=first,
+        last_zero=tuple(mixtures([0, 0, first - 1]).tolist()),
+        unique_ground_zero=first == 1,
         min_margin=float(values[imin]),
         argmin=tuple(mus[imin]),
         max_margin=float(values[imax]),

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from triqec.noise import validate_covariance
+from triqec.noise import PAIRS, phase_table, sample_phases, validate_covariance
 from triqec.operators import DIM, IDENTITY8, STATE_TOL
-from triqec.protocol import NoGoCertificate
 
 
 @pytest.fixture
@@ -30,6 +30,33 @@ def random_psd(rng: np.random.Generator, scale: float = 1.0, rank: int = 3) -> n
     """A generic symmetric positive semidefinite 3x3 matrix of the given rank."""
     a = rng.normal(size=(3, rank))
     return scale * (a @ a.T)
+
+
+def reference_stream(cov, t: float, seed, samples: int) -> np.ndarray:
+    """The seeded Monte Carlo phase stream's first ``samples`` vectors, drawn at once."""
+    return sample_phases(cov, t, np.random.Generator(np.random.Philox(seed)), samples)
+
+
+def trajectory_phases(chis) -> np.ndarray:
+    """Per-trajectory factors exp(-i eps . chi): (..., 3) phases to (..., 8, 8) tables.
+
+    Laid out like ``noise.dephasing_factors``, whose table is their Gaussian mean.
+    """
+    angles = np.asarray(chis, dtype=float) @ PAIRS.T
+    return phase_table(np.cos(angles), np.sin(angles))
+
+
+def polar_amplitudes(theta: float, phi: float) -> tuple[complex, complex]:
+    """Superposition amplitudes (alpha, beta) of the state at polar angles.
+
+    The state is the ground state rotated by theta about x then phi about z,
+    which lands the Bloch vector at (sin(theta)sin(phi), -sin(theta)cos(phi),
+    cos(theta)) in the (<2Ix>, <2Iy>, <2Iz>) convention used here.
+    """
+    return (
+        np.cos(theta / 2) * np.exp(-0.5j * phi),
+        -1j * np.sin(theta / 2) * np.exp(0.5j * phi),
+    )
 
 
 def random_density(rng: np.random.Generator, dim: int = 8) -> np.ndarray:
@@ -130,12 +157,25 @@ def asymmetric_third_derivative_at_zero(cov) -> float:
     ) / 16
 
 
-def grid_nogo_search(cov, grid_step: float = 0.01) -> NoGoCertificate:
+class GridCertificate(NamedTuple):
+    """The grid oracle's answer: every zero mixture, sorted, and the margins."""
+
+    grid_step: float
+    zeros: tuple[tuple[float, float, float, float], ...]
+    unique_ground_zero: bool
+    min_margin: float
+    argmin: tuple[float, float, float, float]
+    max_margin: float
+    argmax: tuple[float, float, float, float]
+
+
+def grid_nogo_search(cov, grid_step: float = 0.01) -> GridCertificate:
     """Brute-force no-go search over the whole simplex grid (oracle).
 
     Scans every mixture with weights on the grid of step 1/n and allocates
-    3 (n+1)^3 int64, so keep n small.  The library's certificate must return
-    the same zeros, minimum and argmin, and the exact vertex maximum.
+    3 (n+1)^3 int64, so keep n small.  The library's certificate must count
+    the same zeros, end them at the same mixture, and return the same
+    minimum and argmin, and the exact vertex maximum.
     """
     c = validate_covariance(cov)
     c11, c22, c33 = c[0, 0], c[1, 1], c[2, 2]
@@ -160,7 +200,7 @@ def grid_nogo_search(cov, grid_step: float = 0.01) -> NoGoCertificate:
     zeros = tuple(sorted(mixture(i) for i in zero_idx))
     imin = nonzero_idx[np.argmin(margins[nonzero_idx])]
     imax = nonzero_idx[np.argmax(margins[nonzero_idx])]
-    return NoGoCertificate(
+    return GridCertificate(
         grid_step=1.0 / n,
         zeros=zeros,
         unique_ground_zero=zeros == ((1.0, 0.0, 0.0, 0.0),),

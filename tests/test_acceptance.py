@@ -235,7 +235,7 @@ def test_acceptance_08_mixed_ancilla_nogo():
         ]
         for cov in models:
             cert = ancilla_mixture_nogo_search(cov, grid_step=0.01)
-            assert cert.zeros == ((1.0, 0.0, 0.0, 0.0),)
+            assert (cert.zero_count, cert.last_zero) == (1, (1.0, 0.0, 0.0, 0.0))
             assert cert.unique_ground_zero
             assert cert.min_margin > 0
 

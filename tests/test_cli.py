@@ -177,6 +177,13 @@ def test_fit_rejects_nonpositive_amplitudes(tmp_path, capsys):
     assert "positive" in capsys.readouterr().err
 
 
+def test_fit_rejects_a_growing_curve(tmp_path, capsys):
+    growing = tmp_path / "growing.csv"
+    growing.write_text("t,v\n0,1\n0.5,1.3\n1,1.7\n")
+    assert run_cli("fit", "--in", growing, "--model", "correlated", "--out", tmp_path / "o.csv") == 2
+    assert "rate must be positive" in capsys.readouterr().err
+
+
 def test_fit_missing_input_is_io_error(tmp_path):
     assert run_cli("fit", "--in", tmp_path / "absent.csv", "--model", "correlated",
                    "--out", tmp_path / "o.csv") == 3
@@ -196,6 +203,16 @@ def test_nogo_vertices_only_grid(capsys):
     assert run_cli("nogo", "--model", "correlated", "--tau", 1.0, "--step", 1.0) == 0
     printed = capsys.readouterr().out
     assert printed.count("zero-slope mixture") == 1
+
+
+def test_nogo_prints_a_zero_segment_as_one_line(tmp_path, capsys):
+    cov = tmp_path / "data_only.cov"
+    cov.write_text("1 0 0\n0 0 0\n0 0 0\n")
+    assert run_cli("nogo", "--cov", cov, "--step", 0.25) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("zero-slope segment: 5 mixtures from (1, 0, 0, 0) to (0, 0, 0, 1)\n")
+    assert "zero-slope mixture" not in printed
+    assert "unique_ground_zero = false" in printed
 
 
 def test_decay_mc_rejects_bad_worker_count(tmp_path, capsys):

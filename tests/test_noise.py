@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import random_density, random_psd
+from conftest import random_density, random_psd, reference_stream, trajectory_phases
 from triqec.noise import (
     _EPS,
     _PAIR_INDEX,
@@ -19,14 +19,12 @@ from triqec.noise import (
     dephase,
     dephasing_factors,
     effective_covariance,
-    map_phase_blocks,
+    mean_phases,
     pair_weights,
-    phase_stream,
     phase_table,
     random_propagator,
     sample_phases,
     totally_correlated,
-    trajectory_phases,
     uncorrelated,
     validate_covariance,
 )
@@ -147,17 +145,24 @@ def test_noise_channel_rejects_bad_counts(kwargs, name):
         NoiseChannel(covariance=np.eye(3), **kwargs)
 
 
-def test_phase_blocks_come_back_in_order_and_are_validated():
-    cov, n = uncorrelated(1.0), 3 * BLOCK + 5
-    serial = map_phase_blocks(lambda b: b.copy(), cov, 0.3, n, 4, workers=1)
-    threaded = map_phase_blocks(lambda b: b.copy(), cov, 0.3, n, 4, workers=3)
-    assert [len(b) for b in serial] == [BLOCK, BLOCK, BLOCK, 5]
-    assert np.array_equal(np.concatenate(serial), phase_stream(cov, 0.3, 4, n))
-    assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
+def test_mean_phases_adds_the_block_sums_in_stream_order():
+    # Reference: the whole stream drawn at once, cut into BLOCK rows, each
+    # block's pair cosine and sine sums added in order and scattered once.
+    cov, t, seed, n = random_psd(np.random.default_rng(8)), 0.3, 4, 3 * BLOCK + 5
+    chis = reference_stream(cov, t, seed, n)
+    cos_sum = sin_sum = 0
+    for start in range(0, n, BLOCK):
+        angles = chis[start : start + BLOCK] @ PAIRS.T
+        cos_sum = cos_sum + np.cos(angles).sum(axis=0)
+        sin_sum = sin_sum + np.sin(angles).sum(axis=0)
+    expected = phase_table(cos_sum / n, sin_sum / n)
+    for workers in (1, 3):
+        table, estimate = mean_phases(cov, t, n, seed, workers)
+        assert np.array_equal(table, expected) and estimate is None
     with pytest.raises(ValueError, match="workers"):
-        map_phase_blocks(len, cov, 0.3, n, 4, workers=0)
+        mean_phases(cov, t, n, seed, workers=0)
     with pytest.raises(ValueError, match="samples"):
-        map_phase_blocks(len, cov, 0.3, 1e3, 4)
+        mean_phases(cov, t, 1e3, seed)
 
 
 def test_sample_phases_zero_time():
@@ -191,8 +196,7 @@ def test_sample_phases_totally_correlated_rank_one():
 
 @pytest.mark.parametrize("size", [None, 1, BLOCK, 2 * BLOCK + 5])
 def test_sample_phases_load_every_row(size):
-    # The normals are loaded in place BLOCK rows at a time; every row, the
-    # short last block included, must equal its normals times the loading.
+    # Every row must equal its normals times the loading.
     cov, t = random_psd(np.random.default_rng(3)), 0.8
     normals = np.random.default_rng(5).standard_normal(3 if size is None else (size, 3))
     eigvals, eigvecs = np.linalg.eigh(cov * t)
@@ -202,10 +206,13 @@ def test_sample_phases_load_every_row(size):
     np.testing.assert_allclose(draws, expected, rtol=0, atol=1e-12)
 
 
-def test_phase_stream_deterministic():
-    a = phase_stream(uncorrelated(1.0), 0.3, seed=9, samples=100)
-    b = phase_stream(uncorrelated(1.0), 0.3, seed=9, samples=100)
-    assert np.array_equal(a, b)
+def test_mean_phases_is_deterministic_per_seed():
+    cov, weights = uncorrelated(1.0), pair_weights(np.arange(64.0).reshape(8, 8))
+    a = mean_phases(cov, 0.3, 100, 9, weights=weights)
+    b = mean_phases(cov, 0.3, 100, 9, weights=weights)
+    c = mean_phases(cov, 0.3, 100, 10, weights=weights)
+    assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+    assert not np.array_equal(a[0], c[0]) and a[1] != c[1]
 
 
 def test_random_propagator_identity_at_zero():

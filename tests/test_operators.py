@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 from conftest import (
     brute_partial_trace,
+    polar_amplitudes,
     random_density,
     random_operator,
     validate_density_matrix,
@@ -17,7 +18,6 @@ from triqec.operators import (
     data_state_from_bloch,
     idempotent,
     partial_trace_ancillae,
-    polar_amplitudes,
     product_basis,
     product_operator,
     project_ancilla_sectors,

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import forward_derivative, grid_nogo_search, random_psd
+from conftest import (
+    forward_derivative,
+    grid_nogo_search,
+    polar_amplitudes,
+    random_psd,
+    reference_stream,
+)
 from triqec import noise, protocol
 from triqec.analytics import survival_derivatives_at_zero, survival_factor, uncorrected_decay
 from triqec.diffusion import GradientDiffusionSpec
@@ -19,7 +25,6 @@ from triqec.noise import (
     apply_channel_mc,
     dephase,
     dephasing_factors,
-    phase_stream,
     random_propagator,
     sample_phases,
     totally_correlated,
@@ -33,7 +38,6 @@ from triqec.operators import (
     data_state_from_bloch,
     embed,
     partial_trace_ancillae,
-    polar_amplitudes,
 )
 from triqec.protocol import (
     SLOPES,
@@ -117,7 +121,7 @@ def test_mc_survival_per_sample_matches_explicit_circuit(basis_rotation, axis):
     rot = global_rotation("y", np.pi / 2) if basis_rotation == "y-pi/2" else np.eye(8)
     t = 0.7
     for seed in range(64):
-        chi = phase_stream(cov, t, seed, 1)[0]
+        chi = reference_stream(cov, t, seed, 1)[0]
         u = random_propagator(chi, axis)
         circuit = toffoli() @ enc @ rot.conj().T @ u @ rot @ enc
         reduced = partial_trace_ancillae(circuit @ rho0 @ circuit.conj().T)
@@ -144,7 +148,7 @@ def test_mc_pipeline_matches_the_64_element_reference_kernel(basis_rotation, axi
     contraction = ((post.conj().T @ observable @ post).T * state).ravel() / weight
     t = 0.6
     for seed, samples in [(0, 5000), (3, 9000), (17, 100)]:
-        phases = np.exp(-1j * phase_stream(cov, t, seed, samples) @ _EPS.T)
+        phases = np.exp(-1j * reference_stream(cov, t, seed, samples) @ _EPS.T)
         per_sample = (phases @ contraction).real
         mean = phases.mean(axis=0).reshape(8, 8)
         reduced = partial_trace_ancillae(post @ (mean * state) @ post.conj().T)
@@ -152,6 +156,34 @@ def test_mc_pipeline_matches_the_64_element_reference_kernel(basis_rotation, axi
         assert abs(result.survival - per_sample.mean()) < 1e-13
         assert abs(result.survival_stderr - per_sample.std(ddof=1) / np.sqrt(samples)) < 1e-13
         assert np.abs(result.reduced - reduced).max() < 1e-13
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mc_memory_does_not_grow_with_samples(workers):
+    config = make_config(totally_correlated(0.389), bloch=BLOCH)
+    small, large = (
+        _traced_peak(lambda: run_pipeline_mc(config, 0.4, samples, seed=3, workers=workers))
+        for samples in (10**4, 10**6)
+    )
+    assert large - small < 2e6
+
+
+def test_mc_memory_does_not_grow_with_workers():
+    config = make_config(totally_correlated(0.389), bloch=BLOCH)
+    few, many = (
+        _traced_peak(lambda: run_pipeline_mc(config, 0.4, 4 * noise.BLOCK, seed=3, workers=workers))
+        for workers in (2, 64)
+    )
+    assert many - few < 2e6
 
 
 def test_monte_carlo_routes_never_evaluate_the_gaussian_average(monkeypatch):
@@ -522,7 +554,7 @@ def test_mixture_slope_matches_finite_difference(weights):
 def test_nogo_search_finds_only_the_ground_vertex(cov_factory):
     cert = ancilla_mixture_nogo_search(cov_factory(), grid_step=0.02)
     assert cert.unique_ground_zero
-    assert cert.zeros == ((1.0, 0.0, 0.0, 0.0),)
+    assert (cert.zero_count, cert.last_zero) == (1, (1.0, 0.0, 0.0, 0.0))
     assert cert.min_margin > 0
     assert cert.max_margin >= cert.min_margin
 
@@ -532,7 +564,7 @@ def test_nogo_search_vertices_only_grid():
     cert = ancilla_mixture_nogo_search(cov, grid_step=1.0)
     # Four vertices: the ground one is the single zero, the other three have
     # margins equal to the magnitudes of their slopes.
-    assert cert.zeros == ((1.0, 0.0, 0.0, 0.0),)
+    assert (cert.zero_count, cert.last_zero) == (1, (1.0, 0.0, 0.0, 0.0))
     margins = {
         cert.argmin: cert.min_margin,
         cert.argmax: cert.max_margin,
@@ -555,7 +587,13 @@ def _assert_matches_the_grid(cov, step):
     cert = ancilla_mixture_nogo_search(cov, grid_step=step)
     grid = grid_nogo_search(cov, grid_step=step)
     assert cert.grid_step == grid.grid_step
-    assert cert.zeros == grid.zeros
+    # The grid's zeros are exactly the first zero_count points of the
+    # mu_pm = mu_mp = 0 edge; sorted, the farthest from the ground comes first.
+    n = round(1 / cert.grid_step)
+    edge = tuple(sorted((1.0 - k / n, 0.0, 0.0, k / n) for k in range(cert.zero_count)))
+    assert grid.zeros == edge
+    assert cert.zero_count == len(grid.zeros)
+    assert cert.last_zero == grid.zeros[0]
     assert cert.unique_ground_zero == grid.unique_ground_zero
     assert cert.min_margin == grid.min_margin
     assert cert.argmin == grid.argmin
@@ -620,7 +658,8 @@ def test_nogo_certificate_with_a_negligible_data_variance():
     cert = ancilla_mixture_nogo_search(cov, grid_step=1 / 3)
     grid = grid_nogo_search(cov, grid_step=1 / 3)
     assert grid.zeros[0][1:] == (1 / 3, 1 / 3, 1 / 3) and not grid.unique_ground_zero
-    assert cert.zeros == ((1.0, 0.0, 0.0, 0.0),) and cert.unique_ground_zero
+    assert (cert.zero_count, cert.last_zero) == (1, (1.0, 0.0, 0.0, 0.0))
+    assert cert.unique_ground_zero
     assert (cert.min_margin, cert.argmin) == (grid.min_margin, grid.argmin)
     # On a finer grid the grid's minimum moves onto that ray; the certificate
     # keeps the smallest margin among its candidates above the tolerance.
@@ -645,6 +684,33 @@ def test_nogo_certificate_cost_does_not_grow_with_the_grid():
     assert cert.min_margin == pytest.approx(2e-6, rel=1e-12)
     assert elapsed < 0.1
     assert peak < 1 << 20
+
+
+def test_nogo_certificate_counts_an_edge_of_zeros_without_listing_it():
+    # With c22 = c33 = 0 the whole mu_pm = mu_mp = 0 edge is zero: 1e9 + 1
+    # mixtures at step 1e-9, counted in bounded time and memory.
+    tracemalloc.start()
+    start = time.perf_counter()
+    cert = ancilla_mixture_nogo_search(np.diag([1.0, 0.0, 0.0]), grid_step=1e-9)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (cert.zero_count, cert.last_zero) == (10**9 + 1, (0.0, 0.0, 0.0, 1.0))
+    assert not cert.unique_ground_zero
+    assert elapsed < 0.1
+    assert peak < 1 << 20
+
+
+def test_correlated_component_and_sector_slope_share_the_sign_rule():
+    messages = []
+    for call in (
+        lambda: CorrelatedComponent(1.0, (0, 0, 1), (2, 1)),
+        lambda: sector_slope_at_zero(np.eye(3), 2, 1),
+    ):
+        with pytest.raises(ValueError, match=r"ancilla signs must be \+1 or -1") as info:
+            call()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_correlated_mixture_all_ground_sector_is_flat():
