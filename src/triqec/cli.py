@@ -99,15 +99,17 @@ def _resolve_covariance(args) -> np.ndarray:
 
 
 def _resolve_seed(args) -> int:
+    # --seed, else $TRIQEC_SEED, else 0; a seed below 0 is rejected under its source's name.
     if getattr(args, "seed", None) is not None:
-        return args.seed
+        return validate_integer(args.seed, "--seed", 0)
     raw = os.environ.get(SEED_ENV)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise CommandError(f"{SEED_ENV}={raw!r} is not an integer", 2)
-    return 0
+    if raw is None:
+        return 0
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise CommandError(f"{SEED_ENV}={raw!r} is not an integer", 2)
+    return validate_integer(seed, SEED_ENV, 0)
 
 
 def _git_commit() -> str | None:

@@ -21,7 +21,10 @@ The 56 off-diagonal elements share only 13 conjugate pairs of patterns
 eps = +-p (``PAIRS``), so the Monte Carlo kernel (``mean_phases``) averages
 the real cos(p . chi) and sin(p . chi) of each pair and scatters the means
 back to the 8x8 table once (``phase_table``); ``pair_weights`` folds a
-64-element observable onto the same 13 pairs.
+64-element observable onto the same 13 pairs.  It never forms the angles
+p . chi: each pair phasor exp(i p . chi) is a product of the three spin
+phasors exp(i chi_k), so a trajectory costs 3 cosines, 3 sines and 10
+complex products in real arithmetic.
 
 Monte Carlo reproducibility and memory: the phases come from a counter-based
 Philox stream keyed by the seed, drawn and reduced ``BLOCK`` vectors at a time
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import os
 import weakref
@@ -183,6 +187,13 @@ def validate_integer(value, name: str, minimum: int | None = None) -> int:
     return count
 
 
+def validate_seed(seed):
+    """A Monte Carlo seed: an int >= 0 (returned as int) or a SeedSequence, else ValueError."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return validate_integer(seed, "seed", 0)
+
+
 @dataclass(frozen=True, eq=False)
 class NoiseChannel:
     """A dephasing channel: covariance, axis, and how to average over it.
@@ -195,7 +206,7 @@ class NoiseChannel:
     axis: str = "x"
     kind: str = "analytic"
     samples: int | None = None
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0
     workers: int = 1
 
     def __post_init__(self):
@@ -204,6 +215,7 @@ class NoiseChannel:
         if self.kind not in ("analytic", "monte-carlo"):
             raise ValueError(f"kind must be 'analytic' or 'monte-carlo', got {self.kind!r}")
         object.__setattr__(self, "workers", validate_integer(self.workers, "workers", 1))
+        object.__setattr__(self, "seed", validate_seed(self.seed))
         if self.kind == "monte-carlo":
             object.__setattr__(self, "samples", validate_integer(self.samples, "samples", 1))
 
@@ -211,8 +223,13 @@ class NoiseChannel:
 def _phase_loading(cov, t: float) -> np.ndarray:
     # The loading L of chi = L z, z standard normal: a symmetric square root
     # of C*t via eigendecomposition, which tolerates rank-deficient covariances
-    # (Cholesky would fail) by clamping tiny negatives to zero.
-    eigvals, eigvecs = np.linalg.eigh(validate_covariance(cov) * validate_time(t))
+    # (Cholesky would fail) by clamping tiny negatives to zero.  C*t and its
+    # eigenvalues, at most 3 max|c_jk| t, must be finite floats.
+    c, t = validate_covariance(cov), validate_time(t)
+    largest = float(np.abs(c).max())
+    if not math.isfinite(3.0 * largest * float(t)):
+        raise ValueError(f"covariance * t overflows: largest entry {largest!r}, t = {float(t)!r}")
+    eigvals, eigvecs = np.linalg.eigh(c * t)
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
@@ -289,19 +306,49 @@ def apply_channel_analytic(rho: np.ndarray, cov, t: float, axis: str = "x") -> n
     return dephase(rho, dephasing_factors(cov, t), axis)
 
 
-def _block_sums(chis: np.ndarray, buffers: np.ndarray, weights):
-    # One block's 13 pair cosine and sine sums (the pair angles p . chi and
-    # their cosines in the two buffers) and, given pair weights, the
-    # (count, mean, M2) of its survivals w0 + cos @ wc + sin @ ws.
-    angles = np.matmul(chis, PAIRS.T, out=buffers[0, : len(chis)])
-    cos = np.cos(angles, out=buffers[1, : len(chis)])
-    sin = np.sin(angles, out=angles)
+#: Rows of a block's buffer: the 13 pair cosines, the 13 pair sines and 4 scratch rows.
+_ROWS = 2 * len(PAIRS) + 4
+
+
+def _products(re, im, scratch, w, v, plus, minus) -> None:
+    # Rows ``plus`` <- z_w z_v and rows ``minus`` <- z_w conj(z_v) of the
+    # phasors z = re + i im, in real arithmetic; ``minus`` doubles as scratch.
+    np.multiply(re[w], re[v], out=scratch)
+    np.multiply(im[w], im[v], out=re[minus])
+    np.subtract(scratch, re[minus], out=re[plus])
+    np.add(scratch, re[minus], out=re[minus])
+    np.multiply(im[w], re[v], out=scratch)
+    np.multiply(re[w], im[v], out=im[minus])
+    np.add(scratch, im[minus], out=im[plus])
+    np.subtract(scratch, im[minus], out=im[minus])
+
+
+def _pair_phasors(chis: np.ndarray, buffer: np.ndarray):
+    # The (13, n) cosines and sines of the pair angles p . chi of n phase
+    # vectors, written into ``buffer``'s rows.  Each pair phasor exp(i p . chi)
+    # is a product of the spin phasors z_k = exp(i chi_k): in PAIRS order the
+    # pairs are z3, z2 conj(z3), z2, z2 z3, then z1 times the conjugates of
+    # those four in reverse, z1, and z1 times those four.
+    n = len(chis)
+    re, im, scratch = buffer[:13, :n], buffer[13:26, :n], buffer[26:, :n]
+    for row, spin in ((0, 2), (2, 1), (8, 0)):
+        np.cos(chis[:, spin], out=re[row])
+        np.sin(chis[:, spin], out=im[row])
+    _products(re, im, scratch[0], 2, 0, 3, 1)
+    _products(re, im, scratch, 8, slice(0, 4), slice(9, 13), slice(7, 3, -1))
+    return re, im
+
+
+def _block_sums(chis: np.ndarray, buffer: np.ndarray, weights):
+    # One block's 13 pair cosine and sine sums and, given pair weights, the
+    # (count, mean, M2) of its survivals w0 + wc @ cos + ws @ sin.
+    cos, sin = _pair_phasors(chis, buffer)
     stats = None
     if weights is not None:
-        values = weights[0] + cos @ weights[1] + sin @ weights[2]
+        values = weights[0] + weights[1] @ cos + weights[2] @ sin
         mean = values.mean()
         stats = len(values), mean, ((values - mean) ** 2).sum()
-    return cos.sum(axis=0), sin.sum(axis=0), stats
+    return cos.sum(axis=1), sin.sum(axis=1), stats
 
 
 def _add(total, block):
@@ -319,11 +366,12 @@ def _stream(loading: np.ndarray, samples: int, seed, workers: int, weights):
     # _block_sums of each BLOCK of the seeded stream, in stream order.  The
     # calling thread draws while min(workers, CPUs) threads reduce, with one
     # block more in flight.  Each in-flight block reuses its slot of one
-    # buffer allocated per call: fresh (BLOCK, 13) temporaries, above the
-    # allocator's mmap threshold, would be mapped and page-faulted per block.
+    # buffer allocated per call: fresh temporaries of 4 to 13 rows of BLOCK
+    # floats, above the allocator's mmap threshold, would be mapped and
+    # page-faulted per block.
     rng = np.random.Generator(np.random.Philox(seed))
     threads, blocks = min(workers, os.cpu_count() or 1), range(0, samples, BLOCK)
-    slots = np.empty((min(threads + 1, len(blocks)), 2, min(BLOCK, samples), len(PAIRS)))
+    slots = np.empty((min(threads + 1, len(blocks)), _ROWS, min(BLOCK, samples)))
     window = deque()
     with ThreadPoolExecutor(threads) as pool:
         for index, start in enumerate(blocks):
@@ -335,7 +383,7 @@ def _stream(loading: np.ndarray, samples: int, seed, workers: int, weights):
             yield window.popleft().result()
 
 
-def mean_phases(cov, t: float, samples: int, seed: int, workers: int = 1, weights=None):
+def mean_phases(cov, t: float, samples: int, seed, workers: int = 1, weights=None):
     """Sample mean of the factors exp(-i eps . chi) over the seeded phase stream.
 
     Each block's 13 pair cosine and sine sums, added in stream order, are
@@ -345,6 +393,7 @@ def mean_phases(cov, t: float, samples: int, seed: int, workers: int = 1, weight
     """
     samples = validate_integer(samples, "samples", 1)
     workers = validate_integer(workers, "workers", 1)
+    seed = validate_seed(seed)
     blocks = _stream(_phase_loading(cov, t), samples, seed, workers, weights)
     cos, sin, stats = functools.reduce(_add, blocks)
     mean = phase_table(cos / samples, sin / samples)

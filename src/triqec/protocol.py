@@ -272,17 +272,19 @@ def run_pipeline(config: PipelineConfig, t: float) -> PipelineResult:
 
 
 def run_pipeline_mc(
-    config: PipelineConfig, t: float, samples: int, seed: int, workers: int = 1
+    config: PipelineConfig, t: float, samples: int, seed, workers: int = 1
 ) -> PipelineResult:
     """Monte Carlo pipeline: every sampled trajectory runs the full circuit.
 
     Each sample draws a phase vector; in the dephasing frame its propagator
     multiplies every element of the encoded state by exp(-i eps . chi), and
     its survival is the protected observable read through decoding and
-    correction, a weighted sum of the cosines and sines of its 13 pair
-    angles.  Their mean and spread, accumulated block by block, give the
-    estimate and its standard error; memory does not grow with ``samples``.
-    Results are bit-identical for a fixed seed regardless of ``workers``.
+    correction, a weighted sum of the real and imaginary parts of its 13
+    pair phasors exp(i p . chi), built from its three spin phasors.  Their
+    mean and spread, accumulated block by block, give the estimate and its
+    standard error; memory does not grow with ``samples``.  ``seed`` is an
+    int >= 0 or a SeedSequence.  Results are bit-identical for a fixed seed
+    regardless of ``workers``.
     """
 
     def average(state, post, bloch_in):

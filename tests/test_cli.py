@@ -268,6 +268,17 @@ def test_seed_env_variable_is_the_default(tmp_path, monkeypatch):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_decay_rejects_a_negative_seed_by_its_source(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "s.csv"
+    args = ("decay", "--model", "correlated", "--tau", 1.0, "--points", 2, "--mc", 10, "--out", out)
+    assert run_cli(*args, "--seed", -1) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    monkeypatch.setenv("TRIQEC_SEED", "-5")
+    assert run_cli(*args) == 2
+    assert "TRIQEC_SEED must be >= 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_full_fit_workflow_against_monte_carlo(tmp_path, capsys):
     # End to end: simulate a corrected Monte Carlo run, fit the clean
     # uncorrected curve, and check the prediction tracks the simulation.

@@ -9,11 +9,13 @@ from triqec.noise import (
     _EPS,
     _PAIR_INDEX,
     _PAIR_SIGN,
+    _ROWS,
     BLOCK,
     FRAMES,
     PAIRS,
     CovarianceError,
     NoiseChannel,
+    _pair_phasors,
     apply_channel_analytic,
     apply_channel_mc,
     dephase,
@@ -145,16 +147,36 @@ def test_noise_channel_rejects_bad_counts(kwargs, name):
         NoiseChannel(covariance=np.eye(3), **kwargs)
 
 
+@pytest.mark.parametrize("seed", [-1, None, 1.5, "3", np.random.default_rng(0)])
+def test_monte_carlo_seed_is_checked_where_it_enters(seed):
+    with pytest.raises(ValueError, match="seed"):
+        NoiseChannel(covariance=np.eye(3), kind="monte-carlo", samples=10, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        mean_phases(np.eye(3), 0.3, 10, seed)
+
+
+def test_monte_carlo_seed_accepts_integers_and_seed_sequences():
+    channel = NoiseChannel(covariance=np.eye(3), kind="monte-carlo", samples=10, seed=np.int64(5))
+    assert type(channel.seed) is int and channel.seed == 5
+    sequence = np.random.SeedSequence([5, 1])
+    assert NoiseChannel(covariance=np.eye(3), seed=sequence).seed is sequence
+    weights = pair_weights(np.arange(64.0).reshape(8, 8))
+    runs = [mean_phases(np.eye(3), 0.3, 10, s, weights=weights) for s in (5, np.int64(5))]
+    assert np.array_equal(runs[0][0], runs[1][0]) and runs[0][1] == runs[1][1]
+    mean_phases(np.eye(3), 0.3, 10, sequence)
+
+
 def test_mean_phases_adds_the_block_sums_in_stream_order():
     # Reference: the whole stream drawn at once, cut into BLOCK rows, each
-    # block's pair cosine and sine sums added in order and scattered once.
+    # block's pair phasors summed, the sums added in order and scattered once.
     cov, t, seed, n = random_psd(np.random.default_rng(8)), 0.3, 4, 3 * BLOCK + 5
     chis = reference_stream(cov, t, seed, n)
     cos_sum = sin_sum = 0
     for start in range(0, n, BLOCK):
-        angles = chis[start : start + BLOCK] @ PAIRS.T
-        cos_sum = cos_sum + np.cos(angles).sum(axis=0)
-        sin_sum = sin_sum + np.sin(angles).sum(axis=0)
+        block = chis[start : start + BLOCK]
+        cos, sin = _pair_phasors(block, np.empty((_ROWS, len(block))))
+        cos_sum = cos_sum + cos.sum(axis=1)
+        sin_sum = sin_sum + sin.sum(axis=1)
     expected = phase_table(cos_sum / n, sin_sum / n)
     for workers in (1, 3):
         table, estimate = mean_phases(cov, t, n, seed, workers)
@@ -163,6 +185,21 @@ def test_mean_phases_adds_the_block_sums_in_stream_order():
         mean_phases(cov, t, n, seed, workers=0)
     with pytest.raises(ValueError, match="samples"):
         mean_phases(cov, t, 1e3, seed)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_pair_phasors_match_the_pair_angles(rank):
+    # The kernel multiplies spin phasors instead of taking cos and sin of
+    # p . chi; the two differ by rounding, which grows with |chi| only on the
+    # angle side (the rounding of the sum p . chi).
+    rng = np.random.default_rng(30 + rank)
+    for scale in (1e-3, 1e-1, 1.0, 10.0, 1e3):
+        cov = random_psd(rng, rank=rank)
+        chis = reference_stream(cov / np.trace(cov), scale**2, rank, 2000)
+        cos, sin = _pair_phasors(chis, np.empty((_ROWS, len(chis))))
+        error = np.abs(phase_table(cos.T, sin.T) - trajectory_phases(chis))
+        bound = 1e-15 * (1 + np.abs(chis).sum(axis=1))
+        assert (error.max(axis=(1, 2)) <= bound).all(), scale
 
 
 def test_sample_phases_zero_time():

@@ -186,6 +186,25 @@ def test_mc_memory_does_not_grow_with_workers():
     assert many - few < 2e6
 
 
+def test_run_pipeline_mc_rejects_a_missing_seed():
+    # Without the check, None would seed the stream from OS entropy: an
+    # irreproducible run that looks like a seeded one.
+    with pytest.raises(ValueError, match="seed must be an integer, got None"):
+        run_pipeline_mc(make_config(np.eye(3), bloch=BLOCH), 0.3, 100, None)
+
+
+@pytest.mark.parametrize(
+    "cov,t",
+    [(1e300 * np.eye(3), 1e300), (np.full((3, 3), 1e300), 1e16), (np.full((3, 3), 1e308), 1.0)],
+)
+def test_mc_names_an_overflowing_phase_covariance(cov, t):
+    # C*t, or its largest eigenvalue (3e308 in the last case), overflows: a
+    # named error, not a NaN survival or an eigh failure.
+    config = make_config(cov, bloch=BLOCH)
+    with pytest.raises(ValueError, match=r"covariance \* t overflows: largest entry 1e\+30\d, t = "):
+        run_pipeline_mc(config, t, 100, seed=1)
+
+
 def test_monte_carlo_routes_never_evaluate_the_gaussian_average(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the Monte Carlo route evaluated the Gaussian average")
