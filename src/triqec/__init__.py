@@ -26,16 +26,13 @@ from .analytics import (
     uncorrected_decay,
 )
 from .diffusion import GradientDiffusionSpec, attenuation_factor, spec_to_covariance
-from .gates import cnot, encoder, global_rotation, toffoli, toffoli_product_expansion
+from .gates import encoder, global_rotation, toffoli
 from .noise import (
     CovarianceError,
     NoiseChannel,
     apply_channel_analytic,
     apply_channel_mc,
     dephasing_factors,
-    effective_covariance,
-    random_propagator,
-    sample_phases,
     totally_correlated,
     uncorrelated,
     validate_covariance,
@@ -47,10 +44,6 @@ from .operators import (
     bloch_of,
     idempotent,
     partial_trace_ancillae,
-    product_basis,
-    product_operator,
-    project_ancilla_sectors,
-    pure_data_state,
 )
 from .protocol import (
     AncillaMixture,
@@ -62,7 +55,6 @@ from .protocol import (
     PipelineResult,
     ancilla_mixture_nogo_search,
     correlated_mixture_residuals,
-    evolve_corrected,
     initial_state,
     mixed_ancilla_slope_at_zero,
     mixed_ancilla_survival,

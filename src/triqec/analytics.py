@@ -20,7 +20,7 @@ import numpy as np
 
 from .models import named_model, positive_finite
 from .models import survival_correlated, survival_uncorrelated  # noqa: F401  (re-exported)
-from .noise import validate_covariance, validate_time
+from .noise import phase_scaled, validate_covariance
 from .operators import sector_index
 
 #: Triple-quantum sign patterns (one per pair +-eps) entering the product term.
@@ -41,6 +41,10 @@ class DecayCurve:
         values = np.asarray(self.values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape:
             raise ValueError("times and values must be 1-d arrays of equal length")
+        for name, array in (("times", times), ("values", values)):
+            bad = array[~np.isfinite(array)]
+            if bad.size:
+                raise ValueError(f"curve {name} must be finite, got {float(bad[0])!r}")
         if len(times) >= 2 and not (np.diff(times) > 0).all():
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
@@ -79,8 +83,7 @@ def survival_factor(cov, t, sign2: int = +1, sign3: int = +1):
     ground sector (+, +) is the code's working point.
     """
     sector_index(sign2, sign3)  # rejects signs other than +-1
-    c = validate_covariance(cov)
-    t = np.asarray(validate_time(t), dtype=float)
+    c, t = phase_scaled(cov, t)
     signs = np.array([1.0, sign2, sign3])
     singles = (np.exp(-0.5 * np.multiply.outer(t, np.diagonal(c))) * signs).sum(axis=-1)
     out = 0.5 * (singles - sign2 * sign3 * _triple_quantum_product(c, t))
@@ -89,8 +92,8 @@ def survival_factor(cov, t, sign2: int = +1, sign3: int = +1):
 
 def uncorrected_decay(cov, t):
     """Survival exp(-t c11 / 2) of the unprotected transverse components."""
-    c = validate_covariance(cov)
-    out = np.exp(-0.5 * np.asarray(validate_time(t), dtype=float) * c[0, 0])
+    c, t = phase_scaled(cov, t)
+    out = np.exp(-0.5 * t * c[0, 0])
     return float(out) if out.ndim == 0 else out
 
 

@@ -9,8 +9,8 @@ fit          Estimate the decay rate of an uncorrected curve from the log of
              compare a measured corrected series against the prediction.
 nogo         Search the ancilla-mixture simplex for zeros of the initial
              decay slope.
-derivatives  Print the survival factor's derivatives at t = 0 and, for the
-             named models, the inflection point.
+derivatives  Print the survival factor's derivatives at t = 0 and, for a
+             named model, the inflection point.
 
 All CSV output is UTF-8 with a header row, '.' decimal separator, and 17
 significant digits, written atomically (write-then-rename) with a JSON run
@@ -44,12 +44,11 @@ from .analytics import (
     survival_factor,
     uncorrected_decay,
 )
-from .models import NAMED_MODELS, positive_finite
-from .noise import NoiseChannel, effective_covariance, validate_covariance, validate_integer
+from .models import NAMED_MODELS, named_model, positive_finite
+from .noise import NoiseChannel, validate_covariance, validate_integer
 from .protocol import PipelineConfig, ancilla_mixture_nogo_search, run_pipeline_mc
 
 SEED_ENV = "TRIQEC_SEED"
-MODELS = (*NAMED_MODELS, "custom")
 
 
 class CommandError(Exception):
@@ -91,11 +90,13 @@ def read_covariance_file(path: str) -> np.ndarray:
 
 def _resolve_covariance(args) -> np.ndarray:
     # The run's one covariance check; its ValueErrors exit with code 2 (see main).
-    if getattr(args, "cov", None):
+    if args.cov:
+        if args.model is not None or args.tau is not None:
+            raise CommandError("give --cov FILE or --model with --tau, not both", 2)
         return validate_covariance(read_covariance_file(args.cov))
-    if args.model not in NAMED_MODELS:
+    if args.model is None:
         raise CommandError("give --cov FILE or --model with --tau", 2)
-    return validate_covariance(effective_covariance(args.model, tau=args.tau))
+    return validate_covariance(named_model(args.model).covariance(args.tau))
 
 
 def _resolve_seed(args) -> int:
@@ -230,14 +231,11 @@ def cmd_decay(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    model = args.model
-    if model not in NAMED_MODELS:
-        raise CommandError("fit needs a named model (correlated or uncorrelated)", 2)
     measured = read_curve_csv(args.infile)
     fit = fit_exponential_rate(measured)
     print(f"rate = {_fmt(fit.rate)}")
     print(f"log_fit_correlation = {_fmt(fit.correlation)}")
-    predicted = predict_corrected_curve(fit.rate, model, measured.times)
+    predicted = predict_corrected_curve(fit.rate, args.model, measured.times)
 
     header = ["t", "theta_predicted"]
     columns = [predicted.times, predicted.values]
@@ -250,7 +248,7 @@ def cmd_fit(args) -> int:
     rows = list(zip(*columns))
     parameters = {
         "infile": args.infile,
-        "model": model,
+        "model": args.model,
         "corrected": args.corrected,
     }
     _write_outputs("fit", parameters, {args.out: (header, rows)})
@@ -281,15 +279,15 @@ def cmd_derivatives(args) -> int:
     print(f"first_derivative_at_zero = {_fmt(first)}")
     print(f"second_derivative_at_zero = {_fmt(second)}")
     print(f"third_derivative_at_zero = {_fmt(third)}")
-    if args.model in NAMED_MODELS and args.tau:
+    if args.model:
         print(f"inflection_point = {_fmt(inflection_point(args.model, args.tau))}")
     return 0
 
 
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=MODELS, help="noise model")
-    parser.add_argument("--tau", type=float, help="decay time constant for named models")
-    parser.add_argument("--cov", help="covariance file (3x3, '#' comments)")
+    parser.add_argument("--model", choices=NAMED_MODELS, help="noise model")
+    parser.add_argument("--tau", type=float, help="decay time constant of the model")
+    parser.add_argument("--cov", help="covariance file (3x3, '#' comments), instead of --model")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit an uncorrected curve, predict the corrected one")
     p_fit.add_argument("--in", dest="infile", required=True, help="uncorrected curve CSV")
-    p_fit.add_argument("--model", choices=MODELS, required=True)
+    p_fit.add_argument("--model", choices=NAMED_MODELS, required=True)
     p_fit.add_argument("--corrected", help="measured corrected curve CSV to compare")
     p_fit.add_argument("--out", required=True, help="output CSV path")
     p_fit.set_defaults(func=cmd_fit)

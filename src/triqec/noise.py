@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import TOTALLY_CORRELATED, UNCORRELATED, named_model
-from .operators import IDENTITY2, kron3, pauli
+from .models import TOTALLY_CORRELATED, UNCORRELATED
+from .operators import kron3
 
 #: Samples per reduction block; fixed so the summation order never varies.
 BLOCK = 4096
@@ -162,20 +162,6 @@ def uncorrelated(tau: float) -> np.ndarray:
     return UNCORRELATED.covariance(tau)
 
 
-def effective_covariance(model: str, tau: float | None = None, matrix=None) -> np.ndarray:
-    """Build a covariance from a named model or validate a custom one.
-
-    ``model`` is a name in :data:`models.NAMED_MODELS` or "custom".  Named
-    models need ``tau`` > 0; "custom" validates ``matrix`` for symmetry and
-    positive semidefiniteness.
-    """
-    if model == "custom":
-        if matrix is None:
-            raise ValueError("custom model requires a covariance matrix")
-        return validate_covariance(matrix)
-    return named_model(model).covariance(tau)
-
-
 def validate_integer(value, name: str, minimum: int | None = None) -> int:
     """``value`` as an int (numpy integers too) >= ``minimum``, else a ValueError naming it."""
     try:
@@ -220,15 +206,29 @@ class NoiseChannel:
             object.__setattr__(self, "samples", validate_integer(self.samples, "samples", 1))
 
 
+def phase_scaled(cov, t):
+    """The checked (C, t) for the forms t eps' C eps, eps in {-1, 0, 1}^3.
+
+    The one rule for a covariance meeting a time: those forms and the
+    eigenvalues of C*t, at most 9 max|c_jk| t, must be finite floats, else
+    ValueError.  If 9 max|c_jk| alone overflows, C comes back divided and t
+    multiplied by 16 (exactly), so no intermediate overflows.
+    """
+    c = validate_covariance(cov)
+    t = np.asarray(validate_time(t), dtype=float)
+    largest = float(np.abs(c).max())
+    longest = float(t.max()) if t.size else 0.0
+    if not math.isfinite(9.0 * (largest * longest)):
+        raise ValueError(f"covariance * t overflows: largest entry {largest!r}, t = {longest!r}")
+    return (c, t) if math.isfinite(9.0 * largest) else (c / 16.0, t * 16.0)
+
+
 def _phase_loading(cov, t: float) -> np.ndarray:
     # The loading L of chi = L z, z standard normal: a symmetric square root
     # of C*t via eigendecomposition, which tolerates rank-deficient covariances
-    # (Cholesky would fail) by clamping tiny negatives to zero.  C*t and its
-    # eigenvalues, at most 3 max|c_jk| t, must be finite floats.
-    c, t = validate_covariance(cov), validate_time(t)
-    largest = float(np.abs(c).max())
-    if not math.isfinite(3.0 * largest * float(t)):
-        raise ValueError(f"covariance * t overflows: largest entry {largest!r}, t = {float(t)!r}")
+    # (Cholesky would fail) by clamping tiny negatives to zero.
+    c = validate_covariance(cov)
+    phase_scaled(c, t)  # checks t, and that C*t does not overflow
     eigvals, eigvecs = np.linalg.eigh(c * t)
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
@@ -238,28 +238,12 @@ def _draw(loading: np.ndarray, rng: np.random.Generator, size: int | None) -> np
     return rng.standard_normal(3 if size is None else (size, 3)) @ loading.T
 
 
-def sample_phases(cov, t: float, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw accumulated phase vectors chi ~ N(0, C*t).
-
-    Returns shape (3,) or (size, 3).
-    """
-    return _draw(_phase_loading(cov, t), rng, size)
-
-
-def random_propagator(chi, axis: str = "x") -> np.ndarray:
-    """Exact unitary exp(-i sum_k chi^k I_axis^k), a kron of per-spin closed forms."""
-    sigma = pauli(axis)
-    half = np.asarray(chi, dtype=float).reshape(3) / 2.0
-    return kron3(*(np.cos(h) * IDENTITY2 - 1j * np.sin(h) * sigma for h in half))
-
-
 def dephasing_factors(cov, t: float) -> np.ndarray:
     """The 8x8 Gaussian-averaged factors exp(-(t/2) eps^T C eps).
 
     Entry (r, c) multiplies the element |r><c| in the dephasing frame.
     """
-    c = validate_covariance(cov)
-    t = validate_time(t)
+    c, t = phase_scaled(cov, t)
     quad = np.einsum("pj,jk,pk->p", _EPS, c, _EPS).reshape(8, 8)
     return np.exp(-0.5 * t * quad)
 

@@ -9,7 +9,6 @@ functions here are pure and never mutate their inputs.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +27,7 @@ PAULI = {
 IDENTITY2 = np.eye(2, dtype=complex)
 IDENTITY8 = np.eye(DIM, dtype=complex)
 
-STATE_TOL = 1e-9  # tolerance of the unit-norm and Bloch-length checks
+STATE_TOL = 1e-9  # tolerance of the Bloch-length check
 
 
 def pauli(axis: str) -> np.ndarray:
@@ -58,7 +57,7 @@ def sector_index(sign2, sign3) -> int:
 
 
 class NormalizationError(ValueError):
-    """State amplitudes that fail the unit-norm requirement."""
+    """A data-spin Bloch vector that is not finite or longer than one."""
 
 
 class BlochVector(NamedTuple):
@@ -97,42 +96,6 @@ def idempotent(spin: int, sign: int) -> np.ndarray:
     return embed((IDENTITY2 + sign * PAULI["z"]) / 2, spin)
 
 
-def product_operator(axes: tuple[str | None, str | None, str | None]) -> np.ndarray:
-    """One element of the trace-orthogonal product-operator basis.
-
-    ``axes`` gives the Cartesian component for each spin, with None for the
-    identity.  The normalization carries a factor of 2 per non-identity spin
-    (i.e. 1, 2I_a, 4I_aI_b, 8I_aI_bI_c), so every element squares to 1 and
-    tr(P_i P_j) = 8 delta_ij.
-    """
-    factors = [IDENTITY2 if a is None else PAULI[a] for a in axes]
-    return kron3(*factors)
-
-
-def product_basis() -> list[tuple[tuple[str | None, str | None, str | None], np.ndarray]]:
-    """All 64 product operators, keyed by their per-spin axis labels."""
-    return [(axes, product_operator(axes)) for axes in product((None, "x", "y", "z"), repeat=3)]
-
-
-def pure_data_state(alpha: complex, beta: complex) -> np.ndarray:
-    """Density matrix of data spin alpha|0> + beta|1> with ground-state ancillae.
-
-    Returns the rank-1 8x8 state (alpha|000> + beta|100>) times its adjoint.
-
-    Raises
-    ------
-    NormalizationError
-        If |alpha|^2 + |beta|^2 deviates from 1 beyond tolerance.
-    """
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
-    if not (abs(norm - 1.0) <= STATE_TOL):
-        raise NormalizationError(f"|alpha|^2 + |beta|^2 = {norm!r}, expected 1")
-    ket = np.zeros(DIM, dtype=complex)
-    ket[0b000] = alpha
-    ket[0b100] = beta
-    return np.outer(ket, ket.conj())
-
-
 def data_state_from_bloch(bloch) -> np.ndarray:
     """2x2 data-spin density matrix with the given (<2Ix>, <2Iy>, <2Iz>)."""
     x, y, z = bloch
@@ -153,22 +116,6 @@ def partial_trace_ancillae(rho: np.ndarray) -> np.ndarray:
     if r.shape != (DIM, DIM):
         raise ValueError(f"expected an 8x8 operator, got shape {r.shape}")
     return r.reshape(2, 4, 2, 4).trace(axis1=1, axis2=3)
-
-
-#: Elements |r><c| whose ancillae are in the same z-basis sector.
-_SAME_SECTOR = np.arange(DIM)[:, None] % 4 == np.arange(DIM) % 4
-
-
-def project_ancilla_sectors(op: np.ndarray) -> np.ndarray:
-    """Pinch an operator over the four ancilla z-basis sectors.
-
-    Sums P op P over the projectors P onto each joint ancilla eigenspace,
-    i.e. keeps the elements inside one sector.  Idempotent as a
-    superoperator, and invisible to the ancilla partial trace:
-    partial_trace_ancillae(project_ancilla_sectors(X)) equals
-    partial_trace_ancillae(X) for every X.
-    """
-    return np.where(_SAME_SECTOR, np.asarray(op, dtype=complex), 0)
 
 
 def bloch_of(rho: np.ndarray) -> BlochVector:

@@ -12,11 +12,10 @@ its elements multiplied by an 8x8 factor table, then is decoded, corrected
 and reduced.  ``run_pipeline`` passes the exact Gaussian-averaged factors,
 ``run_pipeline_mc`` the sample mean of the trajectory phases.  It reads each
 trajectory's survival off the protected observable pulled back into that
-frame and folded once per run onto the 13 conjugate phase pairs, so a
-trajectory costs 13 cosines and sines.  Their agreement is the central
-cross-check of the package.  The constant gates (the encode/decode
-unitaries per correction, rotation and axis, and the ancilla sector
-projectors) are built once and cached read-only.
+frame and folded once per run onto the 13 conjugate phase pairs.  Their
+agreement is the central cross-check of the package.  The constant gates
+(the encode/decode unitaries per correction, rotation and axis, and the
+ancilla sector projectors) are built once and cached read-only.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .noise import (
     mean_phases,
     pair_weights,
     validate_covariance,
-    validate_time,
 )
 from .operators import (
     ANCILLA_SECTORS,
@@ -45,7 +43,6 @@ from .operators import (
     bloch_of,
     data_state_from_bloch,
     partial_trace_ancillae,
-    pure_data_state,
     sector_index,
 )
 
@@ -123,15 +120,13 @@ def _correlated_components(components) -> tuple[CorrelatedComponent, ...]:
 class PipelineConfig:
     """What to run: initial state, ancilla preparation, channel, options.
 
-    The data state is given either as amplitudes (alpha, beta), as a Bloch
-    vector, or per component of a correlated ancilla mixture.  The optional
-    y-pi/2 basis rotation (applied after encoding, undone before decoding)
-    re-targets the code at z-axis noise.
+    The data state is given either as a Bloch vector or per component of a
+    correlated ancilla mixture.  The optional y-pi/2 basis rotation (applied
+    after encoding, undone before decoding) re-targets the code at z-axis
+    noise.
     """
 
     channel: NoiseChannel
-    alpha: complex | None = None
-    beta: complex | None = None
     bloch: tuple[float, float, float] | None = None
     ancillae: AncillaMixture | tuple[CorrelatedComponent, ...] | None = None
     correction: bool = True
@@ -139,26 +134,16 @@ class PipelineConfig:
 
     def __post_init__(self):
         _conjugators(self.correction, self.basis_rotation, self.channel.axis)  # checks the strings
-        has_amplitudes = self.alpha is not None or self.beta is not None
-        if has_amplitudes and (self.alpha is None or self.beta is None):
-            raise ConfigError("give both alpha and beta or neither")
         correlated = self.ancillae is not None and not isinstance(self.ancillae, AncillaMixture)
         if correlated:
             components = _correlated_components(self.ancillae)
-            if has_amplitudes or self.bloch is not None:
-                raise ConfigError(
-                    "a correlated mixture carries its own data states; "
-                    "do not also give alpha/beta or a Bloch vector"
-                )
+            if self.bloch is not None:
+                raise ConfigError("give no Bloch vector with a correlated mixture")
             object.__setattr__(self, "ancillae", components)
-        elif has_amplitudes and self.bloch is not None:
-            raise ConfigError("give either amplitudes or a Bloch vector, not both")
-        elif not has_amplitudes and self.bloch is None:
+        elif self.bloch is None:
             raise ConfigError("no initial data state given")
-        elif self.bloch is not None:
-            data_state_from_bloch(self.bloch)  # rejects non-finite or too long Bloch vectors
         else:
-            pure_data_state(self.alpha, self.beta)  # rejects non-normalized amplitudes
+            data_state_from_bloch(self.bloch)  # rejects non-finite or too long Bloch vectors
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,13 +180,8 @@ def initial_state(config: PipelineConfig) -> np.ndarray:
             * np.kron(data_state_from_bloch(comp.bloch), _sector_projector(*comp.sector))
             for comp in ancillae
         )
-    if config.alpha is not None:
-        # pure_data_state validates the normalization; keep its data factor.
-        data = partial_trace_ancillae(pure_data_state(config.alpha, config.beta))
-    else:
-        data = data_state_from_bloch(config.bloch)
     mix = ancillae if isinstance(ancillae, AncillaMixture) else GROUND_ANCILLAE
-    return np.kron(data, np.diag(mix.weights))
+    return np.kron(data_state_from_bloch(config.bloch), np.diag(mix.weights))
 
 
 @lru_cache(maxsize=8)  # 2 correction flags x 2 basis rotations x 2 axes
@@ -230,20 +210,12 @@ def _conjugators(
     return pre, post
 
 
-def evolve_corrected(
-    rho: np.ndarray, cov, t: float, axis: str = "x", basis_rotation: str = "none"
-) -> np.ndarray:
-    """Encode, dephase through the exact channel, decode, and correct."""
-    pre, post = _conjugators(True, basis_rotation, axis)
-    return post @ (dephasing_factors(cov, t) * (pre @ rho @ pre.conj().T)) @ post.conj().T
-
-
 def _run(config: PipelineConfig, t: float, average) -> PipelineResult:
     # The body of both pipelines.  ``average(state, post, bloch_in)`` gets
     # the encoded frame state and the post-noise conjugator, and returns the
     # 8x8 factor table for that state plus (survival, stderr) from the MC
     # (None from the exact route, whose survival is read off the output).
-    validate_time(t)
+    # Each route checks t where it meets the covariance.
     rho0 = initial_state(config)
     bloch_in = bloch_of(partial_trace_ancillae(rho0))
     pre, post = _conjugators(config.correction, config.basis_rotation, config.channel.axis)

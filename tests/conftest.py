@@ -3,13 +3,25 @@
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from triqec.noise import PAIRS, phase_table, sample_phases, validate_covariance
-from triqec.operators import DIM, IDENTITY8, STATE_TOL
+from triqec.noise import PAIRS, _draw, _phase_loading, phase_table, validate_covariance
+from triqec.operators import (
+    DIM,
+    IDENTITY2,
+    IDENTITY8,
+    PAULI,
+    STATE_TOL,
+    NormalizationError,
+    angular_momentum,
+    idempotent,
+    kron3,
+    pauli,
+)
 
 
 @pytest.fixture
@@ -57,6 +69,112 @@ def polar_amplitudes(theta: float, phi: float) -> tuple[complex, complex]:
         np.cos(theta / 2) * np.exp(-0.5j * phi),
         -1j * np.sin(theta / 2) * np.exp(0.5j * phi),
     )
+
+
+def sample_phases(cov, t: float, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Draw accumulated phase vectors chi ~ N(0, C*t).
+
+    Returns shape (3,) or (size, 3).
+    """
+    return _draw(_phase_loading(cov, t), rng, size)
+
+
+def random_propagator(chi, axis: str = "x") -> np.ndarray:
+    """Exact unitary exp(-i sum_k chi^k I_axis^k), a kron of per-spin closed forms."""
+    sigma = pauli(axis)
+    half = np.asarray(chi, dtype=float).reshape(3) / 2.0
+    return kron3(*(np.cos(h) * IDENTITY2 - 1j * np.sin(h) * sigma for h in half))
+
+
+def product_operator(axes: tuple[str | None, str | None, str | None]) -> np.ndarray:
+    """One element of the trace-orthogonal product-operator basis.
+
+    ``axes`` gives the Cartesian component for each spin, with None for the
+    identity.  The normalization carries a factor of 2 per non-identity spin
+    (i.e. 1, 2I_a, 4I_aI_b, 8I_aI_bI_c), so every element squares to 1 and
+    tr(P_i P_j) = 8 delta_ij.
+    """
+    factors = [IDENTITY2 if a is None else PAULI[a] for a in axes]
+    return kron3(*factors)
+
+
+def product_basis() -> list[tuple[tuple[str | None, str | None, str | None], np.ndarray]]:
+    """All 64 product operators, keyed by their per-spin axis labels."""
+    return [(axes, product_operator(axes)) for axes in product((None, "x", "y", "z"), repeat=3)]
+
+
+def pure_data_state(alpha: complex, beta: complex) -> np.ndarray:
+    """Density matrix of data spin alpha|0> + beta|1> with ground-state ancillae.
+
+    Returns the rank-1 8x8 state (alpha|000> + beta|100>) times its adjoint.
+
+    Raises
+    ------
+    NormalizationError
+        If |alpha|^2 + |beta|^2 deviates from 1 beyond tolerance.
+    """
+    norm = abs(alpha) ** 2 + abs(beta) ** 2
+    if not (abs(norm - 1.0) <= STATE_TOL):
+        raise NormalizationError(f"|alpha|^2 + |beta|^2 = {norm!r}, expected 1")
+    ket = np.zeros(DIM, dtype=complex)
+    ket[0b000] = alpha
+    ket[0b100] = beta
+    return np.outer(ket, ket.conj())
+
+
+#: Elements |r><c| whose ancillae are in the same z-basis sector.
+_SAME_SECTOR = np.arange(DIM)[:, None] % 4 == np.arange(DIM) % 4
+
+
+def project_ancilla_sectors(op: np.ndarray) -> np.ndarray:
+    """Pinch an operator over the four ancilla z-basis sectors.
+
+    Sums P op P over the projectors P onto each joint ancilla eigenspace,
+    i.e. keeps the elements inside one sector.  Idempotent as a
+    superoperator, and invisible to the ancilla partial trace:
+    partial_trace_ancillae(project_ancilla_sectors(X)) equals
+    partial_trace_ancillae(X) for every X.
+    """
+    return np.where(_SAME_SECTOR, np.asarray(op, dtype=complex), 0)
+
+
+class InvalidGateError(ValueError):
+    """Gate construction with inconsistent spin roles."""
+
+
+def cnot(target: int, control: int) -> np.ndarray:
+    """Controlled-NOT flipping ``target`` when ``control`` is down (|1>).
+
+    Closed form 2Ix^target E-^control + E+^control; self-inverse.
+    """
+    if target == control:
+        raise InvalidGateError(f"target and control must differ, both are {target!r}")
+    return 2 * angular_momentum(target, "x") @ idempotent(control, -1) + idempotent(control, +1)
+
+
+def toffoli_product_expansion() -> list[np.ndarray]:
+    """The correction gate as an ordered product of commuting propagators.
+
+    Returns eight factors (a global phase, three one-spin rotations, three
+    two-spin propagators, one three-spin propagator) whose product equals
+    toffoli() exactly.  The factors that act only on the ancillae can be
+    dropped without changing any data-spin observable taken after the
+    ancilla partial trace.
+    """
+    # Each factor is exp(-i angle P) for a Pauli product P, and P^2 = 1.
+    angle = np.pi / 8
+    factors = [
+        (angle, ("x", None, None)),
+        (angle, (None, "z", None)),
+        (angle, (None, None, "z")),
+        (-angle, ("x", "z", None)),
+        (-angle, ("x", None, "z")),
+        (-angle, (None, "z", "z")),
+        (angle, ("x", "z", "z")),
+    ]
+    return [np.exp(1j * angle) * IDENTITY8] + [
+        np.cos(a) * IDENTITY8 - 1j * np.sin(a) * product_operator(axes) for a, axes in factors
+    ]
 
 
 def random_density(rng: np.random.Generator, dim: int = 8) -> np.ndarray:

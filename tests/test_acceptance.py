@@ -16,6 +16,7 @@ from scipy.optimize import brentq
 from conftest import (
     asymmetric_third_derivative_at_zero,
     forward_derivative,
+    project_ancilla_sectors,
     random_psd,
     richardson_second_derivative,
 )
@@ -40,7 +41,7 @@ from triqec.noise import (
     totally_correlated,
     uncorrelated,
 )
-from triqec.operators import angular_momentum, project_ancilla_sectors
+from triqec.operators import angular_momentum
 from triqec.protocol import (
     AncillaMixture,
     PipelineConfig,

@@ -312,3 +312,52 @@ def test_no_temporary_files_left_behind(tmp_path):
     assert run_cli("decay", "--model", "uncorrelated", "--tau", 1.0, "--out", out) == 0
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("decay", "--out", "never.csv"), ("nogo",), ("derivatives",)],
+    ids=["decay", "nogo", "derivatives"],
+)
+@pytest.mark.parametrize(
+    "model_args",
+    [("--model", "correlated", "--tau", 0.4), ("--model", "correlated"), ("--tau", 0.4)],
+    ids=["model-tau", "model", "tau"],
+)
+def test_cov_file_excludes_model_and_tau(tmp_path, monkeypatch, capsys, command, model_args):
+    # One run, one noise model: a file next to a named model is refused,
+    # not silently preferred.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "eye.cov").write_text("1 0 0\n0 1 0\n0 0 1\n")
+    assert run_cli(*command, "--cov", "eye.cov", *model_args) == 2
+    captured = capsys.readouterr()
+    assert "give --cov FILE or --model with --tau, not both" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["decay", "fit", "nogo", "derivatives"])
+def test_only_named_models_are_offered(capsys, command):
+    required = {"decay": ("--out", "o.csv"), "fit": ("--in", "in.csv", "--out", "o.csv")}
+    with pytest.raises(SystemExit) as info:
+        run_cli(command, "--model", "custom", *required.get(command, ()))
+    assert info.value.code == 2
+    assert "invalid choice: 'custom'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ("0,1\n0.5,0.6\ninf,0.3\n", "curve times must be finite, got inf"),
+        ("0,1\nnan,0.6\n1,0.3\n", "curve times must be finite, got nan"),
+        ("0,1\n0.5,nan\n1,0.3\n", "curve values must be finite, got nan"),
+    ],
+    ids=["infinite-time", "nan-time", "nan-value"],
+)
+def test_fit_names_a_non_finite_curve_file(tmp_path, capsys, rows, message):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("t,v\n" + rows)
+    out = tmp_path / "o.csv"
+    assert run_cli("fit", "--in", curve, "--model", "correlated", "--out", out) == 2
+    assert f"triqec fit: {curve}: {message}" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import equal_up_to_phase, is_unitary, random_density
-from triqec.gates import (
+from conftest import (
     InvalidGateError,
     cnot,
-    encoder,
-    global_rotation,
-    toffoli,
+    equal_up_to_phase,
+    is_unitary,
+    random_density,
     toffoli_product_expansion,
 )
+from triqec.gates import encoder, global_rotation, toffoli
 from triqec.operators import (
     IDENTITY8,
     angular_momentum,

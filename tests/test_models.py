@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from triqec.analytics import inflection_point, predict_corrected_curve, survival_factor
-from triqec.cli import MODELS
 from triqec.diffusion import SCHEMES, GradientDiffusionSpec, spec_to_covariance
 from triqec.models import NAMED_MODELS, named_model
-from triqec.noise import effective_covariance, totally_correlated, uncorrelated
+from triqec.noise import totally_correlated, uncorrelated
 
 
 @pytest.mark.parametrize("name", list(NAMED_MODELS))
 def test_each_model_agrees_with_the_general_decay_law(name):
     model = named_model(name)
     tau = 0.389
-    cov = effective_covariance(name, tau=tau)
+    cov = model.covariance(tau)
     assert np.array_equal(cov, (2.0 / tau) * model.pattern)
     times = np.linspace(0.0, 3 * tau, 50)
     assert np.abs(model.closed_form(tau, times) - survival_factor(cov, times)).max() < 1e-12
@@ -24,14 +23,14 @@ def test_alias_and_factories_share_one_table_entry():
     assert np.array_equal(totally_correlated(0.5), np.full((3, 3), 4.0))
     assert np.array_equal(uncorrelated(0.5), np.diag([4.0, 4.0, 4.0]))
     assert SCHEMES == ("totally-correlated", "uncorrelated")
-    assert MODELS == ("correlated", "totally-correlated", "uncorrelated", "custom")
+    assert tuple(NAMED_MODELS) == ("correlated", "totally-correlated", "uncorrelated")
 
 
 @pytest.mark.parametrize("tau", [None, 0.0, -1.0, float("nan"), float("inf")])
 def test_named_models_require_a_positive_tau(tau):
     for name in NAMED_MODELS:
         with pytest.raises(ValueError, match="tau"):
-            effective_covariance(name, tau=tau)
+            named_model(name).covariance(tau)
         with pytest.raises(ValueError, match="tau"):
             inflection_point(name, tau)
         with pytest.raises(ValueError, match="rate"):
@@ -44,7 +43,7 @@ def test_named_models_require_a_positive_tau(tau):
 
 def test_unknown_model_names_are_rejected_everywhere():
     with pytest.raises(ValueError, match="unknown model"):
-        effective_covariance("partially-correlated", tau=1.0)
+        named_model("partially-correlated")
     with pytest.raises(ValueError, match="unknown model"):
         inflection_point("partially-correlated", 1.0)
     with pytest.raises(ValueError, match="unknown model"):

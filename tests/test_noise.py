@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import random_density, random_psd, reference_stream, trajectory_phases
+from conftest import (
+    random_density,
+    random_propagator,
+    random_psd,
+    reference_stream,
+    sample_phases,
+    trajectory_phases,
+)
 from triqec.noise import (
     _EPS,
     _PAIR_INDEX,
@@ -20,12 +27,9 @@ from triqec.noise import (
     apply_channel_mc,
     dephase,
     dephasing_factors,
-    effective_covariance,
     mean_phases,
     pair_weights,
     phase_table,
-    random_propagator,
-    sample_phases,
     totally_correlated,
     uncorrelated,
     validate_covariance,
@@ -104,25 +108,6 @@ def test_arrays_derived_from_a_checked_covariance_are_checked_afresh(eigvalsh_ca
         checked = validate_covariance(derived)
         assert checked is not derived and np.array_equal(checked, derived)
         assert len(eigvalsh_calls) == 1
-
-
-def test_effective_covariance_models():
-    assert np.allclose(effective_covariance("uncorrelated", tau=1.0), np.diag([2.0, 2.0, 2.0]))
-    assert np.allclose(effective_covariance("totally-correlated", tau=1.0), np.full((3, 3), 2.0))
-    assert np.allclose(effective_covariance("correlated", tau=0.5), np.full((3, 3), 4.0))
-    custom = random_psd(np.random.default_rng(0))
-    assert np.allclose(effective_covariance("custom", matrix=custom), custom)
-
-
-def test_effective_covariance_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        effective_covariance("uncorrelated", tau=0.0)
-    with pytest.raises(ValueError):
-        effective_covariance("totally-correlated", tau=-1.0)
-    with pytest.raises(ValueError):
-        effective_covariance("no-such-model", tau=1.0)
-    with pytest.raises(CovarianceError):
-        effective_covariance("custom", matrix=np.array([[1, 2, 0], [2, 1, 0], [0, 0, 1]]))
 
 
 def test_noise_channel_validation():

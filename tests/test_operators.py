@@ -5,6 +5,10 @@ from scipy.linalg import expm
 from conftest import (
     brute_partial_trace,
     polar_amplitudes,
+    product_basis,
+    product_operator,
+    project_ancilla_sectors,
+    pure_data_state,
     random_density,
     random_operator,
     validate_density_matrix,
@@ -18,10 +22,6 @@ from triqec.operators import (
     data_state_from_bloch,
     idempotent,
     partial_trace_ancillae,
-    product_basis,
-    product_operator,
-    project_ancilla_sectors,
-    pure_data_state,
 )
 
 

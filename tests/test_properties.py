@@ -1,12 +1,21 @@
-"""Derandomized property tests of the decay law, the exact channel and the Monte Carlo kernel."""
+"""Derandomized property tests of the decay law, the exact channel, the Monte Carlo kernel
+and the input validators."""
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import validate_density_matrix
 from triqec.analytics import survival_factor
-from triqec.noise import BLOCK, NoiseChannel, apply_channel_analytic
+from triqec.noise import (
+    BLOCK,
+    NoiseChannel,
+    apply_channel_analytic,
+    validate_covariance,
+    validate_integer,
+    validate_seed,
+    validate_time,
+)
 from triqec.protocol import PipelineConfig, run_pipeline, run_pipeline_mc
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -110,3 +119,46 @@ def test_monte_carlo_at_time_zero_is_the_identity(cov, bloch, axis, correction, 
     assert np.array_equal(result.reduced, run_pipeline(config, 0.0).reduced)
     assert abs(result.survival - 1.0) * weight <= 1e-14
     assert result.survival_stderr * weight <= 1e-15
+
+
+@PROPERTY
+@given(cov=covariances())
+def test_a_checked_covariance_is_accepted_as_is(cov):
+    checked = validate_covariance(cov)
+    assert validate_covariance(checked) is checked
+    assert np.array_equal(checked, cov)
+
+
+@settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cov=covariances())
+def test_a_copy_of_a_checked_covariance_is_checked_again(eigvalsh_calls, cov):
+    checked = validate_covariance(cov)
+    copy = checked.copy()
+    eigvalsh_calls.clear()
+    again = validate_covariance(copy)
+    assert len(eigvalsh_calls) == 1
+    assert again is not checked and again is not copy
+    assert np.array_equal(again, checked)
+
+
+@PROPERTY
+@given(t=st.floats(0.0, allow_infinity=False) | st.lists(st.floats(0.0, 1e300), max_size=5))
+def test_validate_time_returns_its_argument(t):
+    assert validate_time(t) is t
+
+
+@PROPERTY
+@given(n=st.integers(-(2**63), 2**63 - 1))
+def test_validate_integer_returns_the_python_int(n):
+    count = validate_integer(np.int64(n), "n")
+    assert type(count) is int and count == n
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**128) | st.builds(np.random.SeedSequence, st.integers(0, 2**128)))
+def test_validate_seed_returns_the_seed_as_given(seed):
+    checked = validate_seed(seed)
+    if isinstance(seed, np.random.SeedSequence):
+        assert checked is seed
+    else:
+        assert type(checked) is int and checked == seed

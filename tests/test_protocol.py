@@ -10,8 +10,11 @@ from conftest import (
     forward_derivative,
     grid_nogo_search,
     polar_amplitudes,
+    pure_data_state,
+    random_propagator,
     random_psd,
     reference_stream,
+    sample_phases,
 )
 from triqec import noise, protocol
 from triqec.analytics import survival_derivatives_at_zero, survival_factor, uncorrected_decay
@@ -25,8 +28,6 @@ from triqec.noise import (
     apply_channel_mc,
     dephase,
     dephasing_factors,
-    random_propagator,
-    sample_phases,
     totally_correlated,
     uncorrelated,
 )
@@ -48,7 +49,6 @@ from triqec.protocol import (
     PipelineConfig,
     ancilla_mixture_nogo_search,
     correlated_mixture_residuals,
-    evolve_corrected,
     initial_state,
     mixed_ancilla_slope_at_zero,
     mixed_ancilla_survival,
@@ -69,10 +69,6 @@ def test_config_validation():
     channel = NoiseChannel(covariance=np.eye(3))
     with pytest.raises(ConfigError):
         PipelineConfig(channel=channel)  # no data state
-    with pytest.raises(ConfigError):
-        PipelineConfig(channel=channel, alpha=1.0)  # beta missing
-    with pytest.raises(ConfigError):
-        PipelineConfig(channel=channel, alpha=1.0, beta=0.0, bloch=(0, 0, 1))
     with pytest.raises(ConfigError):
         PipelineConfig(channel=channel, bloch=(0, 0, 1), basis_rotation="x-pi")
     with pytest.raises(ConfigError):
@@ -245,7 +241,6 @@ def test_constant_gates_are_cached_read_only():
         lambda t: sample_phases(np.eye(3), t, np.random.default_rng(0)),
         lambda t: run_pipeline(make_config(np.eye(3), bloch=BLOCH), t),
         lambda t: run_pipeline_mc(make_config(np.eye(3), bloch=BLOCH), t, samples=10, seed=0),
-        lambda t: evolve_corrected(np.eye(8) / 8, np.eye(3), t),
     ],
     ids=[
         "survival_factor",
@@ -256,12 +251,55 @@ def test_constant_gates_are_cached_read_only():
         "sample_phases",
         "run_pipeline",
         "run_pipeline_mc",
-        "evolve_corrected",
     ],
 )
 def test_entry_points_reject_bad_times(entry_point, bad):
     with pytest.raises(ValueError, match="time must be finite and >= 0"):
         entry_point(bad)
+
+
+FLOAT_MAX = float(np.finfo(float).max)
+
+#: Each entry point of the test above as a function of (covariance, time),
+#: returning arrays that must be finite.
+COVARIANCE_TIME_ENTRY_POINTS = {
+    "survival_factor": lambda cov, t: survival_factor(cov, t),
+    "survival_factor_array": lambda cov, t: survival_factor(cov, np.array([0.0, t])),
+    "uncorrected_decay": lambda cov, t: uncorrected_decay(cov, t),
+    "dephasing_factors": lambda cov, t: dephasing_factors(cov, t),
+    "apply_channel_analytic": lambda cov, t: apply_channel_analytic(np.eye(8) / 8, cov, t),
+    "sample_phases": lambda cov, t: sample_phases(cov, t, np.random.default_rng(0)),
+    "run_pipeline": lambda cov, t: run_pipeline(make_config(cov, bloch=BLOCH), t).reduced,
+    "run_pipeline_mc": lambda cov, t: run_pipeline_mc(
+        make_config(cov, bloch=BLOCH), t, samples=10, seed=0
+    ).reduced,
+}
+
+
+@pytest.mark.parametrize("entry_point", list(COVARIANCE_TIME_ENTRY_POINTS))
+@pytest.mark.parametrize("entry", [1e300, FLOAT_MAX / 4], ids=["1e300", "max/4"])
+def test_entry_points_share_one_overflow_rule(entry_point, entry):
+    # Every quadratic form t eps' C eps of a phase pattern, and every
+    # eigenvalue of C*t, is at most 9 max|c_jk| t.  Just under the largest
+    # float that bound is accepted with finite output (9 max|c_jk| alone
+    # overflows for the second entry); just over it every route rejects.
+    call = COVARIANCE_TIME_ENTRY_POINTS[entry_point]
+    cov = np.full((3, 3), entry)
+    limit = FLOAT_MAX / 9 / entry
+    assert np.isfinite(call(cov, limit * (1 - 1e-9))).all()
+    with pytest.raises(ValueError, match=r"covariance \* t overflows: largest entry "):
+        call(cov, limit * (1 + 1e-9))
+
+
+def test_a_huge_covariance_over_a_tiny_time_decays_to_zero():
+    # C*t = 1e8 is representable although 9 max|c_jk| = 9e308 is not.
+    cov, t = np.full((3, 3), 1e308), 1e-300
+    mix = AncillaMixture(0.4, 0.3, 0.2, 0.1)
+    assert survival_factor(cov, t) == 0.0
+    assert mixed_ancilla_survival(mix, cov, t) == 0.0
+    assert run_pipeline(make_config(cov, bloch=BLOCH), t).survival == 0.0
+    result = run_pipeline_mc(make_config(cov, bloch=BLOCH), t, samples=100, seed=1)
+    assert abs(result.survival) <= 5 * result.survival_stderr
 
 
 @pytest.mark.parametrize(
@@ -273,7 +311,6 @@ def test_entry_points_reject_bad_times(entry_point, bad):
         (lambda v: CorrelatedComponent(1.0, (0.0, v, 0.0), (+1, +1)), "Bloch"),
         (lambda v: data_state_from_bloch((0.0, v, 0.0)), "Bloch"),
         (lambda v: make_config(np.eye(3), bloch=(0.0, v, 0.0)), "Bloch"),
-        (lambda v: make_config(np.eye(3), alpha=v, beta=0.0), "alpha"),
         (lambda v: GradientDiffusionSpec(v, 1e-9, 0.1), "gradient_wavenumber"),
         (lambda v: GradientDiffusionSpec(6e4, v, 0.1), "diffusion_coefficient"),
         (lambda v: GradientDiffusionSpec(6e4, 1e-9, v), "diffusion_time"),
@@ -320,14 +357,17 @@ def test_pipeline_without_correction_decays_at_the_bare_rate():
 
 
 def test_corrected_evolution_is_linear_in_the_state():
+    # The Bloch vector of a mixture is the mixture of the Bloch vectors.
     rng = np.random.default_rng(3)
     cov = random_psd(rng)
-    rho1 = initial_state(make_config(cov, bloch=(0, 0.8, 0.6)))
-    rho2 = initial_state(make_config(cov, bloch=(0.5, -0.5, 0.2)))
-    mixed = 0.25 * rho1 + 0.75 * rho2
+    b1, b2 = np.array([0, 0.8, 0.6]), np.array([0.5, -0.5, 0.2])
     t = 0.8
-    lhs = evolve_corrected(mixed, cov, t)
-    rhs = 0.25 * evolve_corrected(rho1, cov, t) + 0.75 * evolve_corrected(rho2, cov, t)
+
+    def reduced(bloch):
+        return run_pipeline(make_config(cov, bloch=tuple(bloch)), t).reduced
+
+    lhs = reduced(0.25 * b1 + 0.75 * b2)
+    rhs = 0.25 * reduced(b1) + 0.75 * reduced(b2)
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -384,14 +424,6 @@ def test_each_input_rule_keeps_its_message(call, message):
     assert str(info.value) == message
 
 
-def test_evolve_corrected_checks_its_strings():
-    rho = np.eye(8) / 8
-    with pytest.raises(ConfigError, match="basis_rotation must be one of"):
-        evolve_corrected(rho, np.eye(3), 0.5, basis_rotation="bogus")
-    with pytest.raises(ValueError, match="axis must be 'x' or 'z', got 'y'"):
-        evolve_corrected(rho, np.eye(3), 0.5, axis="y")
-
-
 def test_z_axis_noise_with_basis_rotation_is_protected():
     rng = np.random.default_rng(4)
     cov = random_psd(rng)
@@ -403,9 +435,10 @@ def test_z_axis_noise_with_basis_rotation_is_protected():
 
 def test_pipeline_survival_bounded_by_one():
     rng = np.random.default_rng(5)
+    bloch = bloch_of(partial_trace_ancillae(pure_data_state(*polar_amplitudes(1.2, 0.3))))
     for _ in range(5):
         cov = random_psd(rng)
-        config = make_config(cov, alpha=polar_amplitudes(1.2, 0.3)[0], beta=polar_amplitudes(1.2, 0.3)[1])
+        config = make_config(cov, bloch=bloch)
         for t in rng.uniform(0.0, 3.0, size=4):
             result = run_pipeline(config, float(t))
             assert abs(result.survival) <= 1 + 1e-12
