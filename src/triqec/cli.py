@@ -158,20 +158,24 @@ def _write_outputs(command: str, parameters: dict, tables: dict[str, tuple]) -> 
 
 
 def read_curve_csv(path: str) -> DecayCurve:
-    """Read a (t, value) curve from the first two CSV columns."""
+    """Read a (t, value) curve from the first two CSV columns.
+
+    Blank rows are skipped and the first other row may be a header; any
+    later row that is not two numbers is an error naming its line.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CommandError(f"cannot read {path}: {exc}", 3)
     reader = csv.reader(text.splitlines())
     times, values = [], []
-    for row in reader:
-        if not row or len(row) < 2:
-            continue
+    for index, row in enumerate(row for row in reader if "".join(row).strip()):
         try:
             t, v = float(row[0]), float(row[1])
-        except ValueError:
-            continue  # header row
+        except (IndexError, ValueError):
+            if index == 0:
+                continue  # header row
+            raise CommandError(f"{path}:{reader.line_num}: expected t,value, got {row!r}", 2)
         times.append(t)
         values.append(v)
     if len(times) < 2:

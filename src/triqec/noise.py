@@ -17,6 +17,11 @@ factor is averaged, and stay independent so they can cross-validate:
 * ``apply_channel_mc``: the sample mean of the factors over sampled phase
   vectors; it never evaluates the Gaussian formula.
 
+A ``NoiseChannel`` is the one record of how to average: its kind and, for
+Monte Carlo, its sample count, seed and workers, all checked when it is made
+and read from it by ``mean_phases``.  A time that meets a channel must be a
+scalar.
+
 The 56 off-diagonal elements share only 13 conjugate pairs of patterns
 eps = +-p (``PAIRS``), so the Monte Carlo kernel (``mean_phases``) averages
 the real cos(p . chi) and sin(p . chi) of each pair and scatters the means
@@ -184,8 +189,9 @@ def validate_seed(seed):
 class NoiseChannel:
     """A dephasing channel: covariance, axis, and how to average over it.
 
-    ``kind`` is "analytic" for the exact Gaussian average or "monte-carlo"
-    for sampled trajectories (which then requires an integer ``samples`` >= 1).
+    ``kind`` is "analytic" for the exact Gaussian average or "monte-carlo" for
+    sampled trajectories, which requires ``samples``.  Every setting is checked
+    here: ``samples`` (when given) and ``workers`` >= 1, ``seed`` >= 0.
     """
 
     covariance: np.ndarray
@@ -202,7 +208,7 @@ class NoiseChannel:
             raise ValueError(f"kind must be 'analytic' or 'monte-carlo', got {self.kind!r}")
         object.__setattr__(self, "workers", validate_integer(self.workers, "workers", 1))
         object.__setattr__(self, "seed", validate_seed(self.seed))
-        if self.kind == "monte-carlo":
+        if self.kind == "monte-carlo" or self.samples is not None:
             object.__setattr__(self, "samples", validate_integer(self.samples, "samples", 1))
 
 
@@ -223,12 +229,20 @@ def phase_scaled(cov, t):
     return (c, t) if math.isfinite(9.0 * largest) else (c / 16.0, t * 16.0)
 
 
+def _scalar_time(t):
+    # A time meeting a channel is one number (0-d arrays too): an array would
+    # broadcast against the 8x8 factor table or the 3x3 covariance.
+    if np.ndim(t) != 0:
+        raise ValueError(f"t must be a scalar time, got an array of shape {np.shape(t)}")
+    return t
+
+
 def _phase_loading(cov, t: float) -> np.ndarray:
     # The loading L of chi = L z, z standard normal: a symmetric square root
     # of C*t via eigendecomposition, which tolerates rank-deficient covariances
     # (Cholesky would fail) by clamping tiny negatives to zero.
     c = validate_covariance(cov)
-    phase_scaled(c, t)  # checks t, and that C*t does not overflow
+    phase_scaled(c, _scalar_time(t))  # checks t, and that C*t does not overflow
     eigvals, eigvecs = np.linalg.eigh(c * t)
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
@@ -241,9 +255,10 @@ def _draw(loading: np.ndarray, rng: np.random.Generator, size: int | None) -> np
 def dephasing_factors(cov, t: float) -> np.ndarray:
     """The 8x8 Gaussian-averaged factors exp(-(t/2) eps^T C eps).
 
-    Entry (r, c) multiplies the element |r><c| in the dephasing frame.
+    Entry (r, c) multiplies the element |r><c| in the dephasing frame; t
+    must be a scalar.
     """
-    c, t = phase_scaled(cov, t)
+    c, t = phase_scaled(cov, _scalar_time(t))
     quad = np.einsum("pj,jk,pk->p", _EPS, c, _EPS).reshape(8, 8)
     return np.exp(-0.5 * t * quad)
 
@@ -367,18 +382,18 @@ def _stream(loading: np.ndarray, samples: int, seed, workers: int, weights):
             yield window.popleft().result()
 
 
-def mean_phases(cov, t: float, samples: int, seed, workers: int = 1, weights=None):
-    """Sample mean of the factors exp(-i eps . chi) over the seeded phase stream.
+def mean_phases(channel: NoiseChannel, t: float, weights=None):
+    """Sample mean of the factors exp(-i eps . chi) over a Monte Carlo channel's stream.
 
     Each block's 13 pair cosine and sine sums, added in stream order, are
     scattered to the 8x8 table once.  With ``weights`` from
     :func:`pair_weights`, also returns the mean and standard error of the
     trajectories' survivals w0 + cos @ wc + sin @ ws (else None).
     """
-    samples = validate_integer(samples, "samples", 1)
-    workers = validate_integer(workers, "workers", 1)
-    seed = validate_seed(seed)
-    blocks = _stream(_phase_loading(cov, t), samples, seed, workers, weights)
+    if channel.kind != "monte-carlo":
+        raise ValueError(f"sampled phases need a monte-carlo channel, got kind {channel.kind!r}")
+    samples, loading = channel.samples, _phase_loading(channel.covariance, t)
+    blocks = _stream(loading, samples, channel.seed, channel.workers, weights)
     cos, sin, stats = functools.reduce(_add, blocks)
     mean = phase_table(cos / samples, sin / samples)
     if stats is None:
@@ -394,9 +409,4 @@ def apply_channel_mc(rho: np.ndarray, channel: NoiseChannel, t: float) -> np.nda
     Each element's factor is the sample mean of exp(-i eps . chi).
     Deterministic for a fixed seed regardless of the worker count.
     """
-    if channel.kind != "monte-carlo":
-        raise ValueError("apply_channel_mc requires a monte-carlo channel")
-    factors, _ = mean_phases(
-        channel.covariance, t, channel.samples, channel.seed, channel.workers
-    )
-    return dephase(rho, factors, channel.axis)
+    return dephase(rho, mean_phases(channel, t)[0], channel.axis)

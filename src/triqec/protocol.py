@@ -7,13 +7,15 @@ is the partial trace.  With ground-state ancillae the protected (y, z)
 components of the data spin come back scaled by the closed-form survival
 factor; the x component is untouched by construction.
 
-Both flavors share one body: the encoded state, in the dephasing frame, has
-its elements multiplied by an 8x8 factor table, then is decoded, corrected
-and reduced.  ``run_pipeline`` passes the exact Gaussian-averaged factors,
-``run_pipeline_mc`` the sample mean of the trajectory phases.  It reads each
-trajectory's survival off the protected observable pulled back into that
-frame and folded once per run onto the 13 conjugate phase pairs.  Their
-agreement is the central cross-check of the package.  The constant gates
+``run_pipeline`` is the one body: the encoded state, in the dephasing frame,
+has its elements multiplied by an 8x8 factor table, then is decoded,
+corrected and reduced.  The channel says how the table is averaged: exactly
+over the Gaussian phases, or as the sample mean of seeded trajectories, each
+of whose survivals is the protected observable pulled back into that frame
+and folded once per run onto the 13 conjugate phase pairs.
+``run_pipeline_mc`` is ``run_pipeline`` on the same configuration with a
+Monte Carlo channel of the given settings.  The agreement of the two
+averages is the central cross-check of the package.  The constant gates
 (the encode/decode unitaries per correction, rotation and axis, and the
 ancilla sector projectors) are built once and cached read-only.
 """
@@ -21,7 +23,7 @@ ancilla sector projectors) are built once and cached read-only.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -210,68 +212,50 @@ def _conjugators(
     return pre, post
 
 
-def _run(config: PipelineConfig, t: float, average) -> PipelineResult:
-    # The body of both pipelines.  ``average(state, post, bloch_in)`` gets
-    # the encoded frame state and the post-noise conjugator, and returns the
-    # 8x8 factor table for that state plus (survival, stderr) from the MC
-    # (None from the exact route, whose survival is read off the output).
-    # Each route checks t where it meets the covariance.
+def run_pipeline(config: PipelineConfig, t: float) -> PipelineResult:
+    """Run the pipeline at decoherence time t, averaging as the channel says.
+
+    An analytic channel gives the exact Gaussian-averaged factor table, and
+    the survival is read off the output.  A Monte Carlo channel gives the
+    sample mean of the trajectory factors, and the mean and standard error of
+    the trajectories' survivals (see :func:`noise.mean_phases`).  t must be a
+    scalar.
+    """
+    channel = config.channel
     rho0 = initial_state(config)
     bloch_in = bloch_of(partial_trace_ancillae(rho0))
-    pre, post = _conjugators(config.correction, config.basis_rotation, config.channel.axis)
+    pre, post = _conjugators(config.correction, config.basis_rotation, channel.axis)
     state = pre @ rho0 @ pre.conj().T
-    factors, estimate = average(state, post, bloch_in)
+    weight = bloch_in.y**2 + bloch_in.z**2
+    if channel.kind == "analytic":
+        factors, estimate = dephasing_factors(channel.covariance, t), None
+    else:
+        # The protected observable, pulled back through the post-noise gates
+        # and contracted with the frame state: a trajectory's factor table f
+        # gives its survival Re sum(f * contraction), which the pair weights
+        # turn into w0 + cos @ wc + sin @ ws.
+        weights = None
+        if weight > 0:
+            observable = np.kron(bloch_in.y * PAULI["y"] + bloch_in.z * PAULI["z"], np.eye(4))
+            weights = pair_weights((post.conj().T @ observable @ post).T * state / weight)
+        factors, estimate = mean_phases(channel, t, weights)
     reduced = partial_trace_ancillae(post @ (factors * state) @ post.conj().T)
     bloch_out = bloch_of(reduced)
-    weight = bloch_in.y**2 + bloch_in.z**2
     survival, stderr = estimate or (None, None)
     if estimate is None and weight > 0:  # least squares on the protected plane
         survival = (bloch_out.y * bloch_in.y + bloch_out.z * bloch_in.z) / weight
     return PipelineResult(reduced, bloch_in, bloch_out, survival, stderr)
 
 
-def run_pipeline(config: PipelineConfig, t: float) -> PipelineResult:
-    """Run the pipeline at decoherence time t.
-
-    Analytic channels evolve through the exact Gaussian average; Monte Carlo
-    channels delegate to :func:`run_pipeline_mc` with the channel's sample
-    count and seed.
-    """
-    channel = config.channel
-    if channel.kind == "monte-carlo":
-        return run_pipeline_mc(config, t, channel.samples, channel.seed, workers=channel.workers)
-    return _run(config, t, lambda *_: (dephasing_factors(channel.covariance, t), None))
-
-
 def run_pipeline_mc(
     config: PipelineConfig, t: float, samples: int, seed, workers: int = 1
 ) -> PipelineResult:
-    """Monte Carlo pipeline: every sampled trajectory runs the full circuit.
+    """:func:`run_pipeline` on ``config`` with a Monte Carlo channel of these settings.
 
-    Each sample draws a phase vector; in the dephasing frame its propagator
-    multiplies every element of the encoded state by exp(-i eps . chi), and
-    its survival is the protected observable read through decoding and
-    correction, a weighted sum of the real and imaginary parts of its 13
-    pair phasors exp(i p . chi), built from its three spin phasors.  Their
-    mean and spread, accumulated block by block, give the estimate and its
-    standard error; memory does not grow with ``samples``.  ``seed`` is an
-    int >= 0 or a SeedSequence.  Results are bit-identical for a fixed seed
-    regardless of ``workers``.
+    ``seed`` is an int >= 0 or a SeedSequence.
     """
-
-    def average(state, post, bloch_in):
-        # The protected observable, pulled back through the post-noise gates
-        # and contracted with the frame state: a trajectory's factor table f
-        # gives its survival Re sum(f * contraction), which the pair weights
-        # turn into w0 + cos @ wc + sin @ ws.
-        weight = bloch_in.y**2 + bloch_in.z**2
-        weights = None
-        if weight > 0:
-            observable = np.kron(bloch_in.y * PAULI["y"] + bloch_in.z * PAULI["z"], np.eye(4))
-            weights = pair_weights((post.conj().T @ observable @ post).T * state / weight)
-        return mean_phases(config.channel.covariance, t, samples, seed, workers, weights)
-
-    return _run(config, t, average)
+    settings = dict(kind="monte-carlo", samples=samples, seed=seed, workers=workers)
+    return run_pipeline(replace(config, channel=replace(config.channel, **settings)), t)
 
 
 def mixed_ancilla_survival(mix: AncillaMixture, cov, t):

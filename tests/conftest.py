@@ -9,7 +9,14 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from triqec.noise import PAIRS, _draw, _phase_loading, phase_table, validate_covariance
+from triqec.noise import (
+    PAIRS,
+    NoiseChannel,
+    _draw,
+    _phase_loading,
+    phase_table,
+    validate_covariance,
+)
 from triqec.operators import (
     DIM,
     IDENTITY2,
@@ -42,6 +49,11 @@ def random_psd(rng: np.random.Generator, scale: float = 1.0, rank: int = 3) -> n
     """A generic symmetric positive semidefinite 3x3 matrix of the given rank."""
     a = rng.normal(size=(3, rank))
     return scale * (a @ a.T)
+
+
+def mc_channel(cov, samples: int = 100, seed=1, **kwargs) -> NoiseChannel:
+    """A Monte Carlo channel of ``cov`` with these settings."""
+    return NoiseChannel(cov, kind="monte-carlo", samples=samples, seed=seed, **kwargs)
 
 
 def reference_stream(cov, t: float, seed, samples: int) -> np.ndarray:

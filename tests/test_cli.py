@@ -361,3 +361,29 @@ def test_fit_names_a_non_finite_curve_file(tmp_path, capsys, rows, message):
     assert run_cli("fit", "--in", curve, "--model", "correlated", "--out", out) == 2
     assert f"triqec fit: {curve}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,line,row",
+    [
+        ("t,v\n0,1\n0.5,abc\n1,0.5\n", 3, "['0.5', 'abc']"),
+        ("t,v\n\n0,1\n0.5\n1,0.5\n", 4, "['0.5']"),
+        ("0,1\nt,v\n1,0.5\n2,0.25\n", 2, "['t', 'v']"),
+    ],
+    ids=["unparsable", "one-field", "late-header"],
+)
+def test_fit_names_a_malformed_curve_row(tmp_path, capsys, text, line, row):
+    # Only the first non-blank row may be a header; a later bad row is not dropped.
+    curve = tmp_path / "curve.csv"
+    curve.write_text(text)
+    out = tmp_path / "o.csv"
+    assert run_cli("fit", "--in", curve, "--model", "correlated", "--out", out) == 2
+    assert f"triqec fit: {curve}:{line}: expected t,value, got {row}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_skips_blank_rows_and_one_header(tmp_path, capsys):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("\n  \nt,v\n0,1\n\n1,0.5\n2,0.25\n")
+    assert run_cli("fit", "--in", curve, "--model", "correlated", "--out", tmp_path / "o.csv") == 0
+    assert capsys.readouterr().out.startswith("rate = 0.693147180559945")

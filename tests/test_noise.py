@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import (
+    mc_channel,
     random_density,
     random_propagator,
     random_psd,
@@ -35,6 +36,11 @@ from triqec.noise import (
     validate_covariance,
 )
 from triqec.operators import IDENTITY8, angular_momentum, idempotent
+from triqec.protocol import PipelineConfig, run_pipeline_mc
+
+
+def mc_config(cov):
+    return PipelineConfig(channel=NoiseChannel(covariance=cov), bloch=(0.0, 0.0, 1.0))
 
 
 def test_validate_covariance_accepts_psd():
@@ -125,6 +131,10 @@ def test_noise_channel_validation():
         ({"workers": 0}, "workers"),
         ({"kind": "monte-carlo", "samples": 1e3}, "samples"),
         ({"kind": "monte-carlo", "samples": 0}, "samples"),
+        ({"samples": 0}, "samples"),
+        ({"samples": -5}, "samples"),
+        ({"samples": "many"}, "samples"),
+        ({"samples": 1.5}, "samples"),
     ],
 )
 def test_noise_channel_rejects_bad_counts(kwargs, name):
@@ -137,7 +147,7 @@ def test_monte_carlo_seed_is_checked_where_it_enters(seed):
     with pytest.raises(ValueError, match="seed"):
         NoiseChannel(covariance=np.eye(3), kind="monte-carlo", samples=10, seed=seed)
     with pytest.raises(ValueError, match="seed"):
-        mean_phases(np.eye(3), 0.3, 10, seed)
+        run_pipeline_mc(mc_config(np.eye(3)), 0.3, 10, seed)
 
 
 def test_monte_carlo_seed_accepts_integers_and_seed_sequences():
@@ -146,9 +156,9 @@ def test_monte_carlo_seed_accepts_integers_and_seed_sequences():
     sequence = np.random.SeedSequence([5, 1])
     assert NoiseChannel(covariance=np.eye(3), seed=sequence).seed is sequence
     weights = pair_weights(np.arange(64.0).reshape(8, 8))
-    runs = [mean_phases(np.eye(3), 0.3, 10, s, weights=weights) for s in (5, np.int64(5))]
+    runs = [mean_phases(mc_channel(np.eye(3), 10, s), 0.3, weights) for s in (5, np.int64(5))]
     assert np.array_equal(runs[0][0], runs[1][0]) and runs[0][1] == runs[1][1]
-    mean_phases(np.eye(3), 0.3, 10, sequence)
+    mean_phases(mc_channel(np.eye(3), 10, sequence), 0.3)
 
 
 def test_mean_phases_adds_the_block_sums_in_stream_order():
@@ -164,12 +174,12 @@ def test_mean_phases_adds_the_block_sums_in_stream_order():
         sin_sum = sin_sum + sin.sum(axis=1)
     expected = phase_table(cos_sum / n, sin_sum / n)
     for workers in (1, 3):
-        table, estimate = mean_phases(cov, t, n, seed, workers)
+        table, estimate = mean_phases(mc_channel(cov, n, seed, workers=workers), t)
         assert np.array_equal(table, expected) and estimate is None
     with pytest.raises(ValueError, match="workers"):
-        mean_phases(cov, t, n, seed, workers=0)
+        run_pipeline_mc(mc_config(cov), t, n, seed, workers=0)
     with pytest.raises(ValueError, match="samples"):
-        mean_phases(cov, t, 1e3, seed)
+        run_pipeline_mc(mc_config(cov), t, 1e3, seed)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -230,9 +240,9 @@ def test_sample_phases_load_every_row(size):
 
 def test_mean_phases_is_deterministic_per_seed():
     cov, weights = uncorrelated(1.0), pair_weights(np.arange(64.0).reshape(8, 8))
-    a = mean_phases(cov, 0.3, 100, 9, weights=weights)
-    b = mean_phases(cov, 0.3, 100, 9, weights=weights)
-    c = mean_phases(cov, 0.3, 100, 10, weights=weights)
+    a = mean_phases(mc_channel(cov, 100, 9), 0.3, weights)
+    b = mean_phases(mc_channel(cov, 100, 9), 0.3, weights)
+    c = mean_phases(mc_channel(cov, 100, 10), 0.3, weights)
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
     assert not np.array_equal(a[0], c[0]) and a[1] != c[1]
 
@@ -443,10 +453,12 @@ def test_mc_deterministic_across_worker_counts():
 
 
 def test_mc_requires_monte_carlo_channel():
-    with pytest.raises(ValueError):
-        apply_channel_mc(
-            np.eye(8) / 8, NoiseChannel(covariance=np.eye(3), kind="analytic"), 0.1
-        )
+    analytic = NoiseChannel(covariance=np.eye(3), kind="analytic", samples=10)
+    message = "sampled phases need a monte-carlo channel, got kind 'analytic'"
+    with pytest.raises(ValueError, match=message):
+        apply_channel_mc(np.eye(8) / 8, analytic, 0.1)
+    with pytest.raises(ValueError, match=message):
+        mean_phases(analytic, 0.1)
 
 
 def test_gauss_hermite_oracle_reproduces_analytic_channel():

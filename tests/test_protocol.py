@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     forward_derivative,
     grid_nogo_search,
+    mc_channel,
     polar_amplitudes,
     pure_data_state,
     random_propagator,
@@ -28,6 +29,7 @@ from triqec.noise import (
     apply_channel_mc,
     dephase,
     dephasing_factors,
+    mean_phases,
     totally_correlated,
     uncorrelated,
 )
@@ -291,6 +293,59 @@ def test_entry_points_share_one_overflow_rule(entry_point, entry):
         call(cov, limit * (1 + 1e-9))
 
 
+def _outputs(result):
+    # A pipeline result's reduced state, survival and standard error as one array.
+    return np.append(result.reduced, [result.survival, result.survival_stderr or 0.0])
+
+
+#: Each entry point where a time meets a channel, as a function of the time.
+SCALAR_TIME_ENTRY_POINTS = {
+    "dephasing_factors": lambda t: dephasing_factors(np.eye(3), t),
+    "apply_channel_analytic": lambda t: apply_channel_analytic(np.eye(8) / 8, np.eye(3), t),
+    "apply_channel_mc": lambda t: apply_channel_mc(np.eye(8) / 8, mc_channel(np.eye(3)), t),
+    "mean_phases": lambda t: mean_phases(mc_channel(np.eye(3)), t)[0],
+    "run_pipeline": lambda t: _outputs(run_pipeline(make_config(np.eye(3), bloch=BLOCH), t)),
+    "run_pipeline_monte_carlo_channel": lambda t: _outputs(
+        run_pipeline(PipelineConfig(channel=mc_channel(np.eye(3)), bloch=BLOCH), t)
+    ),
+    "run_pipeline_mc": lambda t: _outputs(
+        run_pipeline_mc(make_config(np.eye(3), bloch=BLOCH), t, samples=100, seed=1)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry_point", list(SCALAR_TIME_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "times",
+    [[0.3], np.array([0.1, 0.2, 0.3]), np.linspace(0, 1, 8), np.full((2, 2), 0.3)],
+    ids=["list", "three", "eight", "2x2"],
+)
+def test_times_meeting_a_channel_must_be_scalar(entry_point, times):
+    # An array of times would broadcast against the 8x8 factor table (eight
+    # times gave one survival, three a silently wrong one) or fail in numpy.
+    with pytest.raises(ValueError, match=r"t must be a scalar time, got an array of shape"):
+        SCALAR_TIME_ENTRY_POINTS[entry_point](times)
+
+
+@pytest.mark.parametrize("entry_point", list(SCALAR_TIME_ENTRY_POINTS))
+def test_zero_dimensional_times_give_the_float_results(entry_point):
+    call = SCALAR_TIME_ENTRY_POINTS[entry_point]
+    expected = call(0.3)
+    for t in (np.float64(0.3), np.array(0.3)):
+        assert np.array_equal(call(t), expected)
+
+
+def test_closed_forms_keep_accepting_time_arrays():
+    times, cov = np.linspace(0.0, 1.0, 8), uncorrelated(0.389)
+    mix = AncillaMixture(0.4, 0.3, 0.2, 0.1)
+    for values, scalar in (
+        (survival_factor(cov, times), lambda t: survival_factor(cov, t)),
+        (uncorrected_decay(cov, times), lambda t: uncorrected_decay(cov, t)),
+        (mixed_ancilla_survival(mix, cov, times), lambda t: mixed_ancilla_survival(mix, cov, t)),
+    ):
+        np.testing.assert_allclose(values, [scalar(t) for t in times], rtol=1e-14, atol=0)
+
+
 def test_a_huge_covariance_over_a_tiny_time_decays_to_zero():
     # C*t = 1e8 is representable although 9 max|c_jk| = 9e308 is not.
     cov, t = np.full((3, 3), 1e308), 1e-300
@@ -445,13 +500,19 @@ def test_pipeline_survival_bounded_by_one():
 
 
 def test_run_pipeline_dispatches_on_channel_kind():
-    cov = uncorrelated(0.5)
-    channel = NoiseChannel(covariance=cov, kind="monte-carlo", samples=4000, seed=11)
-    config = PipelineConfig(channel=channel, bloch=(0.0, 0.0, 1.0))
-    via_run = run_pipeline(config, 0.3)
-    via_mc = run_pipeline_mc(config, 0.3, samples=4000, seed=11)
-    assert via_run.survival == via_mc.survival
-    assert via_run.survival_stderr == via_mc.survival_stderr
+    # run_pipeline_mc only swaps its settings into the channel: one body, so
+    # every output is bit-identical.
+    rng = np.random.default_rng(4)
+    frames = (("x", "none", 11), ("z", "y-pi/2", np.random.SeedSequence(2)))
+    for cov, workers, correction in ((uncorrelated(0.5), 1, True), (random_psd(rng), 3, False)):
+        for axis, rotation, seed in frames:
+            channel = mc_channel(cov, 5000, seed, axis=axis, workers=workers)
+            settings = {"bloch": BLOCH, "correction": correction, "basis_rotation": rotation}
+            via_run = run_pipeline(PipelineConfig(channel=channel, **settings), 0.3)
+            config = make_config(cov, axis=axis, **settings)
+            via_mc = run_pipeline_mc(config, 0.3, 5000, seed, workers)
+            assert np.array_equal(_outputs(via_run), _outputs(via_mc))
+            assert via_run.bloch_in == via_mc.bloch_in and via_run.bloch_out == via_mc.bloch_out
 
 
 @pytest.mark.parametrize(
