@@ -1,7 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from conftest import (
@@ -34,6 +38,7 @@ from triqec.noise import (
     totally_correlated,
     uncorrelated,
     validate_covariance,
+    validate_time,
 )
 from triqec.operators import IDENTITY8, angular_momentum, idempotent
 from triqec.protocol import PipelineConfig, run_pipeline_mc
@@ -195,6 +200,76 @@ def test_pair_phasors_match_the_pair_angles(rank):
         error = np.abs(phase_table(cos.T, sin.T) - trajectory_phases(chis))
         bound = 1e-15 * (1 + np.abs(chis).sum(axis=1))
         assert (error.max(axis=(1, 2)) <= bound).all(), scale
+
+
+def test_pair_phasors_are_exact_at_zero_phase():
+    # tan(0) = 0 makes every spin phasor exactly 1 + 0i, hence every pair phasor.
+    chis = np.zeros((BLOCK, 3))
+    cos, sin = _pair_phasors(chis, np.full((_ROWS, BLOCK), np.nan))
+    assert (cos == 1.0).all() and (sin == 0.0).all()
+
+
+@pytest.mark.parametrize("magnitude", ["odd-pi", "huge"])
+def test_pair_phasors_stay_finite_where_the_half_angle_tangent_is_large(magnitude):
+    # At odd multiples of pi, tan(chi / 2) is about 1e16; far out it is
+    # whatever the argument reduction gives.  Both must still give the pair
+    # phasors within the bound of test_pair_phasors_match_the_pair_angles.
+    rng = np.random.default_rng(41)
+    if magnitude == "odd-pi":
+        chis = np.pi * (2 * rng.integers(-50, 50, size=(500, 3)) + 1)
+    else:
+        chis = rng.choice([-1.0, 1.0], size=(500, 3)) * 10.0 ** rng.uniform(0, 300, size=(500, 3))
+        chis[:3] = [[1e300, -1e300, np.pi], [-np.pi, 1e300, 0.0], [1e-300, 3 * np.pi, -1e300]]
+    cos, sin = _pair_phasors(chis, np.empty((_ROWS, len(chis))))
+    assert np.isfinite(cos).all() and np.isfinite(sin).all()
+    error = np.abs(phase_table(cos.T, sin.T) - trajectory_phases(chis))
+    bound = 1e-15 * (1 + np.abs(chis).sum(axis=1))
+    assert (error.max(axis=(1, 2)) <= bound).all()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(chis=arrays(float, (5, 3), elements=st.floats(-1e300, 1e300)))
+def test_spin_phasors_have_unit_modulus(chis):
+    cos, sin = _pair_phasors(chis, np.empty((_ROWS, len(chis))))
+    for row in (0, 2, 8):  # z3, z2, z1
+        assert np.abs(cos[row] ** 2 + sin[row] ** 2 - 1.0).max() <= 1e-15
+
+
+def test_pair_phasors_allocate_nothing():
+    # Every row is written in place into the buffer: any temporary of a row
+    # or more (np.tan(0.5 * chis) would make two of three rows) exceeds this
+    # peak, and so does a 64 KB ufunc iteration buffer.
+    chis = np.random.default_rng(2).standard_normal((BLOCK, 3))
+    buffer = np.empty((_ROWS, BLOCK))
+    _pair_phasors(chis, buffer)  # warm up
+    tracemalloc.start()
+    try:
+        _pair_phasors(chis, buffer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < BLOCK * 8
+
+
+@pytest.mark.parametrize(
+    "t, shown",
+    [
+        (float("nan"), "nan"),
+        (float("inf"), "inf"),
+        (-float("inf"), "-inf"),
+        (-1.0, "-1.0"),
+        (-2, "-2.0"),
+        (np.float64(-0.5), "-0.5"),
+        (np.array(float("nan")), "nan"),
+        (np.array(float("inf")), "inf"),
+        (np.array(-3.0), "-3.0"),
+        (np.array([0.5, -4.0]), "-4.0"),
+    ],
+)
+def test_validate_time_names_the_bad_time(t, shown):
+    with pytest.raises(ValueError) as error:
+        validate_time(t)
+    assert str(error.value) == f"time must be finite and >= 0, got {shown}"
 
 
 def test_sample_phases_zero_time():
