@@ -45,7 +45,7 @@ from .analytics import (
     uncorrected_decay,
 )
 from .models import NAMED_MODELS, named_model, positive_finite
-from .noise import NoiseChannel, validate_covariance, validate_integer
+from .noise import MAX_SAMPLES, NoiseChannel, validate_covariance, validate_integer
 from .protocol import PipelineConfig, ancilla_mixture_nogo_search, run_pipeline_mc
 
 SEED_ENV = "TRIQEC_SEED"
@@ -192,7 +192,7 @@ def cmd_decay(args) -> int:
     validate_integer(args.points, "--points", 1)
     positive_finite(args.tmax, "--tmax")
     if args.mc is not None:
-        validate_integer(args.mc, "--mc", 1)
+        validate_integer(args.mc, "--mc", 1, MAX_SAMPLES)
     validate_integer(args.workers, "--workers", 1)
     times = np.linspace(0.0, args.tmax, args.points)
     corrected = args.correction == "on"

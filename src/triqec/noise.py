@@ -28,13 +28,20 @@ the real cos(p . chi) and sin(p . chi) of each pair and scatters the means
 back to the 8x8 table once (``phase_table``); ``pair_weights`` folds a
 64-element observable onto the same 13 pairs.  It never forms the angles
 p . chi: each pair phasor exp(i p . chi) is a product of the three spin
-phasors exp(i chi_k), so a trajectory costs 3 half-angle tangents and a few
-rational operations, and 10 complex products in real arithmetic.
+phasors z_k = exp(i chi_k), and a trajectory forms only five of them.  3
+half-angle tangents and a few rational operations give z1, z2 and z3, and 2
+complex products in real arithmetic give z2 z3 and z2 conj(z3).  The other
+eight pairs are z1 w or z1 conj(w) for w one of z3, z2 conj(z3), z2 and
+z2 z3, so their sums are dot products of the w rows with re z1 and im z1.
+Per block, 2 small matrix products do the rest: the phasor rows times
+[re z1, im z1, 1] give all 26 pair sums, and a 3 x 10 fold of the observable
+times the phasor rows gives each trajectory's survival.
 
 Monte Carlo reproducibility and memory: the phases come from a counter-based
 Philox stream keyed by the seed, drawn and reduced ``BLOCK`` vectors at a time
 and added in stream order, so memory does not grow with the sample count and
 results are bit-identical no matter how many worker threads reduce the blocks.
+The calling thread only draws the normals; the reducing threads load them.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ import itertools
 import math
 import operator
 import os
+import sys
 import weakref
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -150,9 +158,16 @@ def validate_covariance(cov) -> np.ndarray:
 
 def validate_time(t):
     """Return ``t`` if every time in it is finite and >= 0, else raise ValueError."""
-    if isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t) and t >= 0:
+    if isinstance(t, (int, float)) and not isinstance(t, bool) and 0 <= t <= sys.float_info.max:
         return t  # a valid Python (or numpy float64) scalar, checked without numpy
-    times = np.asarray(t, dtype=float)
+    try:
+        times = np.asarray(t, dtype=float)
+    except OverflowError:  # a Python int beyond the float range, such as 10**400
+        from decimal import Context  # only here: importing it costs 1.5 ms
+
+        big = next(x for x in np.asarray(t, dtype=object).flat if not abs(x) <= sys.float_info.max)
+        shown = Context(prec=17).create_decimal(big).normalize()  # as a float repr would
+        raise ValueError(f"time must be finite and >= 0, got {shown:e}") from None
     bad = ~(np.isfinite(times) & (times >= 0))
     if bad.any():
         raise ValueError(f"time must be finite and >= 0, got {float(times[bad].flat[0])!r}")
@@ -169,14 +184,21 @@ def uncorrelated(tau: float) -> np.ndarray:
     return UNCORRELATED.covariance(tau)
 
 
-def validate_integer(value, name: str, minimum: int | None = None) -> int:
-    """``value`` as an int (numpy integers too) >= ``minimum``, else a ValueError naming it."""
+def validate_integer(
+    value, name: str, minimum: int | None = None, maximum: int | None = None
+) -> int:
+    """``value`` as an int (numpy integers too) in [minimum, maximum], else a ValueError naming it.
+
+    A bound of None is not checked.
+    """
     try:
         count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if minimum is not None and count < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    if maximum is not None and count > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value!r}")
     return count
 
 
@@ -187,13 +209,18 @@ def validate_seed(seed):
     return validate_integer(seed, "seed", 0)
 
 
+#: The largest Monte Carlo sample count: a count must fit a C index.
+MAX_SAMPLES = sys.maxsize
+
+
 @dataclass(frozen=True, eq=False)
 class NoiseChannel:
     """A dephasing channel: covariance, axis, and how to average over it.
 
     ``kind`` is "analytic" for the exact Gaussian average or "monte-carlo" for
     sampled trajectories, which requires ``samples``.  Every setting is checked
-    here: ``samples`` (when given) and ``workers`` >= 1, ``seed`` >= 0.
+    here: ``samples`` (when given) in [1, ``MAX_SAMPLES``], ``workers`` >= 1,
+    ``seed`` >= 0.
     """
 
     covariance: np.ndarray
@@ -211,7 +238,8 @@ class NoiseChannel:
         object.__setattr__(self, "workers", validate_integer(self.workers, "workers", 1))
         object.__setattr__(self, "seed", validate_seed(self.seed))
         if self.kind == "monte-carlo" or self.samples is not None:
-            object.__setattr__(self, "samples", validate_integer(self.samples, "samples", 1))
+            samples = validate_integer(self.samples, "samples", 1, MAX_SAMPLES)
+            object.__setattr__(self, "samples", samples)
 
 
 def phase_scaled(cov, t):
@@ -247,11 +275,6 @@ def _phase_loading(cov, t: float) -> np.ndarray:
     phase_scaled(c, _scalar_time(t))  # checks t, and that C*t does not overflow
     eigvals, eigvecs = np.linalg.eigh(c * t)
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-
-
-def _draw(loading: np.ndarray, rng: np.random.Generator, size: int | None) -> np.ndarray:
-    # The next ``size`` phase vectors of ``rng``'s stream (one if None).
-    return rng.standard_normal(3 if size is None else (size, 3)) @ loading.T
 
 
 def dephasing_factors(cov, t: float) -> np.ndarray:
@@ -307,90 +330,145 @@ def apply_channel_analytic(rho: np.ndarray, cov, t: float, axis: str = "x") -> n
     return dephase(rho, dephasing_factors(cov, t), axis)
 
 
-#: Rows of a block's buffer: the 13 pair cosines, the 13 pair sines and 4 scratch rows.
-_ROWS = 2 * len(PAIRS) + 4
+#: Rows of a block's slot: its 10 phasor rows, a row of ones (refilled per
+#: block, as the survivals' three rows reuse it), and 2 scratch rows.
+_ROWS = 13
+#: Slot rows (real, imaginary) of the five phasors a block forms, by their
+#: pattern p: z1, z2, z3, z2 z3 and z2 conj(z3), for the spin phasors
+#: z_k = exp(i chi_k).  The spins' rows come in order, so that z1, z2, z3
+#: span two 3-row blocks, and re z1, im z1 and the ones (row 10) are evenly
+#: spaced: the right-hand side of a block's sums is one strided view.
+_PHASOR_ROWS = {
+    (1, 0, 0): (4, 7),
+    (0, 1, 0): (5, 8),
+    (0, 0, 1): (6, 9),
+    (0, 1, 1): (0, 2),
+    (0, 1, -1): (1, 3),
+}
+#: Slot rows of the phasors, cos chi_k, sin chi_k, [re z1, im z1, 1] and the survivals.
+_PHASORS, _COS, _SIN, _RIGHT, _SURVIVAL = (
+    slice(0, 10), slice(4, 7), slice(7, 10), slice(4, 11, 3), slice(10, 13)
+)
 
 
-def _products(re, im, scratch, w, v, plus, minus) -> None:
-    # Rows ``plus`` <- z_w z_v and rows ``minus`` <- z_w conj(z_v) of the
-    # phasors z = re + i im, in real arithmetic; ``minus`` doubles as scratch.
-    np.multiply(re[w], re[v], out=scratch)
-    np.multiply(im[w], im[v], out=re[minus])
-    np.subtract(scratch, re[minus], out=re[plus])
-    np.add(scratch, re[minus], out=re[minus])
-    np.multiply(im[w], re[v], out=scratch)
-    np.multiply(re[w], im[v], out=im[minus])
-    np.add(scratch, im[minus], out=im[plus])
-    np.subtract(scratch, im[minus], out=im[minus])
+def _fold() -> np.ndarray:
+    # The (26, 30) map from a block's products P = phasor rows @ [re z1,
+    # im z1, 1], raveled, to its 13 pair cosine sums, then 13 sine sums.
+    # Pair p's phasor is a w: w = re w + i s im w is one of the five phasors
+    # (s = 1) or its conjugate (s = -1), and a is z1 (P's columns 0 and 1)
+    # if p has a z1 factor that w leaves out, else 1 (column 2).
+    fold = np.zeros((2, len(PAIRS), 10, 3))
+    for k, (p1, p2, p3) in enumerate(PAIRS.astype(int)):
+        if p2 == p3 == 0:
+            (re, im), s, z1 = _PHASOR_ROWS[1, 0, 0], 1, False
+        else:
+            s = 1 if (p2, p3) > (0, 0) else -1
+            (re, im), z1 = _PHASOR_ROWS[0, s * p2, s * p3], p1 == 1
+        if z1:  # (re z1 + i im z1)(re w + i s im w)
+            fold[:, k, re, :2] += np.eye(2)
+            fold[:, k, im, :2] += s * np.array([[0, -1], [1, 0]])
+        else:
+            fold[0, k, re, 2], fold[1, k, im, 2] = 1, s
+    return _frozen(fold.reshape(2 * len(PAIRS), 30))
 
 
-def _pair_phasors(chis: np.ndarray, buffer: np.ndarray):
-    # The (13, n) cosines and sines of the pair angles p . chi of n phase
-    # vectors, written into ``buffer``'s rows.  Each pair phasor exp(i p . chi)
-    # is a product of the spin phasors z_k = exp(i chi_k): in PAIRS order the
-    # pairs are z3, z2 conj(z3), z2, z2 z3, then z1 times the conjugates of
-    # those four in reverse, z1, and z1 times those four.  Each z_k comes from
-    # h = tan(chi_k / 2), since numpy's float64 tan is SIMD where its cos and
-    # sin may call scalar libm: cos chi = 2 / (1 + h^2) - 1 and
-    # sin chi = h * 2 / (1 + h^2), written in place with no temporaries.  The
-    # 4-row products get their scratch rows reversed, which (numpy 2.4) spares
-    # four of their ufunc calls a 64 KB iteration buffer each.
-    n = len(chis)
-    re, im, scratch = buffer[:13, :n], buffer[13:26, :n], buffer[26:, :n]
-    for row, spin in ((0, 2), (2, 1), (8, 0)):
-        h, r = im[row], re[row]
-        np.multiply(chis[:, spin], 0.5, out=h)
-        np.tan(h, out=h)
-        np.multiply(h, h, out=r)
-        r += 1.0
-        np.divide(2.0, r, out=r)
-        h *= r
-        r -= 1.0
-    _products(re, im, scratch[0], 2, 0, 3, 1)
-    _products(re, im, scratch[::-1], 8, slice(0, 4), slice(9, 13), slice(7, 3, -1))
-    return re, im
+#: Exact (entries 0 and +-1) map from a block's products to its pair sums.
+_FOLD = _fold()
 
 
-def _block_sums(chis: np.ndarray, buffer: np.ndarray, weights):
-    # One block's 13 pair cosine and sine sums and, given pair weights, the
-    # (count, mean, M2) of its survivals w0 + wc @ cos + ws @ sin.
-    cos, sin = _pair_phasors(chis, buffer)
+def _survival_weights(weights) -> tuple[float, np.ndarray]:
+    # ``pair_weights``' (w0, wc, ws) as (w0, U): a trajectory's survival is
+    # w0 + re z1 (U[0] @ A) + im z1 (U[1] @ A) + U[2] @ A, A its phasor rows.
+    w0, wc, ws = weights
+    folded = np.concatenate([wc, ws]) @ _FOLD
+    return w0, np.ascontiguousarray(folded.reshape(10, 3).T)
+
+
+def _phasors(normals: np.ndarray, half: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    # The (10, n) phasor rows of n normals' phases chi = 2 half @ normal,
+    # written into the (_ROWS, n) ``slot`` with no temporaries.  chi / 2 goes
+    # into the sine rows; z_k comes from h = tan(chi_k / 2), since numpy's
+    # float64 tan is SIMD where its cos and sin may call scalar libm:
+    # cos chi = 2 / (1 + h^2) - 1 and sin chi = h * 2 / (1 + h^2).  Row 11 is
+    # the products' scratch.
+    h, r, scratch = slot[_SIN], slot[_COS], slot[11]
+    np.matmul(half, normals.T, out=h)
+    np.tan(h, out=h)
+    np.multiply(h, h, out=r)
+    r += 1.0
+    np.divide(2.0, r, out=r)
+    h *= r
+    r -= 1.0
+    (re_p, re_m, im_p, im_m), (re2, re3), (im2, im3) = slot[:4], r[1:], h[1:]
+    np.multiply(re2, re3, out=scratch)
+    np.multiply(im2, im3, out=re_m)
+    np.subtract(scratch, re_m, out=re_p)
+    np.add(scratch, re_m, out=re_m)
+    np.multiply(im2, re3, out=scratch)
+    np.multiply(re2, im3, out=im_m)
+    np.add(scratch, im_m, out=im_p)
+    np.subtract(scratch, im_m, out=im_m)
+    return slot[_PHASORS]
+
+
+def _block_sums(normals: np.ndarray, half: np.ndarray, slot: np.ndarray, weights):
+    # One block's 13 pair cosine sums and 13 sine sums and, given
+    # ``_survival_weights``, the (count, mean, M2) of its survivals, left in
+    # slot row 12.  The z1 pair sums are dot products of the w rows with
+    # re z1 and im z1, so the 8 phasors z1 w and z1 conj(w) are never formed.
+    phasors, right = _phasors(normals, half, slot), slot[_RIGHT]
+    right[2] = 1.0
+    sums = _FOLD @ (phasors @ right.T).ravel()
     stats = None
     if weights is not None:
-        values = weights[0] + weights[1] @ cos + weights[2] @ sin
+        w0, u = weights
+        (re1, im1, _), (by_re1, by_im1, values) = right, slot[_SURVIVAL]
+        np.matmul(u, phasors, out=slot[_SURVIVAL])
+        by_re1 *= re1
+        by_im1 *= im1
+        values += by_re1
+        values += by_im1
+        values += w0
         mean = values.mean()
-        stats = len(values), mean, ((values - mean) ** 2).sum()
-    return cos.sum(axis=1), sin.sum(axis=1), stats
+        np.subtract(values, mean, out=by_re1)
+        by_re1 *= by_re1
+        stats = len(normals), mean, by_re1.sum()
+    return sums, stats
 
 
 def _add(total, block):
     # The running total of the blocks so far plus the next block; the
     # (count, mean, M2) triples merge by Chan, Golub & LeVeque (1979).
-    (cos, sin, a), (block_cos, block_sin, b) = total, block
+    (sums, a), (block_sums, b) = total, block
     if a is not None:
         (na, ma, sa), (nb, mb, sb) = a, b
         n, delta = na + nb, mb - ma
         a = n, ma + delta * (nb / n), sa + sb + delta * delta * (na * nb / n)
-    return cos + block_cos, sin + block_sin, a
+    return sums + block_sums, a
 
 
-def _stream(loading: np.ndarray, samples: int, seed, workers: int, weights):
+def _stream(half: np.ndarray, samples: int, seed, workers: int, weights):
     # _block_sums of each BLOCK of the seeded stream, in stream order.  The
-    # calling thread draws while min(workers, CPUs) threads reduce, with one
-    # block more in flight.  Each in-flight block reuses its slot of one
-    # buffer allocated per call: fresh temporaries of 4 to 13 rows of BLOCK
-    # floats, above the allocator's mmap threshold, would be mapped and
-    # page-faulted per block.
+    # calling thread draws the normals while min(workers, CPUs) threads load
+    # and reduce them, with one block more in flight.  Each in-flight block
+    # works in its slot of one buffer allocated per call: fresh temporaries
+    # of BLOCK floats a row, above the allocator's mmap threshold, would be
+    # mapped and page-faulted per block.  A block of n samples takes the
+    # first _ROWS * n floats of its slot as (_ROWS, n), so that its rows are
+    # contiguous whatever n: a ufunc over several rows of a wider buffer
+    # would allocate an iteration buffer.
     rng = np.random.Generator(np.random.Philox(seed))
     threads, blocks = min(workers, os.cpu_count() or 1), range(0, samples, BLOCK)
-    slots = np.empty((min(threads + 1, len(blocks)), _ROWS, min(BLOCK, samples)))
+    slots = np.empty((min(threads + 1, len(blocks)), _ROWS * min(BLOCK, samples)))
     window = deque()
     with ThreadPoolExecutor(threads) as pool:
         for index, start in enumerate(blocks):
-            chis = _draw(loading, rng, min(BLOCK, samples - start))
+            n = min(BLOCK, samples - start)
+            normals = rng.standard_normal((n, 3))
             if len(window) == len(slots):  # frees slot index % len(slots)
                 yield window.popleft().result()
-            window.append(pool.submit(_block_sums, chis, slots[index % len(slots)], weights))
+            slot = slots[index % len(slots), : _ROWS * n].reshape(_ROWS, n)
+            window.append(pool.submit(_block_sums, normals, half, slot, weights))
         while window:
             yield window.popleft().result()
 
@@ -403,18 +481,19 @@ def mean_phases(channel: NoiseChannel, t: float, weights=None):
     :func:`pair_weights`, also returns the mean and standard error of the
     trajectories' survivals w0 + cos @ wc + sin @ ws (else None).
 
-    The survivals come from BLAS gemv, which rounds the last n mod 4 of a
-    block differently from the rest, so equal survivals (at t = 0, say) can
-    give a standard error of about 1e-17 rather than 0.  A per-element
-    contraction rounds them alike but took 137 us against 33 us per block
-    (2-core x86 host, numpy 2.4).
+    One matrix product rounds equal survivals (at t = 0, say) alike, but a
+    block's mean is its sum over n, which rounds, so their standard error is
+    still about 1e-17 rather than 0: at t = 0 it was nonzero in 283 of 300
+    random runs, at most 2.4e-17 (2-core x86 host, numpy 2.4).
     """
     if channel.kind != "monte-carlo":
         raise ValueError(f"sampled phases need a monte-carlo channel, got kind {channel.kind!r}")
     samples, loading = channel.samples, _phase_loading(channel.covariance, t)
-    blocks = _stream(loading, samples, channel.seed, channel.workers, weights)
-    cos, sin, stats = functools.reduce(_add, blocks)
-    mean = phase_table(cos / samples, sin / samples)
+    if weights is not None:
+        weights = _survival_weights(weights)
+    blocks = _stream(0.5 * loading, samples, channel.seed, channel.workers, weights)
+    sums, stats = functools.reduce(_add, blocks)
+    mean = phase_table(sums[: len(PAIRS)] / samples, sums[len(PAIRS) :] / samples)
     if stats is None:
         return mean, None
     _, survival, m2 = stats

@@ -12,7 +12,6 @@ import pytest
 from triqec.noise import (
     PAIRS,
     NoiseChannel,
-    _draw,
     _phase_loading,
     phase_table,
     validate_covariance,
@@ -70,6 +69,17 @@ def trajectory_phases(chis) -> np.ndarray:
     return phase_table(np.cos(angles), np.sin(angles))
 
 
+def pair_phasor_products(spin_phasors) -> np.ndarray:
+    """Every pair's phasor exp(i p . chi), (13, n), by complex multiplication.
+
+    ``spin_phasors`` are the (3, n) z_k = exp(i chi_k); pair p's phasor is
+    the product of z_k over p_k = 1 and conj(z_k) over p_k = -1.
+    """
+    z = np.asarray(spin_phasors, dtype=complex)
+    powers = {-1: z.conj(), 0: np.ones_like(z), 1: z}
+    return np.array([powers[a][0] * powers[b][1] * powers[c][2] for a, b, c in PAIRS.astype(int)])
+
+
 def polar_amplitudes(theta: float, phi: float) -> tuple[complex, complex]:
     """Superposition amplitudes (alpha, beta) of the state at polar angles.
 
@@ -84,11 +94,12 @@ def polar_amplitudes(theta: float, phi: float) -> tuple[complex, complex]:
 
 
 def sample_phases(cov, t: float, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw accumulated phase vectors chi ~ N(0, C*t).
+    """Draw accumulated phase vectors chi ~ N(0, C*t): the next ``size`` of ``rng``'s stream.
 
     Returns shape (3,) or (size, 3).
     """
-    return _draw(_phase_loading(cov, t), rng, size)
+    loading = _phase_loading(cov, t)
+    return rng.standard_normal(3 if size is None else (size, 3)) @ loading.T
 
 
 def random_propagator(chi, axis: str = "x") -> np.ndarray:

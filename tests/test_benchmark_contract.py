@@ -3,8 +3,10 @@
 The benchmark under perfbench/ is run against the package in src/ and is not
 edited alongside it, so a package change that drops or renames a name it
 uses would break it silently.  These tests import its workload and tracing
-modules against this package and run one operation of each in-process
-workload through its own independent check.
+modules against this package and run the first pass of each in-process
+workload, then its verification operations, through their own independent
+checks, as the benchmark run does: a kernel change that breaks a benchmark
+check fails here.
 """
 
 import importlib
@@ -33,8 +35,11 @@ def test_in_process_workloads_set_up_and_pass_their_checks(perfbench, tmp_path, 
     workloads, _ = perfbench
     workload = workloads.WORKLOADS[name](0, Path(triqec.__file__).parents[1], tmp_path)
     exec(workload.setup_code, {})
-    op = workload.make_pass(0)[0]
-    assert op.check(op.run()) == []
+    for op in workload.make_pass(0):
+        assert op.check(op.run()) == [], op.name
+    # Only now are the references that the verification operations re-run recorded.
+    for op in workload.verification_ops():
+        assert op.check(op.run()) == [], op.name
 
 
 def test_every_traced_name_is_still_in_the_package(perfbench):

@@ -223,6 +223,18 @@ def test_decay_mc_rejects_bad_worker_count(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("samples", [sys.maxsize + 1, 10**30], ids=["maxsize+1", "10**30"])
+def test_decay_rejects_a_sample_count_beyond_an_index(tmp_path, capsys, samples):
+    # Refused before any work starts, so no huge valid count is ever run.
+    out = tmp_path / "big.csv"
+    assert run_cli("decay", "--model", "uncorrelated", "--tau", 1.0, "--points", 2,
+                   "--mc", samples, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"triqec decay: --mc must be <= {sys.maxsize}, got {samples}\n"
+    )
+    assert not out.exists()
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(triqec.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

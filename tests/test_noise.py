@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import warnings
 
@@ -10,6 +11,7 @@ from scipy.linalg import expm
 
 from conftest import (
     mc_channel,
+    pair_phasor_products,
     random_density,
     random_propagator,
     random_psd,
@@ -21,13 +23,18 @@ from triqec.noise import (
     _EPS,
     _PAIR_INDEX,
     _PAIR_SIGN,
+    _PHASOR_ROWS,
     _ROWS,
+    _SURVIVAL,
     BLOCK,
     FRAMES,
     PAIRS,
     CovarianceError,
     NoiseChannel,
-    _pair_phasors,
+    _block_sums,
+    _phase_loading,
+    _phasors,
+    _survival_weights,
     apply_channel_analytic,
     apply_channel_mc,
     dephase,
@@ -140,6 +147,8 @@ def test_noise_channel_validation():
         ({"samples": -5}, "samples"),
         ({"samples": "many"}, "samples"),
         ({"samples": 1.5}, "samples"),
+        ({"kind": "monte-carlo", "samples": sys.maxsize + 1}, "samples"),
+        ({"samples": 10**30}, "samples"),
     ],
 )
 def test_noise_channel_rejects_bad_counts(kwargs, name):
@@ -167,17 +176,17 @@ def test_monte_carlo_seed_accepts_integers_and_seed_sequences():
 
 
 def test_mean_phases_adds_the_block_sums_in_stream_order():
-    # Reference: the whole stream drawn at once, cut into BLOCK rows, each
-    # block's pair phasors summed, the sums added in order and scattered once.
+    # Reference: the whole stream's normals drawn at once, cut into BLOCK
+    # rows, each block's pair sums taken, the sums added in order and
+    # scattered once.
     cov, t, seed, n = random_psd(np.random.default_rng(8)), 0.3, 4, 3 * BLOCK + 5
-    chis = reference_stream(cov, t, seed, n)
-    cos_sum = sin_sum = 0
+    normals = np.random.Generator(np.random.Philox(seed)).standard_normal((n, 3))
+    half = 0.5 * _phase_loading(cov, t)
+    total = 0
     for start in range(0, n, BLOCK):
-        block = chis[start : start + BLOCK]
-        cos, sin = _pair_phasors(block, np.empty((_ROWS, len(block))))
-        cos_sum = cos_sum + cos.sum(axis=1)
-        sin_sum = sin_sum + sin.sum(axis=1)
-    expected = phase_table(cos_sum / n, sin_sum / n)
+        block = normals[start : start + BLOCK]
+        total = total + _block_sums(block, half, np.empty((_ROWS, len(block))), None)[0]
+    expected = phase_table(total[: len(PAIRS)] / n, total[len(PAIRS) :] / n)
     for workers in (1, 3):
         table, estimate = mean_phases(mc_channel(cov, n, seed, workers=workers), t)
         assert np.array_equal(table, expected) and estimate is None
@@ -185,6 +194,28 @@ def test_mean_phases_adds_the_block_sums_in_stream_order():
         run_pipeline_mc(mc_config(cov), t, n, seed, workers=0)
     with pytest.raises(ValueError, match="samples"):
         run_pipeline_mc(mc_config(cov), t, 1e3, seed)
+
+
+#: The pair index of each of the five phasors a block forms (z1, z2, z3,
+#: z2 z3, z2 conj(z3)), and one element per pair with eps = +p.
+FORMED_PAIRS = [int(np.flatnonzero((PAIRS == p).all(axis=1))[0]) for p in _PHASOR_ROWS]
+PLUS_ELEMENT = [int(np.flatnonzero((_PAIR_INDEX == k) & (_PAIR_SIGN > 0))[0]) for k in range(13)]
+
+
+def formed_phasors(chis, slot=None) -> np.ndarray:
+    """The kernel's five phasors of the phases ``chis``, (n, 5) complex.
+
+    With an identity loading the kernel's chi / 2 is exactly half of chis.
+    """
+    chis = np.asarray(chis, dtype=float)
+    slot = np.empty((_ROWS, len(chis))) if slot is None else slot
+    _phasors(chis, 0.5 * np.eye(3), slot)
+    return np.array([slot[re] + 1j * slot[im] for re, im in _PHASOR_ROWS.values()]).T
+
+
+def pair_phasors(chis) -> np.ndarray:
+    """exp(i p . chi) of every pair, (n, 13), read off ``trajectory_phases``."""
+    return trajectory_phases(chis).reshape(-1, 64)[:, PLUS_ELEMENT].conj()
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -196,59 +227,95 @@ def test_pair_phasors_match_the_pair_angles(rank):
     for scale in (1e-3, 1e-1, 1.0, 10.0, 1e3):
         cov = random_psd(rng, rank=rank)
         chis = reference_stream(cov / np.trace(cov), scale**2, rank, 2000)
-        cos, sin = _pair_phasors(chis, np.empty((_ROWS, len(chis))))
-        error = np.abs(phase_table(cos.T, sin.T) - trajectory_phases(chis))
+        error = np.abs(formed_phasors(chis) - pair_phasors(chis)[:, FORMED_PAIRS])
         bound = 1e-15 * (1 + np.abs(chis).sum(axis=1))
-        assert (error.max(axis=(1, 2)) <= bound).all(), scale
+        assert (error.max(axis=1) <= bound).all(), scale
 
 
 def test_pair_phasors_are_exact_at_zero_phase():
-    # tan(0) = 0 makes every spin phasor exactly 1 + 0i, hence every pair phasor.
-    chis = np.zeros((BLOCK, 3))
-    cos, sin = _pair_phasors(chis, np.full((_ROWS, BLOCK), np.nan))
-    assert (cos == 1.0).all() and (sin == 0.0).all()
+    # tan(0) = 0 makes every spin phasor exactly 1 + 0i, hence every formed
+    # phasor, and every product with re z1 = 1, im z1 = 0 or 1 is exact.
+    half = 0.5 * _phase_loading(random_psd(np.random.default_rng(4)), 0.7)
+    slot = np.full((_ROWS, BLOCK), np.nan)
+    sums, _ = _block_sums(np.zeros((BLOCK, 3)), half, slot, None)
+    for re, im in _PHASOR_ROWS.values():
+        assert (slot[re] == 1.0).all() and (slot[im] == 0.0).all()
+    assert (sums[: len(PAIRS)] == BLOCK).all() and (sums[len(PAIRS) :] == 0.0).all()
 
 
 @pytest.mark.parametrize("magnitude", ["odd-pi", "huge"])
 def test_pair_phasors_stay_finite_where_the_half_angle_tangent_is_large(magnitude):
     # At odd multiples of pi, tan(chi / 2) is about 1e16; far out it is
-    # whatever the argument reduction gives.  Both must still give the pair
-    # phasors within the bound of test_pair_phasors_match_the_pair_angles.
+    # whatever the argument reduction gives.  Both must still give the
+    # phasors within the bound of test_pair_phasors_match_the_pair_angles,
+    # and finite block sums.
     rng = np.random.default_rng(41)
     if magnitude == "odd-pi":
         chis = np.pi * (2 * rng.integers(-50, 50, size=(500, 3)) + 1)
     else:
         chis = rng.choice([-1.0, 1.0], size=(500, 3)) * 10.0 ** rng.uniform(0, 300, size=(500, 3))
         chis[:3] = [[1e300, -1e300, np.pi], [-np.pi, 1e300, 0.0], [1e-300, 3 * np.pi, -1e300]]
-    cos, sin = _pair_phasors(chis, np.empty((_ROWS, len(chis))))
-    assert np.isfinite(cos).all() and np.isfinite(sin).all()
-    error = np.abs(phase_table(cos.T, sin.T) - trajectory_phases(chis))
+    phasors = formed_phasors(chis)
+    assert np.isfinite(phasors).all()
+    error = np.abs(phasors - pair_phasors(chis)[:, FORMED_PAIRS])
     bound = 1e-15 * (1 + np.abs(chis).sum(axis=1))
-    assert (error.max(axis=(1, 2)) <= bound).all()
+    assert (error.max(axis=1) <= bound).all()
+    sums, _ = _block_sums(chis, 0.5 * np.eye(3), np.empty((_ROWS, len(chis))), None)
+    assert np.isfinite(sums).all()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(chis=arrays(float, (5, 3), elements=st.floats(-1e300, 1e300)))
 def test_spin_phasors_have_unit_modulus(chis):
-    cos, sin = _pair_phasors(chis, np.empty((_ROWS, len(chis))))
-    for row in (0, 2, 8):  # z3, z2, z1
-        assert np.abs(cos[row] ** 2 + sin[row] ** 2 - 1.0).max() <= 1e-15
+    spins = formed_phasors(chis)[:, :3]  # z1, z2, z3
+    assert np.abs(spins.real**2 + spins.imag**2 - 1.0).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [BLOCK, 1000])
+def test_block_sums_match_the_pair_phasor_products(n):
+    # Against all 13 pair phasors formed by complex multiplication of the
+    # kernel's own spin phasors: the kernel takes each z1 pair sum as two
+    # length-n dot products (error at most n eps/2 times the n terms of
+    # modulus <= 1 each), the oracle rounds each product and sums pairwise,
+    # so (n + 8) n eps bounds the difference.  A trajectory's survival is a
+    # fixed combination of 26 terms per side: 64 eps times the weights'
+    # absolute sum bounds it.
+    rng = np.random.default_rng(50 + n)
+    half = 0.5 * _phase_loading(random_psd(rng), 2.0)
+    weights = pair_weights(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    normals, slot = rng.standard_normal((n, 3)), np.empty((_ROWS, n))
+    sums, (count, mean, m2) = _block_sums(normals, half, slot, _survival_weights(weights))
+    spins = np.array([slot[re] + 1j * slot[im] for re, im in list(_PHASOR_ROWS.values())[:3]])
+    pairs = pair_phasor_products(spins)
+    expected = np.concatenate([pairs.real.sum(axis=1), pairs.imag.sum(axis=1)])
+    eps = np.finfo(float).eps
+    assert np.abs(sums - expected).max() <= (n + 8) * n * eps
+    w0, wc, ws = weights
+    survivals = w0 + wc @ pairs.real + ws @ pairs.imag
+    values = slot[_SURVIVAL][2]
+    scale = abs(w0) + np.abs(wc).sum() + np.abs(ws).sum()
+    assert np.abs(values - survivals).max() <= 64 * eps * scale
+    assert count == n and mean == values.mean() and m2 == ((values - mean) ** 2).sum()
 
 
 def test_pair_phasors_allocate_nothing():
-    # Every row is written in place into the buffer: any temporary of a row
-    # or more (np.tan(0.5 * chis) would make two of three rows) exceeds this
-    # peak, and so does a 64 KB ufunc iteration buffer.
-    chis = np.random.default_rng(2).standard_normal((BLOCK, 3))
-    buffer = np.empty((_ROWS, BLOCK))
-    _pair_phasors(chis, buffer)  # warm up
-    tracemalloc.start()
-    try:
-        _pair_phasors(chis, buffer)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < BLOCK * 8
+    # Every row of a block, from the phases to the survivals' deviations, is
+    # written in place into its slot: any temporary of a row or more
+    # (np.tan(0.5 * chis) would make three) exceeds this peak, and so does a
+    # 64 KB ufunc iteration buffer.
+    rng = np.random.default_rng(2)
+    half = 0.5 * _phase_loading(random_psd(rng), 0.5)
+    weights = _survival_weights(pair_weights(rng.normal(size=(8, 8))))
+    for n in (BLOCK, 1000):
+        normals, slot = rng.standard_normal((n, 3)), np.empty((_ROWS, n))
+        _block_sums(normals, half, slot, weights)  # warm up
+        tracemalloc.start()
+        try:
+            _block_sums(normals, half, slot, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < BLOCK * 8, n
 
 
 @pytest.mark.parametrize(
@@ -264,6 +331,10 @@ def test_pair_phasors_allocate_nothing():
         (np.array(float("inf")), "inf"),
         (np.array(-3.0), "-3.0"),
         (np.array([0.5, -4.0]), "-4.0"),
+        pytest.param(10**400, "1e+400", id="10**400"),
+        pytest.param(-(10**400), "-1e+400", id="-10**400"),
+        pytest.param(3**1000, "1.3220708194808066e+477", id="3**1000"),
+        pytest.param([0.5, 10**400], "1e+400", id="list-10**400"),
     ],
 )
 def test_validate_time_names_the_bad_time(t, shown):

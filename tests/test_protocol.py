@@ -231,7 +231,9 @@ def test_constant_gates_are_cached_read_only():
             gate[0, 0] = 0.0
 
 
-@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "bad", [-1.0, float("nan"), float("inf"), pytest.param(10**400, id="10**400")]
+)
 @pytest.mark.parametrize(
     "entry_point",
     [
