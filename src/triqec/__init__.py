@@ -17,12 +17,8 @@ from .analytics import (
     inflection_point,
     predict_corrected_curve,
     scale_to_rms,
-    survival_correlated,
     survival_derivatives_at_zero,
     survival_factor,
-    survival_second_derivative_at_zero,
-    survival_third_derivative_at_zero,
-    survival_uncorrelated,
     uncorrected_decay,
 )
 from .diffusion import GradientDiffusionSpec, attenuation_factor, spec_to_covariance
@@ -49,16 +45,13 @@ from .protocol import (
     AncillaMixture,
     ConfigError,
     CorrelatedComponent,
-    GROUND_ANCILLAE,
     NoGoCertificate,
     PipelineConfig,
     PipelineResult,
     ancilla_mixture_nogo_search,
     correlated_mixture_residuals,
-    initial_state,
     mixed_ancilla_slope_at_zero,
     mixed_ancilla_survival,
     run_pipeline,
     run_pipeline_mc,
-    sector_slope_at_zero,
 )

@@ -10,6 +10,10 @@ cross rates t*c_jk.  The product F1 F2 F3 F123 is evaluated here as a sum of
 four pure exponentials exp(-(t/2) eps^T C eps) over the triple-quantum sign
 patterns eps, which is algebraically identical but avoids the catastrophic
 cosh - sinh cancellation at large t.
+
+Other diagonal ancilla states only reweight the F2, F3 and product terms, so
+one private core evaluates the law for any weights, for ``survival_factor``
+and ``protocol.mixed_ancilla_survival`` alike.
 """
 
 from __future__ import annotations
@@ -19,9 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import named_model, positive_finite
-from .models import survival_correlated, survival_uncorrelated  # noqa: F401  (re-exported)
 from .noise import phase_scaled, validate_covariance
-from .operators import sector_index
 
 #: Triple-quantum sign patterns (one per pair +-eps) entering the product term.
 _TRIPLE_PATTERNS = np.array(
@@ -73,21 +75,24 @@ def _triple_quantum_product(cov: np.ndarray, t):
     return 0.25 * np.exp(-0.5 * np.multiply.outer(t, quads)).sum(axis=-1)
 
 
-def survival_factor(cov, t, sign2: int = +1, sign3: int = +1):
+def _decay_law(c: np.ndarray, t: np.ndarray, a2, a3, b):
+    # 0.5 (F1 + a2 F2 + a3 F3 - b F1 F2 F3 F123) for the checked (c, t) of
+    # phase_scaled; (1, 1, 1) is the ground-state law.
+    signs = np.array([1.0, a2, a3])
+    singles = (np.exp(-0.5 * np.multiply.outer(t, np.diagonal(c))) * signs).sum(axis=-1)
+    out = 0.5 * (singles - b * _triple_quantum_product(c, t))
+    return float(out) if out.ndim == 0 else out
+
+
+def survival_factor(cov, t):
     """Corrected survival of the protected Bloch components at time(s) t.
 
     Accepts a scalar or array of times; equals 1 at t = 0 for every valid
-    covariance.  ``sign2`` and ``sign3`` pick the diagonal sector the
-    ancillae start in: flipping an ancilla flips the sign of its single-spin
-    term, and their product the sign of the three-spin term.  The default
-    ground sector (+, +) is the code's working point.
+    covariance.  The ancillae start in their ground state, the code's working
+    point; ``protocol.mixed_ancilla_survival`` takes any diagonal mixture.
     """
-    sector_index(sign2, sign3)  # rejects signs other than +-1
     c, t = phase_scaled(cov, t)
-    signs = np.array([1.0, sign2, sign3])
-    singles = (np.exp(-0.5 * np.multiply.outer(t, np.diagonal(c))) * signs).sum(axis=-1)
-    out = 0.5 * (singles - sign2 * sign3 * _triple_quantum_product(c, t))
-    return float(out) if out.ndim == 0 else out
+    return _decay_law(c, t, 1, 1, 1)
 
 
 def uncorrected_decay(cov, t):
@@ -97,23 +102,20 @@ def uncorrected_decay(cov, t):
     return float(out) if out.ndim == 0 else out
 
 
-def survival_second_derivative_at_zero(cov) -> float:
-    """d^2 survival / dt^2 at t = 0; strictly negative for nonzero noise."""
-    c = validate_covariance(cov)
-    off = 2 * (c[0, 1] ** 2 + c[0, 2] ** 2 + c[1, 2] ** 2)
-    diag = c[0, 0] * c[1, 1] + c[0, 0] * c[2, 2] + c[1, 1] * c[2, 2]
-    return -0.25 * (off + diag)
+def survival_derivatives_at_zero(cov) -> tuple[float, float, float]:
+    """(first, second, third) time derivatives of the survival factor at 0.
 
-
-def survival_third_derivative_at_zero(cov) -> float:
-    """d^3 survival / dt^3 at t = 0.
-
-    Symmetric under relabeling the spins, like the decay law itself.
+    The first derivative vanishes identically: the code removes the linear
+    decay for every covariance.  The second is strictly negative for nonzero
+    noise, and the third is symmetric under relabeling the spins, like the
+    decay law itself.
     """
     c = validate_covariance(cov)
     c11, c22, c33 = c[0, 0], c[1, 1], c[2, 2]
     c12, c13, c23 = c[0, 1], c[0, 2], c[1, 2]
-    return (
+    off = 2 * (c12**2 + c13**2 + c23**2)
+    diag = c11 * c22 + c11 * c33 + c22 * c33
+    third = (
         3 * c11**2 * (c22 + c33)
         + 3 * c22**2 * (c11 + c33)
         + 3 * c33**2 * (c11 + c22)
@@ -121,16 +123,7 @@ def survival_third_derivative_at_zero(cov) -> float:
         + 12 * (c12**2 + c13**2 + c23**2) * (c11 + c22 + c33)
         + 48 * c12 * c13 * c23
     ) / 16
-
-
-def survival_derivatives_at_zero(cov) -> tuple[float, float, float]:
-    """(first, second, third) time derivatives of the survival factor at 0.
-
-    The first derivative vanishes identically: the code removes the linear
-    decay for every covariance.
-    """
-    c = validate_covariance(cov)
-    return 0.0, survival_second_derivative_at_zero(c), survival_third_derivative_at_zero(c)
+    return 0.0, -0.25 * (off + diag), third
 
 
 def inflection_point(model: str, tau: float) -> float:

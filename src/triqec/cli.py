@@ -189,7 +189,7 @@ def read_curve_csv(path: str) -> DecayCurve:
 def cmd_decay(args) -> int:
     cov = _resolve_covariance(args)
     seed = _resolve_seed(args)
-    validate_integer(args.points, "--points", 1)
+    validate_integer(args.points, "--points", 1, MAX_SAMPLES)
     positive_finite(args.tmax, "--tmax")
     if args.mc is not None:
         validate_integer(args.mc, "--mc", 1, MAX_SAMPLES)

@@ -18,6 +18,9 @@ Monte Carlo channel of the given settings.  The agreement of the two
 averages is the central cross-check of the package.  The constant gates
 (the encode/decode unitaries per correction, rotation and axis, and the
 ancilla sector projectors) are built once and cached read-only.
+
+The mixed-ancilla survival and slopes read one sign table, ``SECTOR_SIGNS``;
+a single sector is its one-hot mixture.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytics import survival_factor
+from .analytics import _decay_law
 from .gates import encoder, global_rotation, toffoli
 from .noise import (
     NoiseChannel,
@@ -36,6 +39,7 @@ from .noise import (
     dephasing_frame,
     mean_phases,
     pair_weights,
+    phase_scaled,
     validate_covariance,
 )
 from .operators import (
@@ -88,7 +92,11 @@ class AncillaMixture:
         return (self.mu_pp, self.mu_pm, self.mu_mp, self.mu_mm)
 
 
-GROUND_ANCILLAE = AncillaMixture(1.0, 0.0, 0.0, 0.0)
+#: The weights (s2, s3, s2 s3) that a sector's ancilla signs put on the F2, F3
+#: and three-spin terms of the decay law, one row per sector in
+#: ``ANCILLA_SECTORS`` order.
+SECTOR_SIGNS = np.array([(s2, s3, s2 * s3) for s2, s3 in ANCILLA_SECTORS], dtype=float)
+SECTOR_SIGNS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -173,8 +181,8 @@ def _sector_projector(sign2: int, sign3: int) -> np.ndarray:
     return projector
 
 
-def initial_state(config: PipelineConfig) -> np.ndarray:
-    """The 8x8 state the pipeline starts from."""
+def _initial_state(config: PipelineConfig) -> np.ndarray:
+    # The 8x8 state the pipeline starts from; ground-state ancillae by default.
     ancillae = config.ancillae
     if ancillae is not None and not isinstance(ancillae, AncillaMixture):
         return sum(
@@ -182,8 +190,8 @@ def initial_state(config: PipelineConfig) -> np.ndarray:
             * np.kron(data_state_from_bloch(comp.bloch), _sector_projector(*comp.sector))
             for comp in ancillae
         )
-    mix = ancillae if isinstance(ancillae, AncillaMixture) else GROUND_ANCILLAE
-    return np.kron(data_state_from_bloch(config.bloch), np.diag(mix.weights))
+    weights = ancillae.weights if isinstance(ancillae, AncillaMixture) else (1.0, 0.0, 0.0, 0.0)
+    return np.kron(data_state_from_bloch(config.bloch), np.diag(weights))
 
 
 @lru_cache(maxsize=8)  # 2 correction flags x 2 basis rotations x 2 axes
@@ -222,7 +230,7 @@ def run_pipeline(config: PipelineConfig, t: float) -> PipelineResult:
     scalar.
     """
     channel = config.channel
-    rho0 = initial_state(config)
+    rho0 = _initial_state(config)
     bloch_in = bloch_of(partial_trace_ancillae(rho0))
     pre, post = _conjugators(config.correction, config.basis_rotation, channel.axis)
     state = pre @ rho0 @ pre.conj().T
@@ -261,32 +269,25 @@ def run_pipeline_mc(
 def mixed_ancilla_survival(mix: AncillaMixture, cov, t):
     """Survival of the protected components for a diagonal ancilla mixture.
 
-    The weighted combination of the four sector survivals; equals the
-    pure-ancilla survival factor for the mixture (1, 0, 0, 0).
+    The decay law with the sector signs averaged over the mixture; a one-hot
+    mixture gives that sector's survival, and (1, 0, 0, 0) the survival
+    factor.  Accepts a scalar or array of times.
     """
-    c = validate_covariance(cov)
-    return sum(
-        weight * survival_factor(c, t, s2, s3)
-        for weight, (s2, s3) in zip(mix.weights, ANCILLA_SECTORS)
-        if weight != 0.0
-    )
+    c, t = phase_scaled(cov, t)
+    return _decay_law(c, t, *(mix.weights @ SECTOR_SIGNS))
 
 
 #: First-order decay coefficients: rows c11, c22, c33, columns the ancilla
 #: sectors in ``ANCILLA_SECTORS`` order.  Sector weights mu decay initially
-#: with slope -(SLOPES @ mu) . diag(C); the ground column is zero.
-SLOPES = 0.5 * np.array([[0, 1, 1, 0], [0, 1, 0, -1], [0, 0, 1, -1]], dtype=float)
+#: with slope -(SLOPES @ mu) . diag(C), the t-derivative at 0 of the decay
+#: law: column (1, s2, s3) - s2 s3, over 4.  The ground column is zero.
+SLOPES = 0.25 * (np.c_[np.ones(4), SECTOR_SIGNS[:, :2]] - SECTOR_SIGNS[:, 2:]).T
 SLOPES.setflags(write=False)
 
 
 def _slope(weights, cov):
     # -(SLOPES @ weights) . diag(C) for sector weights of shape (4,) or (4, k).
     return -(np.diagonal(validate_covariance(cov)) @ (SLOPES @ weights))
-
-
-def sector_slope_at_zero(cov, sign2: int, sign3: int) -> float:
-    """Initial time derivative of one sector's survival factor."""
-    return float(_slope(np.eye(4)[sector_index(sign2, sign3)], cov))
 
 
 def mixed_ancilla_slope_at_zero(mix: AncillaMixture, cov) -> float:

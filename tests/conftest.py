@@ -27,7 +27,9 @@ from triqec.operators import (
     idempotent,
     kron3,
     pauli,
+    sector_index,
 )
+from triqec.protocol import AncillaMixture
 
 
 @pytest.fixture
@@ -48,6 +50,11 @@ def random_psd(rng: np.random.Generator, scale: float = 1.0, rank: int = 3) -> n
     """A generic symmetric positive semidefinite 3x3 matrix of the given rank."""
     a = rng.normal(size=(3, rank))
     return scale * (a @ a.T)
+
+
+def sector_mixture(sign2: int, sign3: int) -> AncillaMixture:
+    """The one-hot mixture with all ancilla weight on the sector (sign2, sign3)."""
+    return AncillaMixture(*np.eye(4)[sector_index(sign2, sign3)].tolist())
 
 
 def mc_channel(cov, samples: int = 100, seed=1, **kwargs) -> NoiseChannel:

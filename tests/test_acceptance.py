@@ -27,14 +27,12 @@ from triqec.analytics import (
     inflection_point,
     predict_corrected_curve,
     scale_to_rms,
-    survival_correlated,
     survival_derivatives_at_zero,
     survival_factor,
-    survival_third_derivative_at_zero,
-    survival_uncorrelated,
     uncorrected_decay,
 )
 from triqec.gates import encoder, toffoli
+from triqec.models import survival_correlated, survival_uncorrelated
 from triqec.noise import (
     NoiseChannel,
     dephasing_factors,
@@ -168,7 +166,7 @@ def test_acceptance_06_third_derivative_variant_resolution():
             cov = random_psd(rng)
             cov *= 3.0 / np.trace(cov)
             oracle = forward_derivative(lambda s: survival_factor(cov, s), 0.0, 5e-3, 3)
-            sym = survival_third_derivative_at_zero(cov)
+            sym = survival_derivatives_at_zero(cov)[2]
             asym = asymmetric_third_derivative_at_zero(cov)
             scale = max(abs(oracle), 1e-12)
             sym_ok &= abs(sym - oracle) / scale <= 1e-4

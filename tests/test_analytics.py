@@ -16,13 +16,11 @@ from triqec.analytics import (
     inflection_point,
     predict_corrected_curve,
     scale_to_rms,
-    survival_correlated,
     survival_derivatives_at_zero,
     survival_factor,
-    survival_third_derivative_at_zero,
-    survival_uncorrelated,
     uncorrected_decay,
 )
+from triqec.models import survival_correlated, survival_uncorrelated
 from triqec.noise import totally_correlated, uncorrelated
 
 
@@ -94,7 +92,7 @@ def test_derivatives_match_finite_differences():
 def test_third_derivative_variants_disagree_generically():
     rng = np.random.default_rng(3)
     cov = random_psd(rng)
-    sym = survival_third_derivative_at_zero(cov)
+    sym = survival_derivatives_at_zero(cov)[2]
     asym = asymmetric_third_derivative_at_zero(cov)
     assert sym != pytest.approx(asym, rel=1e-6)
 

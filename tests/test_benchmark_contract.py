@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import triqec
+from triqec import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,6 +41,19 @@ def test_in_process_workloads_set_up_and_pass_their_checks(perfbench, tmp_path, 
     # Only now are the references that the verification operations re-run recorded.
     for op in workload.verification_ops():
         assert op.check(op.run()) == [], op.name
+
+
+def test_cli_session_commands_parse(perfbench, tmp_path):
+    # The session's processes run `python -m triqec.cli <argv>`: a renamed or
+    # removed flag would fail only the benchmark.  Parsing starts no process.
+    workloads, _ = perfbench
+    workload = workloads.WORKLOADS["cli_session"](0, Path(triqec.__file__).parents[1], tmp_path)
+    try:
+        parser = cli.build_parser()
+        for argv in [workload.setup_argv[3:], *(op.inputs for op in workload.make_pass(0))]:
+            parser.parse_args(list(argv))
+    finally:
+        workload.close()
 
 
 def test_every_traced_name_is_still_in_the_package(perfbench):

@@ -235,6 +235,19 @@ def test_decay_rejects_a_sample_count_beyond_an_index(tmp_path, capsys, samples)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("points", [sys.maxsize + 1, 10**30], ids=["maxsize+1", "10**30"])
+def test_decay_rejects_a_point_count_beyond_an_index(tmp_path, capsys, points):
+    # Named by its flag and limit, where np.linspace would say only
+    # "Maximum allowed size exceeded".
+    out = tmp_path / "big.csv"
+    assert run_cli("decay", "--model", "correlated", "--tau", 1.0,
+                   "--points", points, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"triqec decay: --points must be <= {sys.maxsize}, got {points}\n"
+    )
+    assert not out.exists()
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(triqec.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

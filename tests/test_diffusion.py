@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from triqec.analytics import survival_factor, survival_uncorrelated
+from triqec.analytics import survival_factor
 from triqec.diffusion import GradientDiffusionSpec, attenuation_factor, spec_to_covariance
+from triqec.models import survival_uncorrelated
 from triqec.noise import NoiseChannel, dephasing_factors
 from triqec.protocol import PipelineConfig, run_pipeline
 

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import validate_density_matrix
+from conftest import sector_mixture, validate_density_matrix
 from triqec.analytics import survival_factor
 from triqec.noise import (
     BLOCK,
@@ -16,7 +16,7 @@ from triqec.noise import (
     validate_seed,
     validate_time,
 )
-from triqec.protocol import PipelineConfig, run_pipeline, run_pipeline_mc
+from triqec.protocol import PipelineConfig, mixed_ancilla_survival, run_pipeline, run_pipeline_mc
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -79,10 +79,10 @@ def test_decay_is_quadratic_at_the_origin(cov, x):
 )
 def test_swapping_the_ancillae_leaves_the_survival_unchanged(cov, t, sign2, sign3):
     # Relabeling spins 2 and 3 swaps their covariance rows and columns and
-    # their ancilla signs.
+    # their ancilla signs, so mu_pm and mu_mp.
     swap = [0, 2, 1]
-    swapped = survival_factor(cov[np.ix_(swap, swap)], t, sign3, sign2)
-    assert abs(swapped - survival_factor(cov, t, sign2, sign3)) <= 1e-14
+    swapped = mixed_ancilla_survival(sector_mixture(sign3, sign2), cov[np.ix_(swap, swap)], t)
+    assert abs(swapped - mixed_ancilla_survival(sector_mixture(sign2, sign3), cov, t)) <= 1e-14
 
 
 @PROPERTY

@@ -16,6 +16,7 @@ from conftest import (
     random_psd,
     reference_stream,
     sample_phases,
+    sector_mixture,
 )
 from triqec import noise, protocol
 from triqec.analytics import survival_derivatives_at_zero, survival_factor, uncorrected_decay
@@ -41,22 +42,21 @@ from triqec.operators import (
     data_state_from_bloch,
     embed,
     partial_trace_ancillae,
+    sector_index,
 )
 from triqec.protocol import (
     SLOPES,
     AncillaMixture,
     ConfigError,
     CorrelatedComponent,
-    GROUND_ANCILLAE,
     PipelineConfig,
+    _initial_state,
     ancilla_mixture_nogo_search,
     correlated_mixture_residuals,
-    initial_state,
     mixed_ancilla_slope_at_zero,
     mixed_ancilla_survival,
     run_pipeline,
     run_pipeline_mc,
-    sector_slope_at_zero,
 )
 
 BLOCH = (0.3, 0.6, 0.64)
@@ -85,7 +85,7 @@ def test_correlated_mixture_config_owns_the_data_state():
     with pytest.raises(ConfigError):
         PipelineConfig(channel=channel, bloch=(0, 0, 1), ancillae=comps)
     config = PipelineConfig(channel=channel, ancillae=comps)
-    assert bloch_of(partial_trace_ancillae(initial_state(config))).y == pytest.approx(0.5)
+    assert bloch_of(partial_trace_ancillae(_initial_state(config))).y == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("basis_rotation,axis", [("none", "x"), ("y-pi/2", "z")])
@@ -93,7 +93,7 @@ def test_pipeline_is_identity_at_time_zero(basis_rotation, axis):
     cov = random_psd(np.random.default_rng(0))
     config = make_config(cov, bloch=BLOCH, axis=axis, basis_rotation=basis_rotation)
     result = run_pipeline(config, 0.0)
-    reduced_in = partial_trace_ancillae(initial_state(config))
+    reduced_in = partial_trace_ancillae(_initial_state(config))
     assert np.abs(result.reduced - reduced_in).max() < 1e-10
     assert result.survival == pytest.approx(1.0, abs=1e-12)
 
@@ -114,7 +114,7 @@ def test_mc_survival_per_sample_matches_explicit_circuit(basis_rotation, axis):
     # one sample the MC pipeline's survival is that trajectory's value.
     cov = random_psd(np.random.default_rng(14))
     config = make_config(cov, bloch=BLOCH, axis=axis, basis_rotation=basis_rotation)
-    rho0 = initial_state(config)
+    rho0 = _initial_state(config)
     enc = encoder()
     rot = global_rotation("y", np.pi / 2) if basis_rotation == "y-pi/2" else np.eye(8)
     t = 0.7
@@ -140,7 +140,7 @@ def test_mc_pipeline_matches_the_64_element_reference_kernel(basis_rotation, axi
     rot = global_rotation("y", np.pi / 2) if basis_rotation == "y-pi/2" else np.eye(8)
     pre = FRAMES[axis] @ rot @ encoder()
     post = toffoli() @ encoder() @ rot.conj().T @ FRAMES[axis].conj().T
-    state = pre @ initial_state(config) @ pre.conj().T
+    state = pre @ _initial_state(config) @ pre.conj().T
     observable = np.kron(BLOCH[1] * PAULI["y"] + BLOCH[2] * PAULI["z"], np.eye(4))
     weight = BLOCH[1] ** 2 + BLOCH[2] ** 2
     contraction = ((post.conj().T @ observable @ post).T * state).ravel() / weight
@@ -574,27 +574,27 @@ def test_corrected_deficit_is_second_order_uncorrected_first_order():
 
 
 def test_sector_survival_ground_sector_is_the_survival_factor():
-    # The sector-aware survival_factor defaults to the ground sector, and each
-    # other sector flips the signs of its single-spin and three-spin terms.
+    # A sector's survival is that of its one-hot mixture: the ground sector
+    # gives the survival factor, and each other sector flips the signs of its
+    # single-spin and three-spin terms.
     rng = np.random.default_rng(6)
     cov = random_psd(rng)
     for t in (0.0, 0.3, 1.1):
         ground = survival_factor(cov, t)
-        assert survival_factor(cov, t, +1, +1) == ground
+        assert mixed_ancilla_survival(sector_mixture(+1, +1), cov, t) == ground
         f1, f2, f3 = (np.exp(-0.5 * t * cov[j, j]) for j in range(3))
         triple = f1 + f2 + f3 - 2 * ground
         for s2, s3 in ANCILLA_SECTORS:
             expected = 0.5 * (f1 + s2 * f2 + s3 * f3 - s2 * s3 * triple)
-            assert survival_factor(cov, t, s2, s3) == pytest.approx(expected, abs=1e-14)
-    with pytest.raises(ValueError, match="signs"):
-        survival_factor(cov, 0.3, 0, +1)
+            got = mixed_ancilla_survival(sector_mixture(s2, s3), cov, t)
+            assert got == pytest.approx(expected, abs=1e-14)
 
 
 def test_mixed_ancilla_survival_reduces_to_pure_case():
     rng = np.random.default_rng(7)
     cov = random_psd(rng)
     for t in (0.0, 0.4, 1.3):
-        assert mixed_ancilla_survival(GROUND_ANCILLAE, cov, t) == pytest.approx(
+        assert mixed_ancilla_survival(AncillaMixture(1, 0, 0, 0), cov, t) == pytest.approx(
             survival_factor(cov, t), abs=1e-14
         )
 
@@ -624,7 +624,8 @@ def test_slope_table_reproduces_the_sector_formula():
         c11, c22, c33 = np.diagonal(cov)
         for column, (s2, s3) in enumerate(ANCILLA_SECTORS):
             expected = -0.25 * (c11 + s2 * c22 + s3 * c33 - s2 * s3 * (c11 + c22 + c33))
-            assert sector_slope_at_zero(cov, s2, s3) == pytest.approx(expected, abs=1e-14)
+            slope = mixed_ancilla_slope_at_zero(sector_mixture(s2, s3), cov)
+            assert slope == pytest.approx(expected, abs=1e-14)
             assert -(np.diagonal(cov) @ SLOPES[:, column]) == pytest.approx(expected, abs=1e-14)
     assert not SLOPES[:, 0].any()
     assert not SLOPES.flags.writeable
@@ -632,15 +633,21 @@ def test_slope_table_reproduces_the_sector_formula():
 
 @pytest.mark.parametrize("signs", [(2, 5), (0, 0), (1, 0), (-1, 2)])
 def test_sector_slope_rejects_signs_other_than_pm1(signs):
-    with pytest.raises(ValueError, match=r"ancilla signs must be \+1 or -1"):
-        sector_slope_at_zero(np.eye(3), *signs)
+    # A sector's slope enters through a correlated component's sector (see
+    # correlated_mixture_residuals) or its position in ANCILLA_SECTORS.
+    for call in (
+        lambda: CorrelatedComponent(1.0, (0, 0, 1), signs),
+        lambda: sector_index(*signs),
+    ):
+        with pytest.raises(ValueError, match=r"ancilla signs must be \+1 or -1"):
+            call()
 
 
 def test_mixture_slope_formula_closed_cases():
     rng = np.random.default_rng(9)
     cov = random_psd(rng)
     c11, c22, c33 = cov[0, 0], cov[1, 1], cov[2, 2]
-    assert mixed_ancilla_slope_at_zero(GROUND_ANCILLAE, cov) == pytest.approx(0.0, abs=1e-14)
+    assert mixed_ancilla_slope_at_zero(AncillaMixture(1, 0, 0, 0), cov) == pytest.approx(0.0, abs=1e-14)
     assert mixed_ancilla_slope_at_zero(AncillaMixture(0, 1, 0, 0), cov) == pytest.approx(
         -0.25 * (2 * c11 + 2 * c22), rel=1e-12
     )
@@ -816,11 +823,11 @@ def test_nogo_certificate_counts_an_edge_of_zeros_without_listing_it():
     assert peak < 1 << 20
 
 
-def test_correlated_component_and_sector_slope_share_the_sign_rule():
+def test_correlated_component_and_sector_index_share_the_sign_rule():
     messages = []
     for call in (
         lambda: CorrelatedComponent(1.0, (0, 0, 1), (2, 1)),
-        lambda: sector_slope_at_zero(np.eye(3), 2, 1),
+        lambda: sector_index(2, 1),
     ):
         with pytest.raises(ValueError, match=r"ancilla signs must be \+1 or -1") as info:
             call()
@@ -841,9 +848,10 @@ def test_correlated_mixture_engineered_cancellation():
     # Put weight on three excited sectors and solve for y and z contents that
     # null both first-order conditions, then verify through the pipeline.
     cov = np.diag([2.0, 3.0, 1.5])
-    s_pm = sector_slope_at_zero(cov, +1, -1)
-    s_mp = sector_slope_at_zero(cov, -1, +1)
-    s_mm = sector_slope_at_zero(cov, -1, -1)
+    s_pm, s_mp, s_mm = (
+        mixed_ancilla_slope_at_zero(sector_mixture(s2, s3), cov)
+        for s2, s3 in ((+1, -1), (-1, +1), (-1, -1))
+    )
     w = 1.0 / 3.0
     y_pm = y_mp = 0.2
     y_mm = -(s_pm + s_mp) * 0.2 / s_mm
