@@ -26,8 +26,7 @@ from .gates import encoder, global_rotation, toffoli
 from .noise import (
     CovarianceError,
     NoiseChannel,
-    apply_channel_analytic,
-    apply_channel_mc,
+    apply_channel,
     dephasing_factors,
     totally_correlated,
     uncorrelated,

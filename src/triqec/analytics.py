@@ -135,6 +135,12 @@ def inflection_point(model: str, tau: float) -> float:
     return float(named_model(model).inflection * positive_finite(tau, "tau"))
 
 
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson's r of two series; 0 by convention if either is constant (r is undefined)."""
+    constant = np.ptp(x) == 0 or np.ptp(y) == 0  # exact: a std can round above 0
+    return 0.0 if constant else float(np.corrcoef(x, y)[0, 1])
+
+
 def fit_exponential_rate(curve: DecayCurve) -> FitResult:
     """Ordinary least squares of log(value) against time.
 
@@ -156,8 +162,7 @@ def fit_exponential_rate(curve: DecayCurve) -> FitResult:
         raise ValueError("need at least two points to fit a rate")
     logs = np.log(curve.values)
     slope, intercept = np.polyfit(curve.times, logs, 1)
-    constant = curve.times.std() == 0 or logs.std() == 0
-    corr = 0.0 if constant else float(np.corrcoef(curve.times, logs)[0, 1])
+    corr = _pearson(curve.times, logs)
     return FitResult(rate=float(-slope), intercept=float(intercept), correlation=corr)
 
 
@@ -190,7 +195,7 @@ def scale_to_rms(measured: DecayCurve, reference: DecayCurve) -> DecayCurve:
 
 
 def curve_correlation(a: DecayCurve, b: DecayCurve) -> float:
-    """Pearson correlation between two curves on the same time grid."""
+    """Pearson correlation between two curves on the same time grid (0 if either is constant)."""
     if a.times.shape != b.times.shape or not np.allclose(a.times, b.times):
         raise ValueError("curves are on different time grids")
-    return float(np.corrcoef(a.values, b.values)[0, 1])
+    return _pearson(a.values, b.values)

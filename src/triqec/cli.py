@@ -14,9 +14,9 @@ derivatives  Print the survival factor's derivatives at t = 0 and, for a
 
 All CSV output is UTF-8 with a header row, '.' decimal separator, and 17
 significant digits, written atomically (write-then-rename) with a JSON run
-manifest beside each file.  Exit codes: 0 success, 2 invalid parameters,
-3 file I/O failure.  The environment variable TRIQEC_SEED supplies the
-default Monte Carlo seed.
+manifest beside each file.  Exit codes: 0 success, 2 invalid parameters
+(any ValueError), 3 file I/O failure (any OSError).  The environment
+variable TRIQEC_SEED supplies the default Monte Carlo seed.
 """
 
 from __future__ import annotations
@@ -51,24 +51,23 @@ from .protocol import PipelineConfig, ancilla_mixture_nogo_search, run_pipeline_
 SEED_ENV = "TRIQEC_SEED"
 
 
-class CommandError(Exception):
-    """A failure with a message and a process exit code."""
-
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _read_text(path: str, what: str) -> str:
+    # An input file's UTF-8 text; either failure names the path.
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot read {what}{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def read_covariance_file(path: str) -> np.ndarray:
     """Parse a covariance file: three rows of three reals, '#' comments."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CommandError(f"cannot read covariance file {path}: {exc}", 3)
+    text = _read_text(path, "covariance file ")
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -76,15 +75,13 @@ def read_covariance_file(path: str) -> np.ndarray:
             continue
         parts = body.split()
         if len(parts) != 3:
-            raise CommandError(
-                f"{path}:{lineno}: expected 3 numbers per row, got {len(parts)}", 2
-            )
+            raise ValueError(f"{path}:{lineno}: expected 3 numbers per row, got {len(parts)}")
         try:
             rows.append([float(p) for p in parts])
         except ValueError:
-            raise CommandError(f"{path}:{lineno}: could not parse {body!r}", 2)
+            raise ValueError(f"{path}:{lineno}: could not parse {body!r}") from None
     if len(rows) != 3:
-        raise CommandError(f"{path}: expected 3 covariance rows, got {len(rows)}", 2)
+        raise ValueError(f"{path}: expected 3 covariance rows, got {len(rows)}")
     return np.array(rows)
 
 
@@ -92,10 +89,10 @@ def _resolve_covariance(args) -> np.ndarray:
     # The run's one covariance check; its ValueErrors exit with code 2 (see main).
     if args.cov:
         if args.model is not None or args.tau is not None:
-            raise CommandError("give --cov FILE or --model with --tau, not both", 2)
+            raise ValueError("give --cov FILE or --model with --tau, not both")
         return validate_covariance(read_covariance_file(args.cov))
     if args.model is None:
-        raise CommandError("give --cov FILE or --model with --tau", 2)
+        raise ValueError("give --cov FILE or --model with --tau")
     return validate_covariance(named_model(args.model).covariance(args.tau))
 
 
@@ -109,7 +106,7 @@ def _resolve_seed(args) -> int:
     try:
         seed = int(raw)
     except ValueError:
-        raise CommandError(f"{SEED_ENV}={raw!r} is not an integer", 2)
+        raise ValueError(f"{SEED_ENV}={raw!r} is not an integer") from None
     return validate_integer(seed, SEED_ENV, 0)
 
 
@@ -135,11 +132,14 @@ def _write_file_atomic(path: str, text: str) -> None:
             os.unlink(tmp_name)
             raise
     except OSError as exc:
-        raise CommandError(f"cannot write {path}: {exc}", 3)
+        raise OSError(f"cannot write {path}: {exc}") from None
 
 
-def _write_outputs(command: str, parameters: dict, tables: dict[str, tuple]) -> None:
-    """Write every CSV atomically plus one manifest per output file."""
+def _write_outputs(command: str, parameters: dict, path: str, header: list, columns: list) -> None:
+    """Write the columns as one CSV atomically, then its manifest beside it."""
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(x) for x in row) for row in zip(*columns)]
+    _write_file_atomic(path, "\n".join(lines) + "\n")
     manifest = {
         "command": command,
         "parameters": parameters,
@@ -147,14 +147,10 @@ def _write_outputs(command: str, parameters: dict, tables: dict[str, tuple]) -> 
         "samples": parameters.get("mc"),
         "version": __version__,
         "git_commit": _git_commit(),
-        "outputs": sorted(tables),
+        "outputs": [path],
     }
     manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    for path, (header, rows) in tables.items():
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(x) for x in row) for row in rows]
-        _write_file_atomic(path, "\n".join(lines) + "\n")
-        _write_file_atomic(str(path) + ".manifest.json", manifest_text)
+    _write_file_atomic(path + ".manifest.json", manifest_text)
 
 
 def read_curve_csv(path: str) -> DecayCurve:
@@ -163,11 +159,7 @@ def read_curve_csv(path: str) -> DecayCurve:
     Blank rows are skipped and the first other row may be a header; any
     later row that is not two numbers is an error naming its line.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CommandError(f"cannot read {path}: {exc}", 3)
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(_read_text(path, "").splitlines())
     times, values = [], []
     for index, row in enumerate(row for row in reader if "".join(row).strip()):
         try:
@@ -175,15 +167,15 @@ def read_curve_csv(path: str) -> DecayCurve:
         except (IndexError, ValueError):
             if index == 0:
                 continue  # header row
-            raise CommandError(f"{path}:{reader.line_num}: expected t,value, got {row!r}", 2)
+            raise ValueError(f"{path}:{reader.line_num}: expected t,value, got {row!r}") from None
         times.append(t)
         values.append(v)
     if len(times) < 2:
-        raise CommandError(f"{path}: expected at least two (t, value) rows", 2)
+        raise ValueError(f"{path}: expected at least two (t, value) rows")
     try:
         return DecayCurve(np.array(times), np.array(values))
     except ValueError as exc:
-        raise CommandError(f"{path}: {exc}", 2)
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_decay(args) -> int:
@@ -204,21 +196,14 @@ def cmd_decay(args) -> int:
     if args.mc:
         channel = NoiseChannel(covariance=cov, axis="x")
         config = PipelineConfig(channel=channel, bloch=(0.0, 0.0, 1.0), correction=corrected)
-        mc_vals, mc_errs = [], []
+        estimates = []
         for index, t in enumerate(times):
-            result = run_pipeline_mc(
-                config,
-                float(t),
-                samples=args.mc,
-                seed=np.random.SeedSequence([seed, index]),
-                workers=args.workers,
-            )
-            mc_vals.append(result.survival)
-            mc_errs.append(result.survival_stderr)
+            point_seed = np.random.SeedSequence([seed, index])
+            result = run_pipeline_mc(config, float(t), args.mc, point_seed, args.workers)
+            estimates.append((result.survival, result.survival_stderr))
         header += ["theta_mc", "mc_stderr"]
-        columns += [np.array(mc_vals), np.array(mc_errs)]
+        columns += zip(*estimates)
 
-    rows = list(zip(*columns))
     parameters = {
         "model": args.model,
         "tau": args.tau,
@@ -230,7 +215,7 @@ def cmd_decay(args) -> int:
         "seed": seed if args.mc else None,
         "workers": args.workers,
     }
-    _write_outputs("decay", parameters, {args.out: (header, rows)})
+    _write_outputs("decay", parameters, args.out, header, columns)
     return 0
 
 
@@ -249,13 +234,12 @@ def cmd_fit(args) -> int:
         header.append("corrected_scaled")
         columns.append(scaled.values)
 
-    rows = list(zip(*columns))
     parameters = {
         "infile": args.infile,
         "model": args.model,
         "corrected": args.corrected,
     }
-    _write_outputs("fit", parameters, {args.out: (header, rows)})
+    _write_outputs("fit", parameters, args.out, header, columns)
     return 0
 
 
@@ -335,13 +319,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CommandError as exc:
-        print(f"triqec {args.command}: {exc}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:  # CovarianceError included
+    except ValueError as exc:  # invalid input, CovarianceError included
         print(f"triqec {args.command}: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except OSError as exc:  # file I/O
         print(f"triqec {args.command}: {exc}", file=sys.stderr)
         return 3
 

@@ -10,17 +10,18 @@ Both routes work in the eigenbasis of the dephasing axis (``FRAMES``), where
 a trajectory multiplies each matrix element |r><c| by exp(-i eps . chi), eps
 being the halved difference of the two basis states' 2Iz signs.  ``dephase``
 applies an 8x8 table of such factors; the routes differ only in how each
-factor is averaged, and stay independent so they can cross-validate:
+factor is averaged, and stay independent so they can cross-validate.
+A ``NoiseChannel`` is the one record of how to average (its kind and, for
+Monte Carlo, its sample count, seed and workers, all checked when it is
+made), and ``channel_factors`` the one dispatch on its kind, which
+``apply_channel`` and ``protocol.run_pipeline`` both call:
 
-* ``apply_channel_analytic``: the exact Gaussian average
-  exp(-(t/2) eps^T C eps) of ``dephasing_factors``.
-* ``apply_channel_mc``: the sample mean of the factors over sampled phase
-  vectors; it never evaluates the Gaussian formula.
+* "analytic": the exact Gaussian average exp(-(t/2) eps^T C eps) of
+  ``dephasing_factors``.
+* "monte-carlo": the sample mean of the factors over sampled phase vectors
+  (``mean_phases``); it never evaluates the Gaussian formula.
 
-A ``NoiseChannel`` is the one record of how to average: its kind and, for
-Monte Carlo, its sample count, seed and workers, all checked when it is made
-and read from it by ``mean_phases``.  A time that meets a channel must be a
-scalar.
+A time that meets a channel must be a scalar.
 
 The 56 off-diagonal elements share only 13 conjugate pairs of patterns
 eps = +-p (``PAIRS``), so the Monte Carlo kernel (``mean_phases``) averages
@@ -160,6 +161,9 @@ def validate_time(t):
     """Return ``t`` if every time in it is finite and >= 0, else raise ValueError."""
     if isinstance(t, (int, float)) and not isinstance(t, bool) and 0 <= t <= sys.float_info.max:
         return t  # a valid Python (or numpy float64) scalar, checked without numpy
+    flags = np.asarray(t)
+    if flags.dtype == bool and flags.size:  # flags, not times
+        raise ValueError(f"time must be finite and >= 0, got {flags.flat[0].item()!r}")
     try:
         times = np.asarray(t, dtype=float)
     except OverflowError:  # a Python int beyond the float range, such as 10**400
@@ -192,6 +196,8 @@ def validate_integer(
     A bound of None is not checked.
     """
     try:
+        if isinstance(value, (bool, np.bool_)):  # a flag, not a count
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -319,15 +325,6 @@ def dephase(rho: np.ndarray, factors: np.ndarray, axis: str = "x") -> np.ndarray
     frame = dephasing_frame(axis)
     rotated = frame @ np.asarray(rho, dtype=complex) @ frame.conj().T
     return frame.conj().T @ (factors * rotated) @ frame
-
-
-def apply_channel_analytic(rho: np.ndarray, cov, t: float, axis: str = "x") -> np.ndarray:
-    """Exact Gaussian-averaged dephasing channel.
-
-    Completely positive and trace preserving; operators diagonal in the
-    dephasing-axis eigenbasis are fixed points.
-    """
-    return dephase(rho, dephasing_factors(cov, t), axis)
 
 
 #: Rows of a block's slot: its 10 phasor rows, a row of ones (refilled per
@@ -501,10 +498,30 @@ def mean_phases(channel: NoiseChannel, t: float, weights=None):
     return mean, (float(survival), float(stderr))
 
 
-def apply_channel_mc(rho: np.ndarray, channel: NoiseChannel, t: float) -> np.ndarray:
-    """Monte Carlo dephasing: mean over samples of U(chi) rho U(chi)†.
+def channel_factors(channel: NoiseChannel, t: float, weights=None):
+    """(8x8 factor table, estimate) at time t, averaged as the channel's kind says.
 
-    Each element's factor is the sample mean of exp(-i eps . chi).
-    Deterministic for a fixed seed regardless of the worker count.
+    Analytic: ``dephasing_factors`` and None; Monte Carlo: ``mean_phases``.
     """
-    return dephase(rho, mean_phases(channel, t)[0], channel.axis)
+    if channel.kind == "analytic":
+        return dephasing_factors(channel.covariance, t), None
+    return mean_phases(channel, t, weights)
+
+
+def apply_channel(rho: np.ndarray, channel: NoiseChannel, t: float) -> np.ndarray:
+    """Dephase rho along the channel's axis for time t, averaged as its kind says.
+
+    Completely positive and trace preserving; operators diagonal in the
+    dephasing-axis eigenbasis are fixed points.
+    """
+    return dephase(rho, channel_factors(channel, t)[0], channel.axis)
+
+
+# The benchmark under perfbench/ still calls and traces these two names; the
+# next change to the benchmark drops them.
+def apply_channel_analytic(rho: np.ndarray, cov, t: float, axis: str = "x") -> np.ndarray:
+    return apply_channel(rho, NoiseChannel(cov, axis), t)
+
+
+def apply_channel_mc(rho: np.ndarray, channel: NoiseChannel, t: float) -> np.ndarray:
+    return apply_channel(rho, channel, t)

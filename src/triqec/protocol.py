@@ -9,10 +9,11 @@ factor; the x component is untouched by construction.
 
 ``run_pipeline`` is the one body: the encoded state, in the dephasing frame,
 has its elements multiplied by an 8x8 factor table, then is decoded,
-corrected and reduced.  The channel says how the table is averaged: exactly
-over the Gaussian phases, or as the sample mean of seeded trajectories, each
-of whose survivals is the protected observable pulled back into that frame
-and folded once per run onto the 13 conjugate phase pairs.
+corrected and reduced.  The channel says how the table is averaged
+(``noise.channel_factors``): exactly over the Gaussian phases, or as the
+sample mean of seeded trajectories, each of whose survivals is the protected
+observable pulled back into that frame and folded once per run onto the 13
+conjugate phase pairs.
 ``run_pipeline_mc`` is ``run_pipeline`` on the same configuration with a
 Monte Carlo channel of the given settings.  The agreement of the two
 averages is the central cross-check of the package.  The constant gates
@@ -35,9 +36,8 @@ from .analytics import _decay_law
 from .gates import encoder, global_rotation, toffoli
 from .noise import (
     NoiseChannel,
-    dephasing_factors,
+    channel_factors,
     dephasing_frame,
-    mean_phases,
     pair_weights,
     phase_scaled,
     validate_covariance,
@@ -223,11 +223,10 @@ def _conjugators(
 def run_pipeline(config: PipelineConfig, t: float) -> PipelineResult:
     """Run the pipeline at decoherence time t, averaging as the channel says.
 
-    An analytic channel gives the exact Gaussian-averaged factor table, and
-    the survival is read off the output.  A Monte Carlo channel gives the
-    sample mean of the trajectory factors, and the mean and standard error of
-    the trajectories' survivals (see :func:`noise.mean_phases`).  t must be a
-    scalar.
+    The factor table comes from :func:`noise.channel_factors`.  On an
+    analytic channel the survival is read off the output; a Monte Carlo
+    channel also gives the mean and standard error of the trajectories'
+    survivals.  t must be a scalar.
     """
     channel = config.channel
     rho0 = _initial_state(config)
@@ -235,18 +234,15 @@ def run_pipeline(config: PipelineConfig, t: float) -> PipelineResult:
     pre, post = _conjugators(config.correction, config.basis_rotation, channel.axis)
     state = pre @ rho0 @ pre.conj().T
     weight = bloch_in.y**2 + bloch_in.z**2
-    if channel.kind == "analytic":
-        factors, estimate = dephasing_factors(channel.covariance, t), None
-    else:
+    weights = None
+    if channel.kind == "monte-carlo" and weight > 0:
         # The protected observable, pulled back through the post-noise gates
         # and contracted with the frame state: a trajectory's factor table f
         # gives its survival Re sum(f * contraction), which the pair weights
-        # turn into w0 + cos @ wc + sin @ ws.
-        weights = None
-        if weight > 0:
-            observable = np.kron(bloch_in.y * PAULI["y"] + bloch_in.z * PAULI["z"], np.eye(4))
-            weights = pair_weights((post.conj().T @ observable @ post).T * state / weight)
-        factors, estimate = mean_phases(channel, t, weights)
+        # turn into w0 + cos @ wc + sin @ ws.  The exact average skips it.
+        observable = np.kron(bloch_in.y * PAULI["y"] + bloch_in.z * PAULI["z"], np.eye(4))
+        weights = pair_weights((post.conj().T @ observable @ post).T * state / weight)
+    factors, estimate = channel_factors(channel, t, weights)
     reduced = partial_trace_ancillae(post @ (factors * state) @ post.conj().T)
     bloch_out = bloch_of(reduced)
     survival, stderr = estimate or (None, None)

@@ -25,8 +25,7 @@ PUBLIC_NAMES = [
     "analytics",
     "ancilla_mixture_nogo_search",
     "angular_momentum",
-    "apply_channel_analytic",
-    "apply_channel_mc",
+    "apply_channel",
     "attenuation_factor",
     "bloch_of",
     "correlated_mixture_residuals",
@@ -72,5 +71,5 @@ def test_public_names_are_pinned():
         capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert len(PUBLIC_NAMES) == 49
+    assert len(PUBLIC_NAMES) == 48
     assert json.loads(out.stdout) == PUBLIC_NAMES

@@ -12,10 +12,11 @@ check fails here.
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import triqec
-from triqec import cli
+from triqec import cli, noise
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -64,3 +65,21 @@ def test_every_traced_name_is_still_in_the_package(perfbench):
         if getattr(importlib.import_module(f"triqec.{module}"), name, None) is None
     }
     assert missing <= STALE_TARGETS
+
+
+def test_harness_channel_names_are_apply_channel():
+    # The benchmark calls and traces apply_channel_analytic and
+    # apply_channel_mc; they stay in triqec.noise, out of the package's public
+    # names, and give apply_channel's results bit for bit.
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = g @ g.conj().T / np.trace(g @ g.conj().T)
+    cov = noise.uncorrelated(0.7) + 0.2
+    for axis in ("x", "z"):
+        exact = noise.NoiseChannel(cov, axis)
+        sampled = noise.NoiseChannel(cov, axis, kind="monte-carlo", samples=3000, seed=4, workers=2)
+        want = noise.apply_channel(rho, exact, 0.4)
+        assert np.array_equal(noise.apply_channel_analytic(rho, cov, 0.4, axis), want)
+        want = noise.apply_channel(rho, sampled, 0.4)
+        assert np.array_equal(noise.apply_channel_mc(rho, sampled, 0.4), want)
+    assert {"apply_channel_analytic", "apply_channel_mc"}.isdisjoint(dir(triqec))

@@ -189,6 +189,44 @@ def test_fit_missing_input_is_io_error(tmp_path):
                    "--out", tmp_path / "o.csv") == 3
 
 
+@pytest.mark.parametrize(
+    "command,flag,prefix",
+    [("decay", "--cov", "cannot read covariance file "), ("fit", "--in", "cannot read ")],
+    ids=["decay", "fit"],
+)
+def test_unreadable_input_files_are_named(tmp_path, capsys, command, flag, prefix):
+    # A file that is not UTF-8 is invalid input (exit 2), a missing one an I/O
+    # failure (exit 3); both messages name the file.
+    extra = ("--model", "correlated") if command == "fit" else ()
+    out = tmp_path / "o.csv"
+    binary = tmp_path / "binary.dat"
+    binary.write_bytes(b"\xff\xfe1 0 0\n")
+    assert run_cli(command, flag, binary, *extra, "--out", out) == 2
+    assert capsys.readouterr().err.startswith(f"triqec {command}: {binary}: not UTF-8 text: ")
+    absent = tmp_path / "absent.dat"
+    assert run_cli(command, flag, absent, *extra, "--out", out) == 3
+    assert capsys.readouterr().err == (
+        f"triqec {command}: {prefix}{absent}: [Errno 2] No such file or directory: '{absent}'\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("level", [0.0, 0.7])
+def test_fit_against_a_constant_corrected_series(tmp_path, capsys, level):
+    # Pearson's r is undefined for a constant series: 0 by the convention of
+    # the log fit's correlation, with no numpy warning (an error in this
+    # suite).  Scaled to the prediction's RMS, the 0.7 series has a standard
+    # deviation of 1e-16 from rounding, yet is constant.
+    times = np.linspace(0.0, 1.5, 24)
+    uncorr, corrected = tmp_path / "u.csv", tmp_path / "c.csv"
+    uncorr.write_text("".join(f"{t},{np.exp(-0.7 * t)}\n" for t in times))
+    corrected.write_text("".join(f"{t},{level}\n" for t in times))
+    code = run_cli("fit", "--in", uncorr, "--model", "correlated",
+                   "--corrected", corrected, "--out", tmp_path / "o.csv")
+    assert code == 0
+    assert "prediction_correlation = 0\n" in capsys.readouterr().out
+
+
 def test_nogo_reports_unique_vertex(capsys):
     assert run_cli("nogo", "--model", "uncorrelated", "--tau", 1.0, "--step", 0.05) == 0
     printed = capsys.readouterr().out

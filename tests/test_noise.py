@@ -35,8 +35,7 @@ from triqec.noise import (
     _phase_loading,
     _phasors,
     _survival_weights,
-    apply_channel_analytic,
-    apply_channel_mc,
+    apply_channel,
     dephase,
     dephasing_factors,
     mean_phases,
@@ -149,6 +148,10 @@ def test_noise_channel_validation():
         ({"samples": 1.5}, "samples"),
         ({"kind": "monte-carlo", "samples": sys.maxsize + 1}, "samples"),
         ({"samples": 10**30}, "samples"),
+        ({"kind": "monte-carlo", "samples": True}, "samples"),
+        ({"kind": "monte-carlo", "samples": np.True_}, "samples"),
+        ({"workers": True}, "workers"),
+        ({"workers": np.True_}, "workers"),
     ],
 )
 def test_noise_channel_rejects_bad_counts(kwargs, name):
@@ -156,7 +159,7 @@ def test_noise_channel_rejects_bad_counts(kwargs, name):
         NoiseChannel(covariance=np.eye(3), **kwargs)
 
 
-@pytest.mark.parametrize("seed", [-1, None, 1.5, "3", np.random.default_rng(0)])
+@pytest.mark.parametrize("seed", [-1, None, 1.5, "3", np.random.default_rng(0), True, np.True_])
 def test_monte_carlo_seed_is_checked_where_it_enters(seed):
     with pytest.raises(ValueError, match="seed"):
         NoiseChannel(covariance=np.eye(3), kind="monte-carlo", samples=10, seed=seed)
@@ -335,6 +338,9 @@ def test_pair_phasors_allocate_nothing():
         pytest.param(-(10**400), "-1e+400", id="-10**400"),
         pytest.param(3**1000, "1.3220708194808066e+477", id="3**1000"),
         pytest.param([0.5, 10**400], "1e+400", id="list-10**400"),
+        (True, "True"),
+        (np.True_, "True"),
+        (np.array([False, True]), "False"),
     ],
 )
 def test_validate_time_names_the_bad_time(t, shown):
@@ -504,47 +510,56 @@ def test_coherence_order_squared_decay():
     assert rates[3] / rates[1] == pytest.approx(9.0, abs=1e-10)
 
 
+def channels(cov, axis: str) -> list[NoiseChannel]:
+    """The exact channel of ``cov`` along ``axis`` and a seeded Monte Carlo one."""
+    return [NoiseChannel(cov, axis), mc_channel(cov, 2000, 17, axis=axis)]
+
+
 def test_channel_fixed_points_z_axis():
     cov = random_psd(np.random.default_rng(2))
     diag = np.diag(np.linspace(0.05, 0.2, 8)).astype(complex)
     diag /= np.trace(diag)
-    assert np.abs(apply_channel_analytic(diag, cov, 1.3, axis="z") - diag).max() < 1e-14
+    for channel in channels(cov, "z"):
+        assert np.abs(apply_channel(diag, channel, 1.3) - diag).max() < 1e-14, channel.kind
 
 
 def test_channel_fixed_points_x_axis():
     cov = random_psd(np.random.default_rng(3))
     op = 2 * angular_momentum(1, "x") @ angular_momentum(2, "x")  # x-diagonal
-    out = apply_channel_analytic(op, cov, 0.9, axis="x")
-    assert np.abs(out - op).max() < 1e-12
+    for channel in channels(cov, "x"):
+        out = apply_channel(op, channel, 0.9)
+        assert np.abs(out - op).max() < 1e-12, channel.kind
 
 
 def test_channel_is_linear_trace_preserving_positive():
+    # A Monte Carlo channel of a fixed seed is one mean of unitary
+    # conjugations, so it is linear and a state map, as the exact channel.
     rng = np.random.default_rng(4)
     cov = random_psd(rng)
     t = 0.6
     for axis in ("x", "z"):
         rho1, rho2 = random_density(rng), random_density(rng)
         mix = 0.3 * rho1 + 0.7 * rho2
-        out_mix = apply_channel_analytic(mix, cov, t, axis)
-        out_parts = 0.3 * apply_channel_analytic(
-            rho1, cov, t, axis
-        ) + 0.7 * apply_channel_analytic(rho2, cov, t, axis)
-        assert np.abs(out_mix - out_parts).max() < 1e-12
-        assert np.trace(out_mix).real == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(out_mix - out_mix.conj().T).max() < 1e-12
-        assert np.linalg.eigvalsh(out_mix).min() > -1e-12
+        for channel in channels(cov, axis):
+            out_mix = apply_channel(mix, channel, t)
+            parts = [apply_channel(rho, channel, t) for rho in (rho1, rho2)]
+            out_parts = 0.3 * parts[0] + 0.7 * parts[1]
+            assert np.abs(out_mix - out_parts).max() < 1e-12
+            assert np.trace(out_mix).real == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(out_mix - out_mix.conj().T).max() < 1e-12
+            assert np.linalg.eigvalsh(out_mix).min() > -1e-12
 
 
 def test_channel_semigroup_property():
+    # The exact average only: a Monte Carlo run at t1 + t2 draws other phases.
     rng = np.random.default_rng(5)
     cov = random_psd(rng)
     rho = random_density(rng)
     t1, t2 = 0.35, 0.85
     for axis in ("x", "z"):
-        stepwise = apply_channel_analytic(
-            apply_channel_analytic(rho, cov, t1, axis), cov, t2, axis
-        )
-        direct = apply_channel_analytic(rho, cov, t1 + t2, axis)
+        channel = NoiseChannel(cov, axis)
+        stepwise = apply_channel(apply_channel(rho, channel, t1), channel, t2)
+        direct = apply_channel(rho, channel, t1 + t2)
         assert np.abs(stepwise - direct).max() < 1e-10
 
 
@@ -555,7 +570,7 @@ def test_mc_single_spin_decay_matches_exponential():
     cov = uncorrelated(tau)
     rho = (IDENTITY8 + 2 * angular_momentum(1, "z")) / 8
     channel = NoiseChannel(covariance=cov, kind="monte-carlo", samples=n, seed=12)
-    out = apply_channel_mc(rho, channel, t)
+    out = apply_channel(rho, channel, t)
     measured = np.trace(out @ (2 * angular_momentum(1, "z"))).real
     variance_phase = 2 * t / tau
     var_cos = (1 + np.exp(-2 * variance_phase)) / 2 - np.exp(-variance_phase)
@@ -571,8 +586,8 @@ def test_mc_matches_analytic_channel_elementwise():
     t, n = 0.45, 100_000
     rho = random_density(rng)
     channel = NoiseChannel(covariance=cov, kind="monte-carlo", samples=n, seed=3)
-    got = apply_channel_mc(rho, channel, t)
-    want = apply_channel_analytic(rho, cov, t, axis="x")
+    got = apply_channel(rho, channel, t)
+    want = apply_channel(rho, NoiseChannel(covariance=cov, axis="x"), t)
 
     frame = expm(1j * (np.pi / 2) * sum(angular_momentum(k, "y") for k in (1, 2, 3)))
     rho_frame = frame @ rho @ frame.conj().T
@@ -587,10 +602,10 @@ def test_mc_matches_analytic_channel_elementwise():
 def test_mc_deterministic_across_worker_counts():
     cov = totally_correlated(0.9)
     rho = random_density(np.random.default_rng(7))
-    one = apply_channel_mc(
+    one = apply_channel(
         rho, NoiseChannel(covariance=cov, kind="monte-carlo", samples=9000, seed=5), 0.7
     )
-    many = apply_channel_mc(
+    many = apply_channel(
         rho,
         NoiseChannel(covariance=cov, kind="monte-carlo", samples=9000, seed=5, workers=3),
         0.7,
@@ -599,12 +614,14 @@ def test_mc_deterministic_across_worker_counts():
 
 
 def test_mc_requires_monte_carlo_channel():
+    # apply_channel averages an analytic channel exactly, even one given a
+    # sample count; only the sampler itself insists on a Monte Carlo channel.
     analytic = NoiseChannel(covariance=np.eye(3), kind="analytic", samples=10)
     message = "sampled phases need a monte-carlo channel, got kind 'analytic'"
     with pytest.raises(ValueError, match=message):
-        apply_channel_mc(np.eye(8) / 8, analytic, 0.1)
-    with pytest.raises(ValueError, match=message):
         mean_phases(analytic, 0.1)
+    exact = apply_channel(np.eye(8) / 8, NoiseChannel(covariance=np.eye(3)), 0.1)
+    assert np.array_equal(apply_channel(np.eye(8) / 8, analytic, 0.1), exact)
 
 
 def test_gauss_hermite_oracle_reproduces_analytic_channel():
@@ -630,5 +647,5 @@ def test_gauss_hermite_oracle_reproduces_analytic_channel():
                 averaged += (wi * wj * wk) * (u @ rho @ u.conj().T)
     averaged /= np.pi ** 1.5
 
-    want = apply_channel_analytic(rho, cov, t, axis="x")
+    want = apply_channel(rho, NoiseChannel(covariance=cov, axis="x"), t)
     assert np.abs(averaged - want).max() < 1e-8

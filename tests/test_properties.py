@@ -10,7 +10,7 @@ from triqec.analytics import survival_factor
 from triqec.noise import (
     BLOCK,
     NoiseChannel,
-    apply_channel_analytic,
+    apply_channel,
     validate_covariance,
     validate_integer,
     validate_seed,
@@ -94,7 +94,7 @@ def test_swapping_the_ancillae_leaves_the_survival_unchanged(cov, t, sign2, sign
 )
 def test_exact_channel_maps_states_to_states(rho, cov, t, axis):
     # Hermitian, unit trace and positive semidefinite (within STATE_TOL).
-    validate_density_matrix(apply_channel_analytic(rho, cov, t, axis))
+    validate_density_matrix(apply_channel(rho, NoiseChannel(cov, axis), t))
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)

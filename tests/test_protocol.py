@@ -26,8 +26,7 @@ from triqec.noise import (
     _EPS,
     FRAMES,
     NoiseChannel,
-    apply_channel_analytic,
-    apply_channel_mc,
+    apply_channel,
     dephase,
     dephasing_factors,
     mean_phases,
@@ -208,14 +207,13 @@ def test_monte_carlo_routes_never_evaluate_the_gaussian_average(monkeypatch):
         raise AssertionError("the Monte Carlo route evaluated the Gaussian average")
 
     monkeypatch.setattr(noise, "dephasing_factors", forbidden)
-    monkeypatch.setattr(protocol, "dephasing_factors", forbidden)
     cov = uncorrelated(0.5)
     for axis in ("x", "z"):
         channel = NoiseChannel(covariance=cov, axis=axis, kind="monte-carlo", samples=3000, seed=1)
         config = PipelineConfig(channel=channel, bloch=BLOCH)
         run_pipeline_mc(config, 0.3, samples=3000, seed=1, workers=2)
         run_pipeline(config, 0.3)  # dispatches to the Monte Carlo route
-        apply_channel_mc(np.eye(8) / 8, channel, 0.3)
+        apply_channel(np.eye(8) / 8, channel, 0.3)
     with pytest.raises(AssertionError, match="Gaussian average"):  # the guard is live
         run_pipeline(make_config(cov, bloch=BLOCH), 0.3)
 
@@ -241,7 +239,7 @@ def test_constant_gates_are_cached_read_only():
         lambda t: survival_factor(uncorrelated(0.389), np.array([0.0, t])),
         lambda t: uncorrected_decay(uncorrelated(0.389), t),
         lambda t: dephasing_factors(np.eye(3), t),
-        lambda t: apply_channel_analytic(np.eye(8) / 8, np.eye(3), t),
+        lambda t: apply_channel(np.eye(8) / 8, NoiseChannel(np.eye(3)), t),
         lambda t: sample_phases(np.eye(3), t, np.random.default_rng(0)),
         lambda t: run_pipeline(make_config(np.eye(3), bloch=BLOCH), t),
         lambda t: run_pipeline_mc(make_config(np.eye(3), bloch=BLOCH), t, samples=10, seed=0),
@@ -251,7 +249,7 @@ def test_constant_gates_are_cached_read_only():
         "survival_factor_array",
         "uncorrected_decay",
         "dephasing_factors",
-        "apply_channel_analytic",
+        "apply_channel_analytic",  # apply_channel on an analytic channel
         "sample_phases",
         "run_pipeline",
         "run_pipeline_mc",
@@ -271,7 +269,7 @@ COVARIANCE_TIME_ENTRY_POINTS = {
     "survival_factor_array": lambda cov, t: survival_factor(cov, np.array([0.0, t])),
     "uncorrected_decay": lambda cov, t: uncorrected_decay(cov, t),
     "dephasing_factors": lambda cov, t: dephasing_factors(cov, t),
-    "apply_channel_analytic": lambda cov, t: apply_channel_analytic(np.eye(8) / 8, cov, t),
+    "apply_channel_analytic": lambda cov, t: apply_channel(np.eye(8) / 8, NoiseChannel(cov), t),
     "sample_phases": lambda cov, t: sample_phases(cov, t, np.random.default_rng(0)),
     "run_pipeline": lambda cov, t: run_pipeline(make_config(cov, bloch=BLOCH), t).reduced,
     "run_pipeline_mc": lambda cov, t: run_pipeline_mc(
@@ -300,11 +298,13 @@ def _outputs(result):
     return np.append(result.reduced, [result.survival, result.survival_stderr or 0.0])
 
 
-#: Each entry point where a time meets a channel, as a function of the time.
+#: Each entry point where a time meets a channel, as a function of the time;
+#: "apply_channel_analytic" and "apply_channel_mc" are ``apply_channel`` on
+#: each kind of channel.
 SCALAR_TIME_ENTRY_POINTS = {
     "dephasing_factors": lambda t: dephasing_factors(np.eye(3), t),
-    "apply_channel_analytic": lambda t: apply_channel_analytic(np.eye(8) / 8, np.eye(3), t),
-    "apply_channel_mc": lambda t: apply_channel_mc(np.eye(8) / 8, mc_channel(np.eye(3)), t),
+    "apply_channel_analytic": lambda t: apply_channel(np.eye(8) / 8, NoiseChannel(np.eye(3)), t),
+    "apply_channel_mc": lambda t: apply_channel(np.eye(8) / 8, mc_channel(np.eye(3)), t),
     "mean_phases": lambda t: mean_phases(mc_channel(np.eye(3)), t)[0],
     "run_pipeline": lambda t: _outputs(run_pipeline(make_config(np.eye(3), bloch=BLOCH), t)),
     "run_pipeline_monte_carlo_channel": lambda t: _outputs(
