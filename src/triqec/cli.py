@@ -93,7 +93,8 @@ def _resolve_covariance(args) -> np.ndarray:
         return validate_covariance(read_covariance_file(args.cov))
     if args.model is None:
         raise ValueError("give --cov FILE or --model with --tau")
-    return validate_covariance(named_model(args.model).covariance(args.tau))
+    tau = positive_finite(args.tau, "--tau")
+    return validate_covariance(named_model(args.model).covariance(tau))
 
 
 def _resolve_seed(args) -> int:
@@ -185,7 +186,7 @@ def cmd_decay(args) -> int:
     positive_finite(args.tmax, "--tmax")
     if args.mc is not None:
         validate_integer(args.mc, "--mc", 1, MAX_SAMPLES)
-    validate_integer(args.workers, "--workers", 1)
+    validate_integer(args.workers, "--workers", 1)  # no effect; the next benchmark change drops it
     times = np.linspace(0.0, args.tmax, args.points)
     corrected = args.correction == "on"
     decay = survival_factor if corrected else uncorrected_decay
@@ -197,9 +198,8 @@ def cmd_decay(args) -> int:
         channel = NoiseChannel(covariance=cov, axis="x")
         config = PipelineConfig(channel=channel, bloch=(0.0, 0.0, 1.0), correction=corrected)
         estimates = []
-        for index, t in enumerate(times):
-            point_seed = np.random.SeedSequence([seed, index])
-            result = run_pipeline_mc(config, float(t), args.mc, point_seed, args.workers)
+        for i, t in enumerate(times):
+            result = run_pipeline_mc(config, float(t), args.mc, np.random.SeedSequence([seed, i]))
             estimates.append((result.survival, result.survival_stderr))
         header += ["theta_mc", "mc_stderr"]
         columns += zip(*estimates)
@@ -220,17 +220,21 @@ def cmd_decay(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    # Nothing is printed until both curves are checked and the outputs written.
     measured = read_curve_csv(args.infile)
+    corrected = read_curve_csv(args.corrected) if args.corrected else None
     fit = fit_exponential_rate(measured)
-    print(f"rate = {_fmt(fit.rate)}")
-    print(f"log_fit_correlation = {_fmt(fit.correlation)}")
     predicted = predict_corrected_curve(fit.rate, args.model, measured.times)
+    report = [f"rate = {_fmt(fit.rate)}", f"log_fit_correlation = {_fmt(fit.correlation)}"]
 
     header = ["t", "theta_predicted"]
     columns = [predicted.times, predicted.values]
-    if args.corrected:
-        scaled = scale_to_rms(read_curve_csv(args.corrected), predicted)
-        print(f"prediction_correlation = {_fmt(curve_correlation(scaled, predicted))}")
+    if corrected is not None:
+        try:
+            scaled = scale_to_rms(corrected, predicted)
+        except ValueError as exc:
+            raise ValueError(f"--corrected {args.corrected}: {exc}") from None
+        report.append(f"prediction_correlation = {_fmt(curve_correlation(scaled, predicted))}")
         header.append("corrected_scaled")
         columns.append(scaled.values)
 
@@ -240,6 +244,7 @@ def cmd_fit(args) -> int:
         "corrected": args.corrected,
     }
     _write_outputs("fit", parameters, args.out, header, columns)
+    print("\n".join(report))
     return 0
 
 
@@ -292,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_decay.add_argument("--correction", choices=("on", "off"), default="on")
     p_decay.add_argument("--mc", type=int, help="add a Monte Carlo column with this many samples")
     p_decay.add_argument("--seed", type=int, help=f"Monte Carlo seed (default ${SEED_ENV} or 0)")
-    p_decay.add_argument("--workers", type=int, default=1, help="Monte Carlo worker threads")
+    p_decay.add_argument("--workers", type=int, default=1, help="checked (>= 1); no effect")
     p_decay.add_argument("--out", required=True, help="output CSV path")
     p_decay.set_defaults(func=cmd_decay)
 

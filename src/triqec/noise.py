@@ -12,9 +12,9 @@ being the halved difference of the two basis states' 2Iz signs.  ``dephase``
 applies an 8x8 table of such factors; the routes differ only in how each
 factor is averaged, and stay independent so they can cross-validate.
 A ``NoiseChannel`` is the one record of how to average (its kind and, for
-Monte Carlo, its sample count, seed and workers, all checked when it is
-made), and ``channel_factors`` the one dispatch on its kind, which
-``apply_channel`` and ``protocol.run_pipeline`` both call:
+Monte Carlo, its sample count and seed, both checked when it is made), and
+``channel_factors`` the one dispatch on its kind, which ``apply_channel`` and
+``protocol.run_pipeline`` both call:
 
 * "analytic": the exact Gaussian average exp(-(t/2) eps^T C eps) of
   ``dephasing_factors``.
@@ -40,18 +40,16 @@ times the phasor rows gives each trajectory's survival.
 
 Monte Carlo reproducibility and memory: the phases come from a counter-based
 Philox stream keyed by the seed, drawn and reduced ``BLOCK`` vectors at a time
-and added in stream order, so memory does not grow with the sample count and
-results are bit-identical no matter how many worker threads reduce the blocks.
-The calling thread only draws the normals; the reducing threads load them.
+and added in stream order, so memory does not grow with the sample count.
+The calling thread reduces each block in one slot while one background thread
+draws the next two blocks ahead (see ``_stream``).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
-import os
 import sys
 import weakref
 from collections import deque
@@ -210,9 +208,7 @@ def validate_integer(
 
 def validate_seed(seed):
     """A Monte Carlo seed: an int >= 0 (returned as int) or a SeedSequence, else ValueError."""
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return validate_integer(seed, "seed", 0)
+    return seed if isinstance(seed, np.random.SeedSequence) else validate_integer(seed, "seed", 0)
 
 
 #: The largest Monte Carlo sample count: a count must fit a C index.
@@ -225,8 +221,8 @@ class NoiseChannel:
 
     ``kind`` is "analytic" for the exact Gaussian average or "monte-carlo" for
     sampled trajectories, which requires ``samples``.  Every setting is checked
-    here: ``samples`` (when given) in [1, ``MAX_SAMPLES``], ``workers`` >= 1,
-    ``seed`` >= 0.
+    here: ``samples`` (when given) in [1, ``MAX_SAMPLES``], ``seed`` >= 0 or a
+    SeedSequence.  The threads that draw and reduce the samples are not a setting.
     """
 
     covariance: np.ndarray
@@ -234,14 +230,12 @@ class NoiseChannel:
     kind: str = "analytic"
     samples: int | None = None
     seed: int | np.random.SeedSequence = 0
-    workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "covariance", validate_covariance(self.covariance))
         dephasing_frame(self.axis)  # rejects axes other than 'x' and 'z'
         if self.kind not in ("analytic", "monte-carlo"):
             raise ValueError(f"kind must be 'analytic' or 'monte-carlo', got {self.kind!r}")
-        object.__setattr__(self, "workers", validate_integer(self.workers, "workers", 1))
         object.__setattr__(self, "seed", validate_seed(self.seed))
         if self.kind == "monte-carlo" or self.samples is not None:
             samples = validate_integer(self.samples, "samples", 1, MAX_SAMPLES)
@@ -444,30 +438,29 @@ def _add(total, block):
     return sums + block_sums, a
 
 
-def _stream(half: np.ndarray, samples: int, seed, workers: int, weights):
-    # _block_sums of each BLOCK of the seeded stream, in stream order.  The
-    # calling thread draws the normals while min(workers, CPUs) threads load
-    # and reduce them, with one block more in flight.  Each in-flight block
-    # works in its slot of one buffer allocated per call: fresh temporaries
-    # of BLOCK floats a row, above the allocator's mmap threshold, would be
-    # mapped and page-faulted per block.  A block of n samples takes the
-    # first _ROWS * n floats of its slot as (_ROWS, n), so that its rows are
-    # contiguous whatever n: a ufunc over several rows of a wider buffer
-    # would allocate an iteration buffer.
+def _stream(half: np.ndarray, samples: int, seed, weights):
+    # The total of _block_sums over each BLOCK of the seeded stream, added by
+    # _add in stream order.  The calling thread draws block 0 and reduces each
+    # block while one background thread keeps the next two blocks' normals
+    # drawn ahead (with one, its wake-up falls on the critical path); a
+    # one-block stream submits nothing, so it starts no thread.  Every block
+    # works in the one slot allocated per call, as fresh BLOCK-float rows
+    # would be mapped and page-faulted per block; a block of n samples takes
+    # its first _ROWS * n floats as (_ROWS, n), so its rows are contiguous and
+    # no ufunc allocates an iteration buffer.
     rng = np.random.Generator(np.random.Philox(seed))
-    threads, blocks = min(workers, os.cpu_count() or 1), range(0, samples, BLOCK)
-    slots = np.empty((min(threads + 1, len(blocks)), _ROWS * min(BLOCK, samples)))
-    window = deque()
-    with ThreadPoolExecutor(threads) as pool:
-        for index, start in enumerate(blocks):
-            n = min(BLOCK, samples - start)
-            normals = rng.standard_normal((n, 3))
-            if len(window) == len(slots):  # frees slot index % len(slots)
-                yield window.popleft().result()
-            slot = slots[index % len(slots), : _ROWS * n].reshape(_ROWS, n)
-            window.append(pool.submit(_block_sums, normals, half, slot, weights))
-        while window:
-            yield window.popleft().result()
+    sizes = (min(BLOCK, samples - start) for start in range(0, samples, BLOCK))
+    slot, total, ahead = np.empty(_ROWS * min(BLOCK, samples)), None, deque()
+    with ThreadPoolExecutor(1) as pool:
+        normals = rng.standard_normal((next(sizes), 3))
+        while normals is not None:
+            for size in itertools.islice(sizes, 2 - len(ahead)):
+                ahead.append(pool.submit(rng.standard_normal, (size, 3)))
+            n = len(normals)
+            block = _block_sums(normals, half, slot[: _ROWS * n].reshape(_ROWS, n), weights)
+            total = block if total is None else _add(total, block)
+            normals = ahead.popleft().result() if ahead else None
+    return total
 
 
 def mean_phases(channel: NoiseChannel, t: float, weights=None):
@@ -488,8 +481,7 @@ def mean_phases(channel: NoiseChannel, t: float, weights=None):
     samples, loading = channel.samples, _phase_loading(channel.covariance, t)
     if weights is not None:
         weights = _survival_weights(weights)
-    blocks = _stream(0.5 * loading, samples, channel.seed, channel.workers, weights)
-    sums, stats = functools.reduce(_add, blocks)
+    sums, stats = _stream(0.5 * loading, samples, channel.seed, weights)
     mean = phase_table(sums[: len(PAIRS)] / samples, sums[len(PAIRS) :] / samples)
     if stats is None:
         return mean, None

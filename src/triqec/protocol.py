@@ -41,6 +41,7 @@ from .noise import (
     pair_weights,
     phase_scaled,
     validate_covariance,
+    validate_integer,
 )
 from .operators import (
     ANCILLA_SECTORS,
@@ -256,9 +257,10 @@ def run_pipeline_mc(
 ) -> PipelineResult:
     """:func:`run_pipeline` on ``config`` with a Monte Carlo channel of these settings.
 
-    ``seed`` is an int >= 0 or a SeedSequence.
+    ``seed`` is an int >= 0 or a SeedSequence; ``workers`` (>= 1) has no effect.
     """
-    settings = dict(kind="monte-carlo", samples=samples, seed=seed, workers=workers)
+    validate_integer(workers, "workers", 1)  # the next benchmark change drops workers
+    settings = dict(kind="monte-carlo", samples=samples, seed=seed)
     return run_pipeline(replace(config, channel=replace(config.channel, **settings)), t)
 
 

@@ -62,6 +62,11 @@ def mc_channel(cov, samples: int = 100, seed=1, **kwargs) -> NoiseChannel:
     return NoiseChannel(cov, kind="monte-carlo", samples=samples, seed=seed, **kwargs)
 
 
+def z_scores(mc, exact, stderr) -> np.ndarray:
+    """(mc - exact) / stderr elementwise: Monte Carlo errors in units of their standard errors."""
+    return (np.asarray(mc, dtype=float) - exact) / np.asarray(stderr, dtype=float)
+
+
 def reference_stream(cov, t: float, seed, samples: int) -> np.ndarray:
     """The seeded Monte Carlo phase stream's first ``samples`` vectors, drawn at once."""
     return sample_phases(cov, t, np.random.Generator(np.random.Philox(seed)), samples)

@@ -1,5 +1,6 @@
 """The package's public names, pinned: adding or removing one is a deliberate edit here."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -73,3 +74,10 @@ def test_public_names_are_pinned():
     assert out.returncode == 0, out.stderr
     assert len(PUBLIC_NAMES) == 48
     assert json.loads(out.stdout) == PUBLIC_NAMES
+
+
+def test_noise_channel_fields_are_pinned():
+    # How the Monte Carlo stream is threaded is not a setting: a new field is a
+    # deliberate edit here.
+    names = tuple(field.name for field in dataclasses.fields(triqec.NoiseChannel))
+    assert names == ("covariance", "axis", "kind", "samples", "seed")

@@ -77,7 +77,7 @@ def test_harness_channel_names_are_apply_channel():
     cov = noise.uncorrelated(0.7) + 0.2
     for axis in ("x", "z"):
         exact = noise.NoiseChannel(cov, axis)
-        sampled = noise.NoiseChannel(cov, axis, kind="monte-carlo", samples=3000, seed=4, workers=2)
+        sampled = noise.NoiseChannel(cov, axis, kind="monte-carlo", samples=3000, seed=4)
         want = noise.apply_channel(rho, exact, 0.4)
         assert np.array_equal(noise.apply_channel_analytic(rho, cov, 0.4, axis), want)
         want = noise.apply_channel(rho, sampled, 0.4)

@@ -102,7 +102,22 @@ def test_decay_bad_parameters(tmp_path):
     for tmax in ("nan", "inf"):
         assert run_cli("decay", "--model", "correlated", "--tau", 1, "--tmax", tmax, "--out", out) == 2
     assert run_cli("decay", "--out", out) == 2  # neither model nor cov file
+    assert run_cli("decay", "--model", "correlated", "--out", out) == 2  # no --tau
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [("decay", "--out", "never.csv"), ("nogo",), ("derivatives",)],
+                         ids=["decay", "nogo", "derivatives"])
+@pytest.mark.parametrize("tau", [None, -1.0, 0.0, float("nan"), float("inf")],
+                         ids=["missing", "negative", "zero", "nan", "inf"])
+def test_named_model_rejects_a_bad_tau_by_its_flag(tmp_path, monkeypatch, capsys, command, tau):
+    monkeypatch.chdir(tmp_path)
+    tau_args = () if tau is None else ("--tau", tau)
+    assert run_cli(*command, "--model", "correlated", *tau_args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"triqec {command[0]}: --tau must be positive and finite, got {tau!r}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_manifest_commit_comes_from_the_package_not_the_cwd(tmp_path, monkeypatch):
@@ -182,6 +197,45 @@ def test_fit_rejects_a_growing_curve(tmp_path, capsys):
     growing.write_text("t,v\n0,1\n0.5,1.3\n1,1.7\n")
     assert run_cli("fit", "--in", growing, "--model", "correlated", "--out", tmp_path / "o.csv") == 2
     assert "rate must be positive" in capsys.readouterr().err
+
+
+def _uncorrected_curve(tmp_path):
+    curve = tmp_path / "u.csv"
+    curve.write_text("".join(f"{t},{np.exp(-2.0 * t)}\n" for t in np.linspace(0.0, 1.0, 24)))
+    return curve
+
+
+def test_fit_with_a_corrected_curve_on_another_grid_prints_nothing(tmp_path, capsys):
+    corrected, out = tmp_path / "c.csv", tmp_path / "o.csv"
+    corrected.write_text("".join(f"{t},{np.exp(-t * t)}\n" for t in np.linspace(0.0, 2.0, 24)))
+    assert run_cli("fit", "--in", _uncorrected_curve(tmp_path), "--model", "correlated",
+                   "--corrected", corrected, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"triqec fit: --corrected {corrected}: "
+        "measured and reference curves are on different time grids\n"
+    )
+    assert not out.exists()
+
+
+def test_fit_with_a_missing_corrected_file_prints_nothing(tmp_path, capsys):
+    absent, out = tmp_path / "absent.csv", tmp_path / "o.csv"
+    assert run_cli("fit", "--in", _uncorrected_curve(tmp_path), "--model", "correlated",
+                   "--corrected", absent, "--out", out) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot read {absent}" in captured.err
+    assert not out.exists()
+
+
+def test_fit_with_an_unwritable_output_prints_nothing(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "o.csv"
+    assert run_cli("fit", "--in", _uncorrected_curve(tmp_path), "--model", "correlated",
+                   "--out", out) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"triqec fit: cannot write {out}: ")
 
 
 def test_fit_missing_input_is_io_error(tmp_path):

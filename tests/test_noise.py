@@ -138,8 +138,6 @@ def test_noise_channel_validation():
 @pytest.mark.parametrize(
     "kwargs,name",
     [
-        ({"workers": -3}, "workers"),
-        ({"workers": 0}, "workers"),
         ({"kind": "monte-carlo", "samples": 1e3}, "samples"),
         ({"kind": "monte-carlo", "samples": 0}, "samples"),
         ({"samples": 0}, "samples"),
@@ -150,8 +148,6 @@ def test_noise_channel_validation():
         ({"samples": 10**30}, "samples"),
         ({"kind": "monte-carlo", "samples": True}, "samples"),
         ({"kind": "monte-carlo", "samples": np.True_}, "samples"),
-        ({"workers": True}, "workers"),
-        ({"workers": np.True_}, "workers"),
     ],
 )
 def test_noise_channel_rejects_bad_counts(kwargs, name):
@@ -190,9 +186,8 @@ def test_mean_phases_adds_the_block_sums_in_stream_order():
         block = normals[start : start + BLOCK]
         total = total + _block_sums(block, half, np.empty((_ROWS, len(block))), None)[0]
     expected = phase_table(total[: len(PAIRS)] / n, total[len(PAIRS) :] / n)
-    for workers in (1, 3):
-        table, estimate = mean_phases(mc_channel(cov, n, seed, workers=workers), t)
-        assert np.array_equal(table, expected) and estimate is None
+    table, estimate = mean_phases(mc_channel(cov, n, seed), t)
+    assert np.array_equal(table, expected) and estimate is None
     with pytest.raises(ValueError, match="workers"):
         run_pipeline_mc(mc_config(cov), t, n, seed, workers=0)
     with pytest.raises(ValueError, match="samples"):
@@ -597,20 +592,6 @@ def test_mc_matches_analytic_channel_elementwise():
     var_im = (1 - damping**2) / 2
     allowed = 3 * np.sqrt((var_re + var_im) / n) * np.abs(rho_frame) + 1e-12
     assert (np.abs(delta) <= allowed).all()
-
-
-def test_mc_deterministic_across_worker_counts():
-    cov = totally_correlated(0.9)
-    rho = random_density(np.random.default_rng(7))
-    one = apply_channel(
-        rho, NoiseChannel(covariance=cov, kind="monte-carlo", samples=9000, seed=5), 0.7
-    )
-    many = apply_channel(
-        rho,
-        NoiseChannel(covariance=cov, kind="monte-carlo", samples=9000, seed=5, workers=3),
-        0.7,
-    )
-    assert np.array_equal(one, many)
 
 
 def test_mc_requires_monte_carlo_channel():

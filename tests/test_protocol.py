@@ -1,5 +1,7 @@
+import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from conftest import (
     reference_stream,
     sample_phases,
     sector_mixture,
+    z_scores,
 )
 from triqec import noise, protocol
 from triqec.analytics import survival_derivatives_at_zero, survival_factor, uncorrected_decay
@@ -164,23 +167,71 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_mc_memory_does_not_grow_with_samples(workers):
+def test_mc_memory_does_not_grow_with_samples():
     config = make_config(totally_correlated(0.389), bloch=BLOCH)
     small, large = (
-        _traced_peak(lambda: run_pipeline_mc(config, 0.4, samples, seed=3, workers=workers))
+        _traced_peak(lambda: run_pipeline_mc(config, 0.4, samples, seed=3))
         for samples in (10**4, 10**6)
     )
     assert large - small < 2e6
 
 
-def test_mc_memory_does_not_grow_with_workers():
+def test_one_block_stream_starts_no_thread(monkeypatch):
+    submitted = []
+    submit = ThreadPoolExecutor.submit
+
+    def spy(pool, *args, **kwargs):
+        submitted.append(args)
+        return submit(pool, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", spy)
+    config = make_config(uncorrelated(1.0), bloch=BLOCH)
+    before = threading.active_count()
+    for samples in (1, noise.BLOCK):
+        run_pipeline_mc(config, 0.3, samples, seed=1)
+        assert submitted == [] and threading.active_count() == before
+    run_pipeline_mc(config, 0.3, noise.BLOCK + 1, seed=1)
+    assert len(submitted) == 1  # the spy is live: a second block is drawn ahead
+
+
+def test_stream_leaves_no_thread_running(monkeypatch):
     config = make_config(totally_correlated(0.389), bloch=BLOCH)
-    few, many = (
-        _traced_peak(lambda: run_pipeline_mc(config, 0.4, 4 * noise.BLOCK, seed=3, workers=workers))
-        for workers in (2, 64)
-    )
-    assert many - few < 2e6
+    before = threading.enumerate()
+    run_pipeline_mc(config, 0.4, 6 * noise.BLOCK + 5, seed=2)
+    assert threading.enumerate() == before
+    # A reduction that raises at the third block, with the next two drawn ahead.
+    add, calls = noise._add, []
+
+    def failing(total, block):
+        calls.append(block)
+        if len(calls) == 2:
+            raise RuntimeError("reduction failed")
+        return add(total, block)
+
+    monkeypatch.setattr(noise, "_add", failing)
+    with pytest.raises(RuntimeError, match="reduction failed"):
+        run_pipeline_mc(config, 0.4, 6 * noise.BLOCK + 5, seed=2)
+    assert threading.enumerate() == before
+
+
+def test_monte_carlo_z_scores_are_standard_normal():
+    # 400 seeded random (C, t > 0), 4096 samples each: the errors in units of
+    # their standard errors must look like 400 draws of N(0, 1).  The bounds
+    # were fixed before the test was run: |mean z| <= 4 / sqrt(400), the
+    # sample variance inside its chi-square 1e-4 and 1 - 1e-4 quantiles
+    # (chi2(399) / 399: 0.75786 and 1.28497), and max |z| <= 4.5.
+    rng = np.random.default_rng(17)
+    mc, exact, stderr = [], [], []
+    for index in range(400):
+        cov, t = random_psd(rng), float(rng.uniform(0.05, 1.0))
+        result = run_pipeline_mc(make_config(cov, bloch=(0.0, 0.0, 1.0)), t, 4096, seed=index)
+        mc.append(result.survival)
+        stderr.append(result.survival_stderr)
+        exact.append(survival_factor(cov, t))
+    z = z_scores(mc, exact, stderr)
+    assert abs(z.mean()) <= 4 / np.sqrt(len(z))
+    assert 0.7578636401009528 <= z.var(ddof=1) <= 1.2849731833336233
+    assert np.abs(z).max() <= 4.5
 
 
 def test_run_pipeline_mc_rejects_a_missing_seed():
@@ -503,12 +554,12 @@ def test_pipeline_survival_bounded_by_one():
 
 def test_run_pipeline_dispatches_on_channel_kind():
     # run_pipeline_mc only swaps its settings into the channel: one body, so
-    # every output is bit-identical.
+    # every output is bit-identical, whatever its workers (checked, no effect).
     rng = np.random.default_rng(4)
     frames = (("x", "none", 11), ("z", "y-pi/2", np.random.SeedSequence(2)))
     for cov, workers, correction in ((uncorrelated(0.5), 1, True), (random_psd(rng), 3, False)):
         for axis, rotation, seed in frames:
-            channel = mc_channel(cov, 5000, seed, axis=axis, workers=workers)
+            channel = mc_channel(cov, 5000, seed, axis=axis)
             settings = {"bloch": BLOCH, "correction": correction, "basis_rotation": rotation}
             via_run = run_pipeline(PipelineConfig(channel=channel, **settings), 0.3)
             config = make_config(cov, axis=axis, **settings)
