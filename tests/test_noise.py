@@ -149,6 +149,9 @@ def test_noise_channel_validation():
         ({"kind": "monte-carlo", "samples": True}, "samples"),
         ({"kind": "monte-carlo", "samples": np.True_}, "samples"),
     ],
+    # Explicit ids keep the names these cases ran under before the workers
+    # cases (kwargs0, kwargs1, kwargs12, kwargs13) were dropped.
+    ids=[f"kwargs{i}-samples" for i in range(2, 12)],
 )
 def test_noise_channel_rejects_bad_counts(kwargs, name):
     with pytest.raises(ValueError, match=name):

@@ -167,10 +167,11 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-def test_mc_memory_does_not_grow_with_samples():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mc_memory_does_not_grow_with_samples(workers):
     config = make_config(totally_correlated(0.389), bloch=BLOCH)
     small, large = (
-        _traced_peak(lambda: run_pipeline_mc(config, 0.4, samples, seed=3))
+        _traced_peak(lambda: run_pipeline_mc(config, 0.4, samples, seed=3, workers=workers))
         for samples in (10**4, 10**6)
     )
     assert large - small < 2e6
