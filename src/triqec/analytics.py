@@ -13,7 +13,9 @@ cosh - sinh cancellation at large t.
 
 Other diagonal ancilla states only reweight the F2, F3 and product terms, so
 one private core evaluates the law for any weights, for ``survival_factor``
-and ``protocol.mixed_ancilla_survival`` alike.
+and ``protocol.mixed_ancilla_survival`` alike.  It puts time on the last,
+contiguous axis of each table of exponentials and adds the rows in a fixed
+order, so a time on a grid gives the same bits as the same time alone.
 """
 
 from __future__ import annotations
@@ -69,18 +71,19 @@ class FitResult:
 
 
 def _triple_quantum_product(cov: np.ndarray, t):
-    # F1 F2 F3 F123 as a mean of decaying exponentials (stable for PSD cov).
-    t = np.asarray(t, dtype=float)
+    # F1 F2 F3 F123 as a mean of decaying exponentials (stable for PSD cov),
+    # one row of exponentials per pattern, added in pattern order.
     quads = np.einsum("pj,jk,pk->p", _TRIPLE_PATTERNS, cov, _TRIPLE_PATTERNS)
-    return 0.25 * np.exp(-0.5 * np.multiply.outer(t, quads)).sum(axis=-1)
+    e0, e1, e2, e3 = np.exp(-0.5 * np.multiply.outer(quads, t))
+    return 0.25 * (e0 + e1 + e2 + e3)
 
 
-def _decay_law(c: np.ndarray, t: np.ndarray, a2, a3, b):
+def _decay_law(c: np.ndarray, t, a2, a3, b):
     # 0.5 (F1 + a2 F2 + a3 F3 - b F1 F2 F3 F123) for the checked (c, t) of
-    # phase_scaled; (1, 1, 1) is the ground-state law.
-    signs = np.array([1.0, a2, a3])
-    singles = (np.exp(-0.5 * np.multiply.outer(t, np.diagonal(c))) * signs).sum(axis=-1)
-    out = 0.5 * (singles - b * _triple_quantum_product(c, t))
+    # phase_scaled; (1, 1, 1) is the ground-state law.  Time runs along the
+    # last, contiguous axis, so each exp is one pass over a (k, n) table.
+    f1, f2, f3 = np.exp(-0.5 * np.multiply.outer(np.diagonal(c), t))
+    out = 0.5 * (f1 + f2 * a2 + f3 * a3 - b * _triple_quantum_product(c, t))
     return float(out) if out.ndim == 0 else out
 
 

@@ -92,6 +92,10 @@ _Z_SIGNS = 1.0 - 2 * ((np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1)
 #: Halved sign differences eps of the element |r><c|, row 8 r + c, shape (64, 3).
 _EPS = ((_Z_SIGNS[:, None, :] - _Z_SIGNS[None, :, :]) / 2.0).reshape(64, 3)
 
+#: The products eps_j eps_k of each element, row 8 r + c, column 3 j + k, shape
+#: (64, 9): the element's quadratic form eps^T C eps is its row times C raveled.
+_EPS_PRODUCTS = (_EPS[:, :, None] * _EPS[:, None, :]).reshape(64, 9)
+
 #: One pattern p per conjugate pair +-p of nonzero eps, the one whose first
 #: nonzero entry is positive, shape (13, 3).
 PAIRS = _frozen(
@@ -108,6 +112,9 @@ _DIAGONAL = _PAIR_SIGN == 0
 class CovarianceError(ValueError):
     """Covariance matrix that is not symmetric positive semidefinite."""
 
+
+#: The index pairs (j, k), j < k, of a covariance's off-diagonal entries.
+_INDEX_PAIRS = tuple(itertools.combinations(range(3), 2))
 
 #: Every array :func:`validate_covariance` returned that is still alive, by id.
 _CHECKED = weakref.WeakValueDictionary()
@@ -128,24 +135,29 @@ def validate_covariance(cov) -> np.ndarray:
     c = np.array(cov, dtype=float)
     if c.shape != (3, 3):
         raise CovarianceError(f"covariance must be 3x3, got shape {c.shape}")
-    if not np.isfinite(c).all():
+    # The entry checks run on Python floats: on 9 numbers numpy's per-call
+    # cost outweighs the arithmetic, which is the same IEEE double either way.
+    entries = c.ravel().tolist()
+    if not all(map(math.isfinite, entries)):
         raise CovarianceError("covariance has non-finite entries")
-    scale = max(1.0, float(np.abs(c).max()))
+    scale = max(1.0, *map(abs, entries))
     u = c / scale
+    rows = u.tolist()
     tol = 1e-12
-    if np.abs(u - u.T).max() > tol:
-        raise CovarianceError("covariance is not symmetric")
+    for j, k in _INDEX_PAIRS:
+        if abs(rows[j][k] - rows[k][j]) > tol:
+            raise CovarianceError("covariance is not symmetric")
     for j in range(3):
-        if u[j, j] < -tol:
+        if rows[j][j] < -tol:
             raise CovarianceError(f"variance c[{j},{j}] = {float(c[j, j])!r} is negative")
-    for j, k in itertools.combinations(range(3), 2):
-        bound = np.sqrt(max(u[j, j], 0.0) * max(u[k, k], 0.0))
-        if abs(u[j, k]) > bound + tol:
+    for j, k in _INDEX_PAIRS:
+        bound = math.sqrt(max(rows[j][j], 0.0) * max(rows[k][k], 0.0))
+        if abs(rows[j][k]) > bound + tol:
             raise CovarianceError(
                 f"cross-rate c[{j},{k}] = {float(c[j, k])!r} exceeds the "
-                f"Cauchy-Schwarz bound {float(bound * scale)!r}"
+                f"Cauchy-Schwarz bound {bound * scale!r}"
             )
-    lowest = float(np.linalg.eigvalsh(u).min())
+    lowest = min(np.linalg.eigvalsh(u).tolist())
     if lowest < -tol:
         raise CovarianceError(
             f"covariance is not positive semidefinite: eigenvalue {lowest * scale!r} < 0"
@@ -248,12 +260,18 @@ def phase_scaled(cov, t):
     The one rule for a covariance meeting a time: those forms and the
     eigenvalues of C*t, at most 9 max|c_jk| t, must be finite floats, else
     ValueError.  If 9 max|c_jk| alone overflows, C comes back divided and t
-    multiplied by 16 (exactly), so no intermediate overflows.
+    multiplied by 16 (exactly), so no intermediate overflows.  An int or float
+    time (numpy's float64 included) comes back as a float, any other time as a
+    float array.
     """
     c = validate_covariance(cov)
-    t = np.asarray(validate_time(t), dtype=float)
-    largest = float(np.abs(c).max())
-    longest = float(t.max()) if t.size else 0.0
+    t = validate_time(t)
+    if isinstance(t, (int, float)):  # kept off numpy's per-call cost
+        t = longest = float(t)
+    else:
+        t = np.asarray(t, dtype=float)
+        longest = float(t.max()) if t.size else 0.0
+    largest = max(map(abs, c.ravel().tolist()))
     if not math.isfinite(9.0 * (largest * longest)):
         raise ValueError(f"covariance * t overflows: largest entry {largest!r}, t = {longest!r}")
     return (c, t) if math.isfinite(9.0 * largest) else (c / 16.0, t * 16.0)
@@ -262,7 +280,7 @@ def phase_scaled(cov, t):
 def _scalar_time(t):
     # A time meeting a channel is one number (0-d arrays too): an array would
     # broadcast against the 8x8 factor table or the 3x3 covariance.
-    if np.ndim(t) != 0:
+    if not isinstance(t, (int, float)) and np.ndim(t) != 0:
         raise ValueError(f"t must be a scalar time, got an array of shape {np.shape(t)}")
     return t
 
@@ -284,8 +302,7 @@ def dephasing_factors(cov, t: float) -> np.ndarray:
     must be a scalar.
     """
     c, t = phase_scaled(cov, _scalar_time(t))
-    quad = np.einsum("pj,jk,pk->p", _EPS, c, _EPS).reshape(8, 8)
-    return np.exp(-0.5 * t * quad)
+    return np.exp(-0.5 * t * (_EPS_PRODUCTS @ c.ravel()).reshape(8, 8))
 
 
 def phase_table(cos, sin) -> np.ndarray:

@@ -9,6 +9,7 @@ functions here are pure and never mutate their inputs.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -99,7 +100,7 @@ def idempotent(spin: int, sign: int) -> np.ndarray:
 def data_state_from_bloch(bloch) -> np.ndarray:
     """2x2 data-spin density matrix with the given (<2Ix>, <2Iy>, <2Iz>)."""
     x, y, z = bloch
-    if not np.isfinite([x, y, z]).all():
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise NormalizationError(f"Bloch vector components must be finite, got {tuple(bloch)!r}")
     r2 = x * x + y * y + z * z
     if r2 > 1.0 + STATE_TOL:
@@ -119,12 +120,15 @@ def partial_trace_ancillae(rho: np.ndarray) -> np.ndarray:
 
 
 def bloch_of(rho: np.ndarray) -> BlochVector:
-    """Bloch vector (<2Ix>, <2Iy>, <2Iz>) of a 2x2 density matrix."""
+    """Bloch vector (<2Ix>, <2Iy>, <2Iz>) of a 2x2 density matrix.
+
+    Component k is Re tr(rho sigma_k), read from the four entries:
+    Re(r01 + r10), Im r10 - Im r01 and Re(r00 - r11).
+    """
     r = np.asarray(rho)
     if r.shape != (2, 2):
         raise ValueError(f"expected a 2x2 density matrix, got shape {r.shape}")
+    (r00, r01), (r10, r11) = r.tolist()
     return BlochVector(
-        float(np.trace(r @ PAULI["x"]).real),
-        float(np.trace(r @ PAULI["y"]).real),
-        float(np.trace(r @ PAULI["z"]).real),
+        float((r01 + r10).real), float(r10.imag - r01.imag), float((r00 - r11).real)
     )

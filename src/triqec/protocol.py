@@ -9,16 +9,20 @@ factor; the x component is untouched by construction.
 
 ``run_pipeline`` is the one body: the encoded state, in the dephasing frame,
 has its elements multiplied by an 8x8 factor table, then is decoded,
-corrected and reduced.  The channel says how the table is averaged
-(``noise.channel_factors``): exactly over the Gaussian phases, or as the
-sample mean of seeded trajectories, each of whose survivals is the protected
-observable pulled back into that frame and folded once per run onto the 13
-conjugate phase pairs.
+corrected and reduced.  All of that but the table is fixed by the
+configuration, so a ``PipelineConfig`` builds it once, when it is made, as a
+(4, 64) readout from the raveled table to the raveled reduced state; a run
+is the table, one matrix-vector product and the Bloch read.  The channel
+says how the table is averaged (``noise.channel_factors``): exactly over the
+Gaussian phases, or as the sample mean of seeded trajectories, each of whose
+survivals is the protected observable pulled back into that frame and folded
+onto the 13 conjugate phase pairs, once per configuration.
 ``run_pipeline_mc`` is ``run_pipeline`` on the same configuration with a
 Monte Carlo channel of the given settings.  The agreement of the two
 averages is the central cross-check of the package.  The constant gates
-(the encode/decode unitaries per correction, rotation and axis, and the
-ancilla sector projectors) are built once and cached read-only.
+(the encode/decode unitaries per correction, rotation and axis, their
+reduction basis, and the ancilla sector projectors) are built once and
+cached read-only.
 
 The mixed-ancilla survival and slopes read one sign table, ``SECTOR_SIGNS``;
 a single sector is its one-hot mixture.
@@ -29,6 +33,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,8 +158,9 @@ class PipelineConfig:
             object.__setattr__(self, "ancillae", components)
         elif self.bloch is None:
             raise ConfigError("no initial data state given")
-        else:
-            data_state_from_bloch(self.bloch)  # rejects non-finite or too long Bloch vectors
+        # Built once per configuration (``replace`` builds it afresh); the
+        # initial state rejects non-finite or too long Bloch vectors.
+        object.__setattr__(self, "_constant", _constant_part(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,17 +188,23 @@ def _sector_projector(sign2: int, sign3: int) -> np.ndarray:
     return projector
 
 
+def _product_state(data: np.ndarray, ancillae: np.ndarray) -> np.ndarray:
+    # np.kron(data, ancillae) for a 2x2 data and a 4x4 ancilla operator: the
+    # same products, without np.kron's per-call overhead.
+    return (data[:, None, :, None] * ancillae[None, :, None, :]).reshape(8, 8)
+
+
 def _initial_state(config: PipelineConfig) -> np.ndarray:
     # The 8x8 state the pipeline starts from; ground-state ancillae by default.
     ancillae = config.ancillae
     if ancillae is not None and not isinstance(ancillae, AncillaMixture):
         return sum(
             comp.weight
-            * np.kron(data_state_from_bloch(comp.bloch), _sector_projector(*comp.sector))
+            * _product_state(data_state_from_bloch(comp.bloch), _sector_projector(*comp.sector))
             for comp in ancillae
         )
     weights = ancillae.weights if isinstance(ancillae, AncillaMixture) else (1.0, 0.0, 0.0, 0.0)
-    return np.kron(data_state_from_bloch(config.bloch), np.diag(weights))
+    return _product_state(data_state_from_bloch(config.bloch), np.diag(weights))
 
 
 @lru_cache(maxsize=8)  # 2 correction flags x 2 basis rotations x 2 axes
@@ -221,6 +233,51 @@ def _conjugators(
     return pre, post
 
 
+@lru_cache(maxsize=8)  # one per _conjugators key
+def _reduction_basis(correction: bool, basis_rotation: str, axis: str) -> np.ndarray:
+    # Column 8 i + j is the raveled partial trace of post |i><j| post^H, so
+    # a frame state S whose elements are scaled by a factor table F decodes
+    # to the reduced state sum_ij F_ij S_ij column_ij.  Cached, hence read-only.
+    post = _conjugators(correction, basis_rotation, axis)[1]
+    columns = [
+        partial_trace_ancillae(np.outer(post[:, i], post[:, j].conj())).ravel()
+        for i in range(8)
+        for j in range(8)
+    ]
+    basis = np.array(columns).T
+    basis.setflags(write=False)
+    return basis
+
+
+class _ConstantPart(NamedTuple):
+    # What run_pipeline needs of a configuration at every time.
+    bloch_in: BlochVector
+    weight: float  # squared length of bloch_in's protected (y, z) part
+    fold: tuple | None  # the Monte Carlo survival weights, else None
+    readout: np.ndarray  # (4, 64): raveled factor table -> raveled reduced state
+
+
+def _constant_part(config: PipelineConfig) -> _ConstantPart:
+    # The encoded state in the dephasing frame, folded once into the readout
+    # (and, on a Monte Carlo channel, into the survival weights).
+    channel = config.channel
+    key = (config.correction, config.basis_rotation, channel.axis)
+    rho0 = _initial_state(config)
+    bloch_in = bloch_of(partial_trace_ancillae(rho0))
+    pre, post = _conjugators(*key)
+    state = pre @ rho0 @ pre.conj().T
+    weight = bloch_in.y**2 + bloch_in.z**2
+    fold = None
+    if channel.kind == "monte-carlo" and weight > 0:
+        # The protected observable, pulled back through the post-noise gates
+        # and contracted with the frame state: a trajectory's factor table f
+        # gives its survival Re sum(f * contraction), which the pair weights
+        # turn into w0 + cos @ wc + sin @ ws.  The exact average skips it.
+        observable = np.kron(bloch_in.y * PAULI["y"] + bloch_in.z * PAULI["z"], np.eye(4))
+        fold = pair_weights((post.conj().T @ observable @ post).T * state / weight)
+    return _ConstantPart(bloch_in, weight, fold, _reduction_basis(*key) * state.ravel())
+
+
 def run_pipeline(config: PipelineConfig, t: float) -> PipelineResult:
     """Run the pipeline at decoherence time t, averaging as the channel says.
 
@@ -229,22 +286,9 @@ def run_pipeline(config: PipelineConfig, t: float) -> PipelineResult:
     channel also gives the mean and standard error of the trajectories'
     survivals.  t must be a scalar.
     """
-    channel = config.channel
-    rho0 = _initial_state(config)
-    bloch_in = bloch_of(partial_trace_ancillae(rho0))
-    pre, post = _conjugators(config.correction, config.basis_rotation, channel.axis)
-    state = pre @ rho0 @ pre.conj().T
-    weight = bloch_in.y**2 + bloch_in.z**2
-    weights = None
-    if channel.kind == "monte-carlo" and weight > 0:
-        # The protected observable, pulled back through the post-noise gates
-        # and contracted with the frame state: a trajectory's factor table f
-        # gives its survival Re sum(f * contraction), which the pair weights
-        # turn into w0 + cos @ wc + sin @ ws.  The exact average skips it.
-        observable = np.kron(bloch_in.y * PAULI["y"] + bloch_in.z * PAULI["z"], np.eye(4))
-        weights = pair_weights((post.conj().T @ observable @ post).T * state / weight)
-    factors, estimate = channel_factors(channel, t, weights)
-    reduced = partial_trace_ancillae(post @ (factors * state) @ post.conj().T)
+    bloch_in, weight, fold, readout = config._constant
+    factors, estimate = channel_factors(config.channel, t, fold)
+    reduced = (readout @ factors.ravel()).reshape(2, 2)
     bloch_out = bloch_of(reduced)
     survival, stderr = estimate or (None, None)
     if estimate is None and weight > 0:  # least squares on the protected plane

@@ -13,6 +13,7 @@ from triqec.noise import (
     PAIRS,
     NoiseChannel,
     _phase_loading,
+    dephasing_factors,
     phase_table,
     validate_covariance,
 )
@@ -24,12 +25,14 @@ from triqec.operators import (
     STATE_TOL,
     NormalizationError,
     angular_momentum,
+    bloch_of,
     idempotent,
     kron3,
+    partial_trace_ancillae,
     pauli,
     sector_index,
 )
-from triqec.protocol import AncillaMixture
+from triqec.protocol import AncillaMixture, _conjugators, _initial_state
 
 
 @pytest.fixture
@@ -90,6 +93,43 @@ def pair_phasor_products(spin_phasors) -> np.ndarray:
     z = np.asarray(spin_phasors, dtype=complex)
     powers = {-1: z.conj(), 0: np.ones_like(z), 1: z}
     return np.array([powers[a][0] * powers[b][1] * powers[c][2] for a, b, c in PAIRS.astype(int)])
+
+
+class ExplicitRun(NamedTuple):
+    """What :func:`explicit_pipeline` returns."""
+
+    reduced: np.ndarray
+    survival: float | None
+    contraction: np.ndarray | None
+
+
+def explicit_pipeline(config, t: float, factors=None) -> ExplicitRun:
+    """The pipeline body written out, one 8x8 step at a time (oracle).
+
+    The initial state is conjugated into the dephasing frame, its elements
+    are scaled by the factor table (the exact Gaussian average unless
+    ``factors`` is given), and the result is decoded, traced over the
+    ancillae and read by ``bloch_of``.  ``contraction`` is the protected
+    observable pulled back through the post-noise gates times the frame
+    state, over the protected weight: ``pair_weights`` of it is the Monte
+    Carlo survival fold (None when the input has no protected part).
+    """
+    channel = config.channel
+    rho0 = _initial_state(config)
+    bloch_in = bloch_of(partial_trace_ancillae(rho0))
+    pre, post = _conjugators(config.correction, config.basis_rotation, channel.axis)
+    state = pre @ rho0 @ pre.conj().T
+    if factors is None:
+        factors = dephasing_factors(channel.covariance, t)
+    reduced = partial_trace_ancillae(post @ (factors * state) @ post.conj().T)
+    bloch_out = bloch_of(reduced)
+    weight = bloch_in.y**2 + bloch_in.z**2
+    if weight == 0:
+        return ExplicitRun(reduced, None, None)
+    survival = (bloch_out.y * bloch_in.y + bloch_out.z * bloch_in.z) / weight
+    observable = np.kron(bloch_in.y * PAULI["y"] + bloch_in.z * PAULI["z"], np.eye(4))
+    contraction = (post.conj().T @ observable @ post).T * state / weight
+    return ExplicitRun(reduced, survival, contraction)
 
 
 def polar_amplitudes(theta: float, phi: float) -> tuple[complex, complex]:

@@ -7,6 +7,7 @@ from conftest import (
     forward_derivative,
     random_psd,
     richardson_second_derivative,
+    sector_mixture,
 )
 from triqec.analytics import (
     DecayCurve,
@@ -22,12 +23,31 @@ from triqec.analytics import (
 )
 from triqec.models import survival_correlated, survival_uncorrelated
 from triqec.noise import totally_correlated, uncorrelated
+from triqec.operators import ANCILLA_SECTORS
+from triqec.protocol import AncillaMixture, mixed_ancilla_survival
 
 
 def test_survival_is_one_at_time_zero():
     rng = np.random.default_rng(0)
     for _ in range(10):
         assert survival_factor(random_psd(rng), 0.0) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_closed_forms_on_a_grid_equal_their_scalar_calls_bit_for_bit():
+    # Time runs along the table's last axis, so a grid point is evaluated
+    # exactly as the same time alone; ranks 1-3, the four one-hot sectors
+    # and random mixtures.
+    rng = np.random.default_rng(43)
+    grid = np.linspace(0.0, 3.0, 203)
+    for rank in (1, 2, 3, 3):
+        cov = random_psd(rng, scale=rng.uniform(0.1, 10.0), rank=rank)
+        mixtures = [sector_mixture(*sector) for sector in ANCILLA_SECTORS]
+        mixtures += [AncillaMixture(*rng.dirichlet(np.ones(4)).tolist()) for _ in range(2)]
+        laws = [lambda t: survival_factor(cov, t), lambda t: uncorrected_decay(cov, t)]
+        laws += [lambda t, mix=mix: mixed_ancilla_survival(mix, cov, t) for mix in mixtures]
+        for law in laws:
+            pointwise = np.array([law(t) for t in grid.tolist()])
+            assert law(grid).tobytes() == pointwise.tobytes()
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.389, 1.0])

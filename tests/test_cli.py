@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import triqec
-from triqec.cli import main, read_covariance_file
+from triqec.analytics import fit_exponential_rate
+from triqec.cli import main, read_covariance_file, read_curve_csv
 
 
 def run_cli(*args):
@@ -215,6 +216,24 @@ def test_fit_with_a_corrected_curve_on_another_grid_prints_nothing(tmp_path, cap
     assert captured.err == (
         f"triqec fit: --corrected {corrected}: "
         "measured and reference curves are on different time grids\n"
+    )
+    assert not out.exists()
+
+
+def test_fit_with_a_zero_prediction_names_the_fit_not_the_corrected_file(tmp_path, capsys):
+    # The fitted rate is ln 10 and the prediction exp(-2300) underflows to 0
+    # at both times: the rescale's reference is at fault, not --corrected.
+    measured, corrected, out = tmp_path / "u.csv", tmp_path / "c.csv", tmp_path / "o.csv"
+    measured.write_text("1000,1e-300\n1001,1e-301\n")
+    corrected.write_text("1000,0.5\n1001,0.4\n")
+    assert run_cli("fit", "--in", measured, "--model", "correlated",
+                   "--corrected", corrected, "--out", out) == 2
+    rate = fit_exponential_rate(read_curve_csv(str(measured))).rate
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"triqec fit: --in {measured}: the curve predicted at the fitted rate "
+        f"{format(rate, '.17g')} is identically zero\n"
     )
     assert not out.exists()
 

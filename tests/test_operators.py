@@ -16,6 +16,7 @@ from conftest import (
 from triqec.operators import (
     ANCILLA_SECTORS,
     IDENTITY8,
+    PAULI,
     NormalizationError,
     angular_momentum,
     bloch_of,
@@ -185,6 +186,17 @@ def test_bloch_of_reads_off_components():
     direct = np.trace(rho @ np.array([[0, 1], [1, 0]])).real
     assert bloch_of(rho).x == pytest.approx(0.6, abs=1e-12)
     assert bloch_of(rho).x == pytest.approx(direct, abs=1e-12)
+
+
+def test_bloch_of_equals_the_trace_definition_bit_for_bit():
+    # Re tr(r sigma_k) by matrix products, on matrices that need not be
+    # Hermitian, real or normalized.
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        r = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        by_traces = tuple(float(np.trace(r @ PAULI[k]).real) for k in "xyz")
+        assert tuple(bloch_of(r)) == by_traces
+        assert tuple(bloch_of(r.real)) == tuple(float(np.trace(r.real @ PAULI[k]).real) for k in "xyz")
 
 
 def test_validate_density_matrix_rejects_bad_states():

@@ -1,3 +1,4 @@
+import itertools
 import threading
 import time
 import tracemalloc
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    explicit_pipeline,
     forward_derivative,
     grid_nogo_search,
     mc_channel,
@@ -33,6 +35,7 @@ from triqec.noise import (
     dephase,
     dephasing_factors,
     mean_phases,
+    pair_weights,
     totally_correlated,
     uncorrelated,
 )
@@ -158,6 +161,69 @@ def test_mc_pipeline_matches_the_64_element_reference_kernel(basis_rotation, axi
         assert np.abs(result.reduced - reduced).max() < 1e-13
 
 
+#: Every constant-gate key: correction on and off, both rotations, both axes.
+GATE_KEYS = list(itertools.product((True, False), protocol.BASIS_ROTATIONS, ("x", "z")))
+
+
+def _oracle_configs(rng, channel, correction, basis_rotation):
+    # Ground, AncillaMixture and correlated-component ancillae on one channel,
+    # each input with a protected part of length at least 0.5.
+    phi, length = rng.uniform(0.0, 2 * np.pi), rng.uniform(0.5, 0.8)
+    x, y, z = rng.uniform(-0.5, 0.5), length * np.cos(phi), length * np.sin(phi)
+    common = dict(channel=channel, correction=correction, basis_rotation=basis_rotation)
+    components = (
+        CorrelatedComponent(0.6, (x, y, z), (+1, -1)),
+        CorrelatedComponent(0.4, (-x, y, z), (-1, -1)),
+    )
+    mixture = AncillaMixture(*rng.dirichlet(np.ones(4)).tolist())
+    return [
+        PipelineConfig(bloch=(x, y, z), **common),
+        PipelineConfig(bloch=(x, y, z), ancillae=mixture, **common),
+        PipelineConfig(ancillae=components, **common),
+    ]
+
+
+@pytest.mark.parametrize("correction,basis_rotation,axis", GATE_KEYS)
+def test_run_pipeline_matches_the_explicit_oracle(correction, basis_rotation, axis):
+    rng = np.random.default_rng(31)
+    for rank in (1, 2, 3):
+        channel = NoiseChannel(random_psd(rng, scale=rng.uniform(0.1, 5.0), rank=rank), axis=axis)
+        for config in _oracle_configs(rng, channel, correction, basis_rotation):
+            for t in (0.0, *rng.uniform(0.0, 2.0, size=2).tolist()):
+                expected, result = explicit_pipeline(config, t), run_pipeline(config, t)
+                assert np.abs(result.reduced - expected.reduced).max() <= 1e-14
+                assert abs(result.survival - expected.survival) <= 1e-14
+
+
+@pytest.mark.parametrize("correction,basis_rotation,axis", GATE_KEYS)
+def test_monte_carlo_pipeline_matches_the_explicit_oracle(correction, basis_rotation, axis):
+    # The survival fold of the oracle's contraction gives the same estimate
+    # bit for bit, and the sample mean table the same reduced state.
+    rng = np.random.default_rng(32)
+    cov = random_psd(rng)
+    channel = NoiseChannel(cov, axis=axis)
+    for seed, config in enumerate(_oracle_configs(rng, channel, correction, basis_rotation)):
+        t, samples = rng.uniform(0.1, 1.5), 4500
+        fold = pair_weights(explicit_pipeline(config, t).contraction)
+        mean, estimate = mean_phases(mc_channel(cov, samples, seed, axis=axis), t, fold)
+        result = run_pipeline_mc(config, t, samples, seed)
+        assert (result.survival, result.survival_stderr) == estimate
+        expected = explicit_pipeline(config, t, factors=mean)
+        assert np.abs(result.reduced - expected.reduced).max() <= 1e-14
+
+
+def test_analytic_run_pipeline_builds_no_state_and_checks_nothing(eigvalsh_calls, monkeypatch):
+    # A configuration's constant part is built once, when it is made.
+    config = make_config(random_psd(np.random.default_rng(33)), bloch=BLOCH)
+    krons, kron = [], np.kron
+    monkeypatch.setattr(np, "kron", lambda *args: krons.append(1) or kron(*args))
+    eigvalsh_calls.clear()
+    for t in (0.0, 0.3, 1.7):
+        run_pipeline(config, t)
+    assert krons == []
+    assert eigvalsh_calls == []
+
+
 def _traced_peak(run) -> int:
     tracemalloc.start()
     try:
@@ -276,7 +342,10 @@ def test_constant_gates_are_cached_read_only():
     assert again[0] is pre and again[1] is post
     frame_pre, frame_post = protocol._conjugators(False, "none", "x")
     assert frame_pre is FRAMES["x"]
-    for gate in (pre, post, frame_pre, frame_post, protocol._sector_projector(1, -1)):
+    basis = protocol._reduction_basis(True, "y-pi/2", "z")
+    assert protocol._reduction_basis(True, "y-pi/2", "z") is basis
+    constants = (pre, post, frame_pre, frame_post, protocol._sector_projector(1, -1), basis)
+    for gate in constants:
         with pytest.raises(ValueError):
             gate[0, 0] = 0.0
 
