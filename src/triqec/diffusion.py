@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import NAMED_MODELS
+from .models import NAMED_MODELS, real_number
 from .noise import validate_integer
 
 #: The canonical named models (aliases excluded), each one pulse arrangement.
@@ -41,13 +41,13 @@ class GradientDiffusionSpec:
     scheme: str = SCHEMES[0]
 
     def __post_init__(self):
-        if not np.isfinite(self.gradient_wavenumber):
-            raise ValueError(
-                f"gradient_wavenumber must be finite, got {self.gradient_wavenumber!r}"
-            )
+        wavenumber = self.gradient_wavenumber
+        if not (real_number(wavenumber) and -np.inf < wavenumber < np.inf):
+            raise ValueError(f"gradient_wavenumber must be finite, got {wavenumber!r}")
         for name in ("diffusion_coefficient", "diffusion_time"):
-            if not (0 <= getattr(self, name) < np.inf):
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (real_number(value) and 0 <= value < np.inf):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 

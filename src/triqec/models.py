@@ -7,6 +7,7 @@ identity for independent, identically distributed fields ("uncorrelated").
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,9 +28,16 @@ def survival_correlated(tau: float, t):
     return float(out) if out.ndim == 0 else out
 
 
+def real_number(value) -> bool:
+    """Whether ``value`` is one real number, numpy's and 0-d arrays included; a bool is not."""
+    if isinstance(value, np.ndarray):
+        return value.ndim == 0 and value.dtype.kind in "iuf"
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def positive_finite(value, name: str) -> float:
-    """``value`` as a float if it is finite and > 0, else a ValueError naming it."""
-    if value is None or not (0 < value < np.inf):
+    """``value`` as a float if it is a real number, finite and > 0, else a ValueError naming it."""
+    if not (real_number(value) and 0 < value < np.inf):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return float(value)
 
@@ -48,8 +56,12 @@ class NamedModel:
     inflection: float
 
     def covariance(self, tau: float) -> np.ndarray:
-        """The rate covariance for a decay time tau > 0."""
-        return (2.0 / positive_finite(tau, "tau")) * self.pattern
+        """The rate covariance for a decay time tau > 0.
+
+        The pattern's entries are 0 or 1: a rate 2/tau that overflows gives
+        inf where the pattern is 1 and 0 elsewhere (inf * 0 would be nan).
+        """
+        return np.where(self.pattern, 2.0 / positive_finite(tau, "tau"), 0.0)
 
 
 TOTALLY_CORRELATED = NamedModel(

@@ -21,7 +21,8 @@ Monte Carlo, its sample count and seed, both checked when it is made), and
 * "monte-carlo": the sample mean of the factors over sampled phase vectors
   (``mean_phases``); it never evaluates the Gaussian formula.
 
-A time that meets a channel must be a scalar.
+``phase_scaled`` is the one check of a time, for the channels (where it must
+be a scalar) and the closed forms alike.
 
 The 56 off-diagonal elements share only 13 conjugate pairs of patterns
 eps = +-p (``PAIRS``), so the Monte Carlo kernel (``mean_phases``) averages
@@ -167,27 +168,6 @@ def validate_covariance(cov) -> np.ndarray:
     return c
 
 
-def validate_time(t):
-    """Return ``t`` if every time in it is finite and >= 0, else raise ValueError."""
-    if isinstance(t, (int, float)) and not isinstance(t, bool) and 0 <= t <= sys.float_info.max:
-        return t  # a valid Python (or numpy float64) scalar, checked without numpy
-    flags = np.asarray(t)
-    if flags.dtype == bool and flags.size:  # flags, not times
-        raise ValueError(f"time must be finite and >= 0, got {flags.flat[0].item()!r}")
-    try:
-        times = np.asarray(t, dtype=float)
-    except OverflowError:  # a Python int beyond the float range, such as 10**400
-        from decimal import Context  # only here: importing it costs 1.5 ms
-
-        big = next(x for x in np.asarray(t, dtype=object).flat if not abs(x) <= sys.float_info.max)
-        shown = Context(prec=17).create_decimal(big).normalize()  # as a float repr would
-        raise ValueError(f"time must be finite and >= 0, got {shown:e}") from None
-    bad = ~(np.isfinite(times) & (times >= 0))
-    if bad.any():
-        raise ValueError(f"time must be finite and >= 0, got {float(times[bad].flat[0])!r}")
-    return t
-
-
 def totally_correlated(tau: float) -> np.ndarray:
     """Covariance with every entry 2/tau: one field shared by all spins."""
     return TOTALLY_CORRELATED.covariance(tau)
@@ -254,43 +234,51 @@ class NoiseChannel:
             object.__setattr__(self, "samples", samples)
 
 
-def phase_scaled(cov, t):
+def phase_scaled(cov, t, scalar: bool = False):
     """The checked (C, t) for the forms t eps' C eps, eps in {-1, 0, 1}^3.
 
-    The one rule for a covariance meeting a time: those forms and the
+    The one check of every time: each must be finite and >= 0 (a bool is a
+    flag, not a time), one number if ``scalar`` (a time meeting a channel,
+    which an array would broadcast against), and the forms and the
     eigenvalues of C*t, at most 9 max|c_jk| t, must be finite floats, else
-    ValueError.  If 9 max|c_jk| alone overflows, C comes back divided and t
-    multiplied by 16 (exactly), so no intermediate overflows.  An int or float
-    time (numpy's float64 included) comes back as a float, any other time as a
-    float array.
+    ValueError.  An array is judged by its min and max (NaN fails both); only
+    a failure looks for the first bad time, to name it.  If 9 max|c_jk| alone
+    overflows, C comes back divided and t multiplied by 16 (exactly), so no
+    intermediate overflows.  An int or float time (numpy's float64 included)
+    comes back as a float, any other time as a float array.
     """
+    if scalar and not isinstance(t, (int, float)) and np.ndim(t) != 0:
+        raise ValueError(f"t must be a scalar time, got an array of shape {np.shape(t)}")
     c = validate_covariance(cov)
-    t = validate_time(t)
-    if isinstance(t, (int, float)):  # kept off numpy's per-call cost
-        t = longest = float(t)
+    if isinstance(t, (int, float)) and not isinstance(t, bool) and 0 <= t <= sys.float_info.max:
+        t = longest = float(t)  # a valid scalar, checked without numpy's per-call cost
     else:
-        t = np.asarray(t, dtype=float)
+        flags = np.asarray(t)
+        if flags.dtype == bool and flags.size:  # flags, not times
+            raise ValueError(f"time must be finite and >= 0, got {flags.flat[0].item()!r}")
+        try:
+            t = np.asarray(t, dtype=float)
+        except OverflowError:  # a Python int beyond the float range, such as 10**400
+            from decimal import Context  # only here: importing it costs 1.5 ms
+
+            big = next(x for x in flags.flat if not abs(x) <= sys.float_info.max)
+            shown = Context(prec=17).create_decimal(big).normalize()  # as a float repr would
+            raise ValueError(f"time must be finite and >= 0, got {shown:e}") from None
         longest = float(t.max()) if t.size else 0.0
+        if t.size and not (t.min() >= 0 and longest <= sys.float_info.max):
+            bad = ~(np.isfinite(t) & (t >= 0))
+            raise ValueError(f"time must be finite and >= 0, got {float(t[bad].flat[0])!r}")
     largest = max(map(abs, c.ravel().tolist()))
     if not math.isfinite(9.0 * (largest * longest)):
         raise ValueError(f"covariance * t overflows: largest entry {largest!r}, t = {longest!r}")
     return (c, t) if math.isfinite(9.0 * largest) else (c / 16.0, t * 16.0)
 
 
-def _scalar_time(t):
-    # A time meeting a channel is one number (0-d arrays too): an array would
-    # broadcast against the 8x8 factor table or the 3x3 covariance.
-    if not isinstance(t, (int, float)) and np.ndim(t) != 0:
-        raise ValueError(f"t must be a scalar time, got an array of shape {np.shape(t)}")
-    return t
-
-
 def _phase_loading(cov, t: float) -> np.ndarray:
     # The loading L of chi = L z, z standard normal: a symmetric square root
     # of C*t via eigendecomposition, which tolerates rank-deficient covariances
     # (Cholesky would fail) by clamping tiny negatives to zero.
-    c = validate_covariance(cov)
-    phase_scaled(c, _scalar_time(t))  # checks t, and that C*t does not overflow
+    c, t = phase_scaled(cov, t, scalar=True)
     eigvals, eigvecs = np.linalg.eigh(c * t)
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
@@ -301,7 +289,7 @@ def dephasing_factors(cov, t: float) -> np.ndarray:
     Entry (r, c) multiplies the element |r><c| in the dephasing frame; t
     must be a scalar.
     """
-    c, t = phase_scaled(cov, _scalar_time(t))
+    c, t = phase_scaled(cov, t, scalar=True)
     return np.exp(-0.5 * t * (_EPS_PRODUCTS @ c.ravel()).reshape(8, 8))
 
 

@@ -20,9 +20,9 @@ onto the 13 conjugate phase pairs, once per configuration.
 ``run_pipeline_mc`` is ``run_pipeline`` on the same configuration with a
 Monte Carlo channel of the given settings.  The agreement of the two
 averages is the central cross-check of the package.  The constant gates
-(the encode/decode unitaries per correction, rotation and axis, their
-reduction basis, and the ancilla sector projectors) are built once and
-cached read-only.
+(the encode/decode unitaries per correction, rotation and axis, and their
+reduction basis) are one read-only record per key, built once and cached
+(``_gates``); the ancilla sector projectors are rows of a constant identity.
 
 The mixed-ancilla survival and slopes read one sign table, ``SECTOR_SIGNS``;
 a single sector is its one-hot mixture.
@@ -39,6 +39,7 @@ import numpy as np
 
 from .analytics import _decay_law
 from .gates import encoder, global_rotation, toffoli
+from .models import real_number
 from .noise import (
     NoiseChannel,
     channel_factors,
@@ -66,7 +67,7 @@ class ConfigError(ValueError):
 
 
 def _nonnegative(weight, name: str) -> None:
-    if not (-1e-12 <= weight < np.inf):
+    if not (real_number(weight) and -1e-12 <= weight < np.inf):
         raise ConfigError(f"{name} must be finite and >= 0, got {weight!r}")
 
 
@@ -149,7 +150,7 @@ class PipelineConfig:
     basis_rotation: str = "none"
 
     def __post_init__(self):
-        _conjugators(self.correction, self.basis_rotation, self.channel.axis)  # checks the strings
+        _gates(self.correction, self.basis_rotation, self.channel.axis)  # checks the strings
         correlated = self.ancillae is not None and not isinstance(self.ancillae, AncillaMixture)
         if correlated:
             components = _correlated_components(self.ancillae)
@@ -179,19 +180,16 @@ class PipelineResult:
     survival_stderr: float | None = None
 
 
-@lru_cache(maxsize=4)
-def _sector_projector(sign2: int, sign3: int) -> np.ndarray:
-    # 4x4 projector onto one ancilla z-basis sector; the ancilla basis states
-    # run in ANCILLA_SECTORS order.  Cached, hence read-only.
-    projector = np.diag(np.eye(4, dtype=complex)[sector_index(sign2, sign3)])
-    projector.setflags(write=False)
-    return projector
+#: Row k is the diagonal of the projector onto ancilla sector k, the ancilla
+#: basis states running in ``ANCILLA_SECTORS`` order.
+_SECTORS = np.eye(4, dtype=complex)
+_SECTORS.setflags(write=False)
 
 
-def _product_state(data: np.ndarray, ancillae: np.ndarray) -> np.ndarray:
-    # np.kron(data, ancillae) for a 2x2 data and a 4x4 ancilla operator: the
-    # same products, without np.kron's per-call overhead.
-    return (data[:, None, :, None] * ancillae[None, :, None, :]).reshape(8, 8)
+def _product_state(data: np.ndarray, diagonal) -> np.ndarray:
+    # np.kron(data, np.diag(diagonal)) for a 2x2 data and a diagonal 4x4
+    # ancilla operator: the same products, without np.kron's per-call overhead.
+    return (data[:, None, :, None] * np.diag(diagonal)[None, :, None, :]).reshape(8, 8)
 
 
 def _initial_state(config: PipelineConfig) -> np.ndarray:
@@ -200,20 +198,23 @@ def _initial_state(config: PipelineConfig) -> np.ndarray:
     if ancillae is not None and not isinstance(ancillae, AncillaMixture):
         return sum(
             comp.weight
-            * _product_state(data_state_from_bloch(comp.bloch), _sector_projector(*comp.sector))
+            * _product_state(
+                data_state_from_bloch(comp.bloch), _SECTORS[sector_index(*comp.sector)]
+            )
             for comp in ancillae
         )
     weights = ancillae.weights if isinstance(ancillae, AncillaMixture) else (1.0, 0.0, 0.0, 0.0)
-    return _product_state(data_state_from_bloch(config.bloch), np.diag(weights))
+    return _product_state(data_state_from_bloch(config.bloch), weights)
 
 
 @lru_cache(maxsize=8)  # 2 correction flags x 2 basis rotations x 2 axes
-def _conjugators(
-    correction: bool, basis_rotation: str, axis: str
-) -> tuple[np.ndarray, np.ndarray]:
-    # Constant unitaries applied before and after the noise, with the
-    # dephasing frame folded in: pre = frame (rotation) encode, post =
-    # correct decode (rotation inverse) frame^-1.  Cached, hence read-only.
+def _gates(correction: bool, basis_rotation: str, axis: str) -> tuple[np.ndarray, ...]:
+    # A configuration's constant gates, cached, hence read-only: pre and post,
+    # the unitaries before and after the noise with the dephasing frame folded
+    # in (pre = frame (rotation) encode, post = correct decode (rotation
+    # inverse) frame^-1), and the reduction basis, whose column 8 i + j is the
+    # raveled partial trace of post |i><j| post^H: a frame state S scaled by
+    # a factor table F decodes to the reduced state sum_ij F_ij S_ij column_ij.
     frame = dephasing_frame(axis)
     if basis_rotation not in BASIS_ROTATIONS:
         raise ConfigError(
@@ -228,25 +229,15 @@ def _conjugators(
             rot = global_rotation("y", np.pi / 2)
             enc, dec = rot @ enc, dec @ rot.conj().T
         pre, post = frame @ enc, dec @ frame.conj().T
-    for gate in (pre, post):
-        gate.setflags(write=False)
-    return pre, post
-
-
-@lru_cache(maxsize=8)  # one per _conjugators key
-def _reduction_basis(correction: bool, basis_rotation: str, axis: str) -> np.ndarray:
-    # Column 8 i + j is the raveled partial trace of post |i><j| post^H, so
-    # a frame state S whose elements are scaled by a factor table F decodes
-    # to the reduced state sum_ij F_ij S_ij column_ij.  Cached, hence read-only.
-    post = _conjugators(correction, basis_rotation, axis)[1]
     columns = [
         partial_trace_ancillae(np.outer(post[:, i], post[:, j].conj())).ravel()
         for i in range(8)
         for j in range(8)
     ]
-    basis = np.array(columns).T
-    basis.setflags(write=False)
-    return basis
+    gates = pre, post, np.array(columns).T
+    for gate in gates:
+        gate.setflags(write=False)
+    return gates
 
 
 class _ConstantPart(NamedTuple):
@@ -261,10 +252,9 @@ def _constant_part(config: PipelineConfig) -> _ConstantPart:
     # The encoded state in the dephasing frame, folded once into the readout
     # (and, on a Monte Carlo channel, into the survival weights).
     channel = config.channel
-    key = (config.correction, config.basis_rotation, channel.axis)
+    pre, post, basis = _gates(config.correction, config.basis_rotation, channel.axis)
     rho0 = _initial_state(config)
     bloch_in = bloch_of(partial_trace_ancillae(rho0))
-    pre, post = _conjugators(*key)
     state = pre @ rho0 @ pre.conj().T
     weight = bloch_in.y**2 + bloch_in.z**2
     fold = None
@@ -273,9 +263,9 @@ def _constant_part(config: PipelineConfig) -> _ConstantPart:
         # and contracted with the frame state: a trajectory's factor table f
         # gives its survival Re sum(f * contraction), which the pair weights
         # turn into w0 + cos @ wc + sin @ ws.  The exact average skips it.
-        observable = np.kron(bloch_in.y * PAULI["y"] + bloch_in.z * PAULI["z"], np.eye(4))
+        observable = _product_state(bloch_in.y * PAULI["y"] + bloch_in.z * PAULI["z"], np.ones(4))
         fold = pair_weights((post.conj().T @ observable @ post).T * state / weight)
-    return _ConstantPart(bloch_in, weight, fold, _reduction_basis(*key) * state.ravel())
+    return _ConstantPart(bloch_in, weight, fold, basis * state.ravel())
 
 
 def run_pipeline(config: PipelineConfig, t: float) -> PipelineResult:
@@ -393,7 +383,7 @@ def ancilla_mixture_nogo_search(cov, grid_step: float = 0.01) -> NoGoCertificate
     diag = np.diagonal(validate_covariance(cov))
     if diag[0] <= 0:
         raise ValueError("the no-go search requires a positive data-spin variance c11")
-    if not (0 < grid_step <= 1):
+    if not (real_number(grid_step) and 0 < grid_step <= 1):
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step!r}")
     if not 1.0 / grid_step < 2.0**63:  # n must be a finite int64 count
         raise ValueError(f"grid_step must be above 2**-63, got {grid_step!r}")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from triqec.noise import (
+    _EPS,
     PAIRS,
     NoiseChannel,
     _phase_loading,
@@ -32,7 +33,7 @@ from triqec.operators import (
     pauli,
     sector_index,
 )
-from triqec.protocol import AncillaMixture, _conjugators, _initial_state
+from triqec.protocol import AncillaMixture, _gates, _initial_state
 
 
 @pytest.fixture
@@ -117,7 +118,7 @@ def explicit_pipeline(config, t: float, factors=None) -> ExplicitRun:
     channel = config.channel
     rho0 = _initial_state(config)
     bloch_in = bloch_of(partial_trace_ancillae(rho0))
-    pre, post = _conjugators(config.correction, config.basis_rotation, channel.axis)
+    pre, post = _gates(config.correction, config.basis_rotation, channel.axis)[:2]
     state = pre @ rho0 @ pre.conj().T
     if factors is None:
         factors = dephasing_factors(channel.covariance, t)
@@ -130,6 +131,25 @@ def explicit_pipeline(config, t: float, factors=None) -> ExplicitRun:
     observable = np.kron(bloch_in.y * PAULI["y"] + bloch_in.z * PAULI["z"], np.eye(4))
     contraction = (post.conj().T @ observable @ post).T * state / weight
     return ExplicitRun(reduced, survival, contraction)
+
+
+def first_order_coefficients(config, component: str) -> np.ndarray:
+    """d/dt at 0 of the exact route's survival of one protected component (oracle).
+
+    On the exact route the output's ``component`` (y or z) is Re sum_e W_e
+    exp(-(t/2) eps_e^T C eps_e) over the 64 frame elements e, where W is that
+    component's observable pulled back through the post-noise gates times
+    the encoded frame state.  So its first derivative at t = 0 is linear in
+    C, -(1/2) sum_e Re W_e eps_e^T C eps_e, and is returned as its 6
+    coefficients on (c11, c22, c33, c12, c13, c23): all 6 vanish exactly
+    when the linear term vanishes for every covariance.
+    """
+    pre, post = _gates(config.correction, config.basis_rotation, config.channel.axis)[:2]
+    state = pre @ _initial_state(config) @ pre.conj().T
+    observable = np.kron(PAULI[component], np.eye(4))
+    weights = ((post.conj().T @ observable @ post).T * state).real.ravel()
+    m = -0.5 * np.einsum("e,ej,ek->jk", weights, _EPS, _EPS)
+    return np.array([m[0, 0], m[1, 1], m[2, 2], 2 * m[0, 1], 2 * m[0, 2], 2 * m[1, 2]])
 
 
 def polar_amplitudes(theta: float, phi: float) -> tuple[complex, complex]:

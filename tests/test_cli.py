@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,10 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import triqec
 from triqec.analytics import fit_exponential_rate
-from triqec.cli import main, read_covariance_file, read_curve_csv
+from triqec.cli import SEED_ENV, main, read_covariance_file, read_curve_csv
+from triqec.models import NAMED_MODELS
 
 
 def run_cli(*args):
@@ -523,3 +528,100 @@ def test_fit_skips_blank_rows_and_one_header(tmp_path, capsys):
     curve.write_text("\n  \nt,v\n0,1\n\n1,0.5\n2,0.25\n")
     assert run_cli("fit", "--in", curve, "--model", "correlated", "--out", tmp_path / "o.csv") == 0
     assert capsys.readouterr().out.startswith("rate = 0.693147180559945")
+
+
+#: Bad values of a number flag: zero, negatives, non-finite, extreme and
+#: subnormal floats, bools, non-numbers and the empty string.
+BAD_NUMBERS = ("0", "-1", "nan", "inf", "-inf", "1e308", "5e-324", "True", "x", "")
+#: Bad counts, none of which may allocate: a count beyond a C index must be
+#: rejected before any work.
+BAD_COUNTS = ("0", "-1", "10" * 16, "1e4", "nan", "True", "x", "")
+#: Per command and flag, (valid values, bad values); "<omitted>" leaves the
+#: flag out and "<no value>" gives it without its argument.
+COMMAND_FLAGS = {
+    "decay": {
+        "--model": (("correlated", "uncorrelated"), ("<omitted>", "bogus")),
+        "--tau": (("0.389", "1", "1e-300"), BAD_NUMBERS),
+        "--cov": (("<omitted>",), ("cov.txt", "bad_cov.txt", "binary.dat", "absent.txt")),
+        "--mc": (("<omitted>", "1", "2", "10000"), BAD_COUNTS),
+        "--points": (("<omitted>", "1", "2", "8"), (*BAD_COUNTS, "10000")),
+        "--tmax": (("<omitted>", "0.389", "1e-300"), BAD_NUMBERS),
+        "--correction": (("on", "off"), ("maybe",)),
+        "--seed": (("<omitted>", "0", "7", str(2**70)), ("-1", "1.5", "True")),
+        "--workers": (("<omitted>", "1", "2"), ("0", "x")),
+        "--out": (("out.csv",), ("<omitted>", "absent_dir/out.csv")),
+    },
+    "nogo": {
+        "--model": (("correlated", "uncorrelated"), ("<omitted>", "bogus")),
+        "--tau": (("0.389", "1"), BAD_NUMBERS),
+        "--cov": (("<omitted>",), ("cov.txt", "bad_cov.txt", "absent.txt")),
+        "--step": (("<omitted>", "0.25", "1", "1e-18"), BAD_NUMBERS),
+    },
+    "derivatives": {
+        "--model": (("correlated", "uncorrelated"), ("<omitted>", "bogus")),
+        "--tau": (("0.389", "1"), BAD_NUMBERS),
+        "--cov": (("<omitted>",), ("cov.txt", "bad_cov.txt", "absent.txt")),
+    },
+    "fit": {
+        "--in": (("curve.csv",), ("growing.csv", "binary.dat", "absent.csv", "<omitted>")),
+        "--model": (("correlated", "uncorrelated"), ("bogus",)),
+        "--corrected": (("<omitted>", "curve.csv"), ("other_grid.csv", "absent.csv")),
+        "--out": (("out.csv",), ("<omitted>", "absent_dir/out.csv")),
+    },
+}
+
+
+def _write_cli_inputs(folder):
+    (folder / "cov.txt").write_text("1.0 0.3 0.1\n0.3 0.8 0.2\n0.1 0.2 0.5\n")
+    (folder / "bad_cov.txt").write_text("1 2 0\n2 1 0\n0 0 1\n")
+    (folder / "binary.dat").write_bytes(b"\xff\xfe1 0 0\n")
+    (folder / "curve.csv").write_text("t,v\n0,1\n0.5,0.6\n1,0.37\n")
+    (folder / "growing.csv").write_text("0,1\n1,2\n")
+    (folder / "other_grid.csv").write_text("0,1\n0.4,0.8\n")
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv of one command: up to three of its flags bad, missing or left out."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flags = COMMAND_FLAGS[command]
+    bad = draw(st.sets(st.sampled_from(sorted(flags)), max_size=3))
+    argv = [command]
+    for flag, (valid, invalid) in flags.items():
+        value = draw(st.sampled_from((*invalid, "<no value>") if flag in bad else valid))
+        if command == "decay" and flag == "--points" and "--mc" in argv and value == "10000":
+            value = "8"  # a Monte Carlo curve stays at 8 points or fewer
+        if value == "<no value>":
+            argv.append(flag)
+        elif value != "<omitted>":
+            argv += [flag, value]
+    return argv
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=cli_argvs())
+def test_main_exits_cleanly_on_any_flag_values(tmp_path, monkeypatch, argv):
+    # Every argv ends in exit 0, 2 (argparse's SystemExit(2) included) or 3,
+    # with no traceback; a failure prints nothing to stdout, and an invalid
+    # input's last stderr line names the command.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    _write_cli_inputs(tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert out.getvalue() == "", argv
+    if code == 2:
+        assert err.getvalue().splitlines()[-1].startswith(f"triqec {argv[0]}:"), argv

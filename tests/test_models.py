@@ -5,6 +5,7 @@ from triqec.analytics import inflection_point, predict_corrected_curve, survival
 from triqec.diffusion import SCHEMES, GradientDiffusionSpec, spec_to_covariance
 from triqec.models import NAMED_MODELS, named_model
 from triqec.noise import totally_correlated, uncorrelated
+from triqec.protocol import AncillaMixture, CorrelatedComponent, ancilla_mixture_nogo_search
 
 
 @pytest.mark.parametrize("name", list(NAMED_MODELS))
@@ -39,6 +40,34 @@ def test_named_models_require_a_positive_tau(tau):
         for factory in (totally_correlated, uncorrelated):
             with pytest.raises(ValueError, match="tau"):
                 factory(tau)
+
+
+REAL_INPUTS = {
+    "tau": (totally_correlated, "tau must be positive and finite"),
+    "inflection-tau": (lambda v: inflection_point("correlated", v), "tau must be positive"),
+    "rate": (lambda v: predict_corrected_curve(v, "correlated", [0.0]), "rate must be positive"),
+    "wavenumber": (lambda v: GradientDiffusionSpec(v, 1.0, 1.0), "gradient_wavenumber must be"),
+    "diffusion": (lambda v: GradientDiffusionSpec(1.0, v, 1.0), "diffusion_coefficient must be"),
+    "diffusion-time": (lambda v: GradientDiffusionSpec(1.0, 1.0, v), "diffusion_time must be"),
+    "mixture-weight": (lambda v: AncillaMixture(v, 0.0, 0.0, 0.0), "mixture weight mu_pp must"),
+    "component-weight": (
+        lambda v: CorrelatedComponent(v, (0.0, 0.0, 1.0), (1, 1)),
+        "component weight must",
+    ),
+    "grid-step": (lambda v: ancilla_mixture_nogo_search(np.eye(3), v), "grid_step must be in"),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, "x", "1.0", 1j, [1.0]], ids=repr)
+@pytest.mark.parametrize("entry", list(REAL_INPUTS))
+def test_real_inputs_reject_bools_and_non_numbers_by_name(entry, value):
+    # A bool is a flag, not a number: True is not 1 (nor False 0), and a
+    # string or a complex raises the input's own ValueError, not a TypeError.
+    entry_point, message = REAL_INPUTS[entry]
+    with pytest.raises(ValueError) as error:
+        entry_point(value)
+    assert str(error.value).startswith(message)
+    assert str(error.value).endswith(f", got {value!r}")
 
 
 def test_unknown_model_names_are_rejected_everywhere():

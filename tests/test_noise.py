@@ -40,11 +40,11 @@ from triqec.noise import (
     dephasing_factors,
     mean_phases,
     pair_weights,
+    phase_scaled,
     phase_table,
     totally_correlated,
     uncorrelated,
     validate_covariance,
-    validate_time,
 )
 from triqec.operators import IDENTITY8, angular_momentum, idempotent
 from triqec.protocol import PipelineConfig, run_pipeline_mc
@@ -342,8 +342,9 @@ def test_pair_phasors_allocate_nothing():
     ],
 )
 def test_validate_time_names_the_bad_time(t, shown):
+    # phase_scaled is the one time check; a zero covariance tests the times alone.
     with pytest.raises(ValueError) as error:
-        validate_time(t)
+        phase_scaled(np.zeros((3, 3)), t)
     assert str(error.value) == f"time must be finite and >= 0, got {shown}"
 
 

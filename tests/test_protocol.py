@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     explicit_pipeline,
+    first_order_coefficients,
     forward_derivative,
     grid_nogo_search,
     mc_channel,
@@ -224,6 +225,45 @@ def test_analytic_run_pipeline_builds_no_state_and_checks_nothing(eigvalsh_calls
     assert eigvalsh_calls == []
 
 
+def test_monte_carlo_configuration_builds_no_kronecker_product(monkeypatch):
+    # The survival observable is a product state of the protected data
+    # operator and the ancilla identity, built without np.kron.
+    cov = random_psd(np.random.default_rng(34))
+    make_config(cov, bloch=BLOCH)  # the constant gates, cached from here on
+    krons, kron = [], np.kron
+    monkeypatch.setattr(np, "kron", lambda *args: krons.append(1) or kron(*args))
+    config = PipelineConfig(channel=mc_channel(cov, samples=50), bloch=BLOCH)
+    run_pipeline_mc(config, 0.4, samples=50, seed=2)
+    assert krons == []
+
+
+#: A unit input along each protected component.
+UNIT_BLOCH = {"y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
+
+
+@pytest.mark.parametrize("component", ["y", "z"])
+@pytest.mark.parametrize("axis,basis_rotation", [("x", "none"), ("z", "y-pi/2")])
+def test_linear_decay_vanishes_for_every_covariance(axis, basis_rotation, component):
+    # A certificate, not a sample: the 6 coefficients in C of the survival's
+    # first derivative at 0, from the pipeline's own gates, are all zero.
+    channel = NoiseChannel(np.eye(3), axis=axis)
+    config = PipelineConfig(channel, UNIT_BLOCH[component], basis_rotation=basis_rotation)
+    assert np.abs(first_order_coefficients(config, component)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("component", ["y", "z"])
+def test_linear_decay_per_ancilla_sector_is_minus_slopes(component):
+    # Derived from the gates, not from the decay law: sector k's linear term
+    # is -SLOPES[:, k] . diag(C), with no cross-rate term.
+    for k, sector in enumerate(ANCILLA_SECTORS):
+        config = PipelineConfig(
+            NoiseChannel(np.eye(3)), UNIT_BLOCH[component], sector_mixture(*sector)
+        )
+        coefficients = first_order_coefficients(config, component)
+        assert np.abs(coefficients[:3] + SLOPES[:, k]).max() <= 1e-15
+        assert np.abs(coefficients[3:]).max() <= 1e-15
+
+
 def _traced_peak(run) -> int:
     tracemalloc.start()
     try:
@@ -337,15 +377,11 @@ def test_monte_carlo_routes_never_evaluate_the_gaussian_average(monkeypatch):
 
 
 def test_constant_gates_are_cached_read_only():
-    pre, post = protocol._conjugators(True, "y-pi/2", "z")
-    again = protocol._conjugators(True, "y-pi/2", "z")
-    assert again[0] is pre and again[1] is post
-    frame_pre, frame_post = protocol._conjugators(False, "none", "x")
-    assert frame_pre is FRAMES["x"]
-    basis = protocol._reduction_basis(True, "y-pi/2", "z")
-    assert protocol._reduction_basis(True, "y-pi/2", "z") is basis
-    constants = (pre, post, frame_pre, frame_post, protocol._sector_projector(1, -1), basis)
-    for gate in constants:
+    gates = protocol._gates(True, "y-pi/2", "z")
+    assert protocol._gates(True, "y-pi/2", "z") is gates
+    frame_gates = protocol._gates(False, "none", "x")
+    assert frame_gates[0] is FRAMES["x"]
+    for gate in (*gates, *frame_gates, protocol._SECTORS):
         with pytest.raises(ValueError):
             gate[0, 0] = 0.0
 
