@@ -46,13 +46,21 @@ from .analytics import (
 )
 from .models import NAMED_MODELS, named_model, positive_finite
 from .noise import MAX_SAMPLES, NoiseChannel, validate_covariance, validate_integer
-from .protocol import PipelineConfig, ancilla_mixture_nogo_search, run_pipeline_mc
+from .protocol import PipelineConfig, ancilla_mixture_nogo_search, grid_count, run_pipeline_mc
 
 SEED_ENV = "TRIQEC_SEED"
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _naming(source: str, call, *args):
+    # call(*args), with any ValueError prefixed by the flag or file at fault.
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _read_text(path: str, what: str) -> str:
@@ -66,7 +74,7 @@ def _read_text(path: str, what: str) -> str:
 
 
 def read_covariance_file(path: str) -> np.ndarray:
-    """Parse a covariance file: three rows of three reals, '#' comments."""
+    """Parse and check a covariance file: three rows of three reals, '#' comments."""
     text = _read_text(path, "covariance file ")
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -82,7 +90,7 @@ def read_covariance_file(path: str) -> np.ndarray:
             raise ValueError(f"{path}:{lineno}: could not parse {body!r}") from None
     if len(rows) != 3:
         raise ValueError(f"{path}: expected 3 covariance rows, got {len(rows)}")
-    return np.array(rows)
+    return _naming(path, validate_covariance, rows)
 
 
 def _resolve_covariance(args) -> np.ndarray:
@@ -90,11 +98,11 @@ def _resolve_covariance(args) -> np.ndarray:
     if args.cov:
         if args.model is not None or args.tau is not None:
             raise ValueError("give --cov FILE or --model with --tau, not both")
-        return validate_covariance(read_covariance_file(args.cov))
+        return read_covariance_file(args.cov)
     if args.model is None:
         raise ValueError("give --cov FILE or --model with --tau")
     tau = positive_finite(args.tau, "--tau")
-    return validate_covariance(named_model(args.model).covariance(tau))
+    return validate_covariance(_naming("--tau", named_model(args.model).covariance, tau))
 
 
 def _resolve_seed(args) -> int:
@@ -173,10 +181,7 @@ def read_curve_csv(path: str) -> DecayCurve:
         values.append(v)
     if len(times) < 2:
         raise ValueError(f"{path}: expected at least two (t, value) rows")
-    try:
-        return DecayCurve(np.array(times), np.array(values))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _naming(path, DecayCurve, np.array(times), np.array(values))
 
 
 def cmd_decay(args) -> int:
@@ -190,7 +195,8 @@ def cmd_decay(args) -> int:
     times = np.linspace(0.0, args.tmax, args.points)
     corrected = args.correction == "on"
     decay = survival_factor if corrected else uncorrected_decay
-    analytic = np.atleast_1d(decay(cov, times))
+    # The times are checked, so only C * tmax can overflow.
+    analytic = np.atleast_1d(_naming(f"--tmax {args.tmax!r}", decay, cov, times))
 
     header = ["t", "theta_analytic"]
     columns = [times, analytic]
@@ -223,8 +229,9 @@ def cmd_fit(args) -> int:
     # Nothing is printed until both curves are checked and the outputs written.
     measured = read_curve_csv(args.infile)
     corrected = read_curve_csv(args.corrected) if args.corrected else None
-    fit = fit_exponential_rate(measured)
-    predicted = predict_corrected_curve(fit.rate, args.model, measured.times)
+    source = f"--in {args.infile}"  # read and checked, but its fit may give no decay rate
+    fit = _naming(source, fit_exponential_rate, measured)
+    predicted = _naming(source, predict_corrected_curve, fit.rate, args.model, measured.times)
     report = [f"rate = {_fmt(fit.rate)}", f"log_fit_correlation = {_fmt(fit.correlation)}"]
 
     header = ["t", "theta_predicted"]
@@ -236,10 +243,7 @@ def cmd_fit(args) -> int:
                 f"--in {args.infile}: the curve predicted at the fitted rate "
                 f"{_fmt(fit.rate)} is identically zero"
             )
-        try:
-            scaled = scale_to_rms(corrected, predicted)
-        except ValueError as exc:
-            raise ValueError(f"--corrected {args.corrected}: {exc}") from None
+        scaled = _naming(f"--corrected {args.corrected}", scale_to_rms, corrected, predicted)
         report.append(f"prediction_correlation = {_fmt(curve_correlation(scaled, predicted))}")
         header.append("corrected_scaled")
         columns.append(scaled.values)
@@ -259,7 +263,9 @@ def _mixture(weights) -> str:
 
 
 def cmd_nogo(args) -> int:
-    cert = ancilla_mixture_nogo_search(_resolve_covariance(args), grid_step=args.step)
+    cov = _resolve_covariance(args)
+    grid_count(args.step, "--step")  # so that only a covariance file's c11 of 0 is left
+    cert = _naming(args.cov, ancilla_mixture_nogo_search, cov, args.step)
     last = _mixture(cert.last_zero)
     if cert.zero_count == 1:
         print(f"zero-slope mixture: {last}")

@@ -56,12 +56,11 @@ class NamedModel:
     inflection: float
 
     def covariance(self, tau: float) -> np.ndarray:
-        """The rate covariance for a decay time tau > 0.
-
-        The pattern's entries are 0 or 1: a rate 2/tau that overflows gives
-        inf where the pattern is 1 and 0 elsewhere (inf * 0 would be nan).
-        """
-        return np.where(self.pattern, 2.0 / positive_finite(tau, "tau"), 0.0)
+        """The rate covariance for a decay time tau > 0 whose rate 2/tau is finite."""
+        rate = 2.0 / positive_finite(tau, "tau")
+        if rate == np.inf:
+            raise ValueError(f"tau is too small: the rate 2/tau overflows, got {tau!r}")
+        return rate * self.pattern
 
 
 TOTALLY_CORRELATED = NamedModel(

@@ -25,19 +25,19 @@ Monte Carlo, its sample count and seed, both checked when it is made), and
 be a scalar) and the closed forms alike.
 
 The 56 off-diagonal elements share only 13 conjugate pairs of patterns
-eps = +-p (``PAIRS``), so the Monte Carlo kernel (``mean_phases``) averages
-the real cos(p . chi) and sin(p . chi) of each pair and scatters the means
-back to the 8x8 table once (``phase_table``); ``pair_weights`` folds a
-64-element observable onto the same 13 pairs.  It never forms the angles
-p . chi: each pair phasor exp(i p . chi) is a product of the three spin
-phasors z_k = exp(i chi_k), and a trajectory forms only five of them.  3
-half-angle tangents and a few rational operations give z1, z2 and z3, and 2
-complex products in real arithmetic give z2 z3 and z2 conj(z3).  The other
-eight pairs are z1 w or z1 conj(w) for w one of z3, z2 conj(z3), z2 and
-z2 z3, so their sums are dot products of the w rows with re z1 and im z1.
-Per block, 2 small matrix products do the rest: the phasor rows times
-[re z1, im z1, 1] give all 26 pair sums, and a 3 x 10 fold of the observable
-times the phasor rows gives each trajectory's survival.
+eps = +-p (``PAIRS``), and the Monte Carlo kernel (``mean_phases``) never
+forms the angles p . chi: each pair phasor exp(i p . chi) is a product of
+the three spin phasors z_k = exp(i chi_k), and a trajectory forms only five
+of them.  3 half-angle tangents and a few rational operations give z1, z2
+and z3, and 2 complex products in real arithmetic give z2 z3 and
+z2 conj(z3).  The other eight pairs are z1 w or z1 conj(w) for w one of z3,
+z2 conj(z3), z2 and z2 z3, so their real and imaginary parts are sums of
+the products of the w rows with re z1 and im z1.  A block keeps only the 30
+sums of those products, the phasor rows times [re z1, im z1, 1]; one
+constant map (``_FACTOR_MAP``) takes them to the 64 elements' factor sums,
+once per stream for the mean table, and folds a 64-element observable
+into the 3 x 10 weights whose product with the phasor rows gives each
+trajectory's survival.
 
 Monte Carlo reproducibility and memory: the phases come from a counter-based
 Philox stream keyed by the seed, drawn and reduced ``BLOCK`` vectors at a time
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import TOTALLY_CORRELATED, UNCORRELATED
+from .models import TOTALLY_CORRELATED, UNCORRELATED, real_number
 from .operators import kron3
 
 #: Samples per reduction block; fixed so the summation order never varies.
@@ -124,16 +124,22 @@ _CHECKED = weakref.WeakValueDictionary()
 def validate_covariance(cov) -> np.ndarray:
     """Validate a 3x3 dephasing-rate covariance matrix and return an immutable copy.
 
-    Checks symmetry, nonnegative diagonal, the Cauchy-Schwarz bound on the
-    off-diagonal entries, and positive semidefiniteness (eigenvalues at worst
-    -1e-12 at unit scale).  The checks run on the matrix divided by its
-    largest entry (when above 1), so no intermediate overflows.  The copy is
-    backed by bytes, so nothing can make it writable; an array returned here
-    is accepted as is, without a re-check, and any other array is checked.
+    Checks real entries (a bool is a flag, not a rate), symmetry, nonnegative
+    diagonal, the Cauchy-Schwarz bound on the off-diagonal entries, and
+    positive semidefiniteness (eigenvalues at worst -1e-12 at unit scale).
+    The checks run on the matrix divided by its largest entry (when above
+    1), so no intermediate overflows.  The copy is backed by bytes, so
+    nothing can make it writable; an array returned here is accepted as is,
+    without a re-check, and any other array is checked.
     """
     if _CHECKED.get(id(cov)) is cov:
         return cov
-    c = np.array(cov, dtype=float)
+    c = np.asarray(cov)
+    if c.dtype.kind not in "iuf":  # flags, strings, complex numbers or objects
+        bad = [x for x in np.asarray(cov, dtype=object).ravel().tolist() if not real_number(x)]
+        if bad:
+            raise CovarianceError(f"covariance entries must be real numbers, got {bad[0]!r}")
+    c = np.array(c, dtype=float)
     if c.shape != (3, 3):
         raise CovarianceError(f"covariance must be 3x3, got shape {c.shape}")
     # The entry checks run on Python floats: on 9 numbers numpy's per-call
@@ -293,32 +299,6 @@ def dephasing_factors(cov, t: float) -> np.ndarray:
     return np.exp(-0.5 * t * (_EPS_PRODUCTS @ c.ravel()).reshape(8, 8))
 
 
-def phase_table(cos, sin) -> np.ndarray:
-    """Scatter (..., 13) pair cosines and sines to (..., 8, 8) factor tables.
-
-    The element with eps = s p gets cos - i s sin of pair p, the diagonal 1.
-    Fed the sample means of cos(p . chi) and sin(p . chi), it gives the mean
-    of the trajectories' factors exp(-i eps . chi).
-    """
-    cos, sin = np.asarray(cos), np.asarray(sin)
-    table = cos[..., _PAIR_INDEX] - 1j * (_PAIR_SIGN * sin[..., _PAIR_INDEX])
-    table[..., _DIAGONAL] = 1.0
-    return table.reshape(*cos.shape[:-1], 8, 8)
-
-
-def pair_weights(weights) -> tuple[float, np.ndarray, np.ndarray]:
-    """Fold an 8x8 table of element weights onto the 13 pairs.
-
-    Returns (w0, wc, ws) such that Re sum(weights * phase_table(cos, sin))
-    equals w0 + cos @ wc + sin @ ws.
-    """
-    w = np.asarray(weights, dtype=complex).ravel()
-    off = ~_DIAGONAL
-    wc = np.bincount(_PAIR_INDEX[off], w[off].real, minlength=len(PAIRS))
-    ws = np.bincount(_PAIR_INDEX[off], (_PAIR_SIGN * w)[off].imag, minlength=len(PAIRS))
-    return float(w[_DIAGONAL].real.sum()), wc, ws
-
-
 def dephase(rho: np.ndarray, factors: np.ndarray, axis: str = "x") -> np.ndarray:
     """Multiply rho's elements in the dephasing frame by one 8x8 table or a stack."""
     frame = dephasing_frame(axis)
@@ -347,12 +327,14 @@ _PHASORS, _COS, _SIN, _RIGHT, _SURVIVAL = (
 )
 
 
-def _fold() -> np.ndarray:
-    # The (26, 30) map from a block's products P = phasor rows @ [re z1,
-    # im z1, 1], raveled, to its 13 pair cosine sums, then 13 sine sums.
-    # Pair p's phasor is a w: w = re w + i s im w is one of the five phasors
-    # (s = 1) or its conjugate (s = -1), and a is z1 (P's columns 0 and 1)
-    # if p has a z1 factor that w leaves out, else 1 (column 2).
+def _factor_map() -> np.ndarray:
+    # The (64, 30) map from a block's products P = phasor rows @ [re z1,
+    # im z1, 1], raveled, to its sums of the factors exp(-i eps . chi) of
+    # element 8 r + c, with zero rows on the diagonal.  Pair p's phasor is
+    # a w: w = re w + i s im w is one of the five phasors (s = 1) or its
+    # conjugate (s = -1), and a is z1 (P's columns 0 and 1) if p has a z1
+    # factor that w leaves out, else 1 (column 2).  The element with
+    # eps = +-p takes the pair's real part -+ i its imaginary part.
     fold = np.zeros((2, len(PAIRS), 10, 3))
     for k, (p1, p2, p3) in enumerate(PAIRS.astype(int)):
         if p2 == p3 == 0:
@@ -365,19 +347,14 @@ def _fold() -> np.ndarray:
             fold[:, k, im, :2] += s * np.array([[0, -1], [1, 0]])
         else:
             fold[0, k, re, 2], fold[1, k, im, 2] = 1, s
-    return _frozen(fold.reshape(2 * len(PAIRS), 30))
+    real, imag = fold.reshape(2, len(PAIRS), 30)[:, _PAIR_INDEX]
+    table = real - 1j * _PAIR_SIGN[:, None] * imag
+    table[_DIAGONAL] = 0.0
+    return _frozen(table)
 
 
-#: Exact (entries 0 and +-1) map from a block's products to its pair sums.
-_FOLD = _fold()
-
-
-def _survival_weights(weights) -> tuple[float, np.ndarray]:
-    # ``pair_weights``' (w0, wc, ws) as (w0, U): a trajectory's survival is
-    # w0 + re z1 (U[0] @ A) + im z1 (U[1] @ A) + U[2] @ A, A its phasor rows.
-    w0, wc, ws = weights
-    folded = np.concatenate([wc, ws]) @ _FOLD
-    return w0, np.ascontiguousarray(folded.reshape(10, 3).T)
+#: Exact (entries 0 and +-1) map from a block's products to its factor sums.
+_FACTOR_MAP = _factor_map()
 
 
 def _phasors(normals: np.ndarray, half: np.ndarray, slot: np.ndarray) -> np.ndarray:
@@ -408,13 +385,17 @@ def _phasors(normals: np.ndarray, half: np.ndarray, slot: np.ndarray) -> np.ndar
 
 
 def _block_sums(normals: np.ndarray, half: np.ndarray, slot: np.ndarray, weights):
-    # One block's 13 pair cosine sums and 13 sine sums and, given
-    # ``_survival_weights``, the (count, mean, M2) of its survivals, left in
-    # slot row 12.  The z1 pair sums are dot products of the w rows with
-    # re z1 and im z1, so the 8 phasors z1 w and z1 conj(w) are never formed.
+    # One block's 30 products, the phasor rows times [re z1, im z1, 1] summed
+    # over its trajectories, and, given the survival weights (w0, U) of
+    # ``mean_phases``, the (count, mean, M2) of its survivals, left in slot
+    # row 12.  The z1 pairs are sums of these products, so the 8 phasors z1 w
+    # and z1 conj(w) are never formed.  The mean and M2 are the corrected two
+    # pass's: with d = value - sum / n, the mean is sum / n + sum(d) / n and
+    # M2 = sum(d^2) - sum(d)^2 / n (at least 0), so equal survivals (at t = 0,
+    # say) give their value and an M2 of exactly 0.
     phasors, right = _phasors(normals, half, slot), slot[_RIGHT]
     right[2] = 1.0
-    sums = _FOLD @ (phasors @ right.T).ravel()
+    products = (phasors @ right.T).ravel()
     stats = None
     if weights is not None:
         w0, u = weights
@@ -425,11 +406,12 @@ def _block_sums(normals: np.ndarray, half: np.ndarray, slot: np.ndarray, weights
         values += by_re1
         values += by_im1
         values += w0
-        mean = values.mean()
+        n, mean = len(normals), values.mean()
         np.subtract(values, mean, out=by_re1)
+        shift = by_re1.sum()
         by_re1 *= by_re1
-        stats = len(normals), mean, by_re1.sum()
-    return sums, stats
+        stats = n, mean + shift / n, max(by_re1.sum() - shift * shift / n, 0.0)
+    return products, stats
 
 
 def _add(total, block):
@@ -471,28 +453,26 @@ def _stream(half: np.ndarray, samples: int, seed, weights):
 def mean_phases(channel: NoiseChannel, t: float, weights=None):
     """Sample mean of the factors exp(-i eps . chi) over a Monte Carlo channel's stream.
 
-    Each block's 13 pair cosine and sine sums, added in stream order, are
-    scattered to the 8x8 table once.  With ``weights`` from
-    :func:`pair_weights`, also returns the mean and standard error of the
-    trajectories' survivals w0 + cos @ wc + sin @ ws (else None).
-
-    One matrix product rounds equal survivals (at t = 0, say) alike, but a
-    block's mean is its sum over n, which rounds, so their standard error is
-    still about 1e-17 rather than 0: at t = 0 it was nonzero in 283 of 300
-    random runs, at most 2.4e-17 (2-core x86 host, numpy 2.4).
+    The blocks' products, added in stream order, are mapped to the 8x8 table
+    once.  Given ``weights``, an 8x8 table of complex element weights, also
+    returns the mean and standard error of the trajectories' survivals
+    Re sum(weights * factors) (else None).
     """
     if channel.kind != "monte-carlo":
         raise ValueError(f"sampled phases need a monte-carlo channel, got kind {channel.kind!r}")
     samples, loading = channel.samples, _phase_loading(channel.covariance, t)
     if weights is not None:
-        weights = _survival_weights(weights)
-    sums, stats = _stream(0.5 * loading, samples, channel.seed, weights)
-    mean = phase_table(sums[: len(PAIRS)] / samples, sums[len(PAIRS) :] / samples)
+        w = np.asarray(weights, dtype=complex).ravel()
+        u = (w @ _FACTOR_MAP).real.reshape(10, 3).T
+        weights = w[_DIAGONAL].real.sum(), np.ascontiguousarray(u)
+    products, stats = _stream(0.5 * loading, samples, channel.seed, weights)
+    mean = _FACTOR_MAP @ (products / samples)
+    mean[_DIAGONAL] = 1.0
     if stats is None:
-        return mean, None
+        return mean.reshape(8, 8), None
     _, survival, m2 = stats
     stderr = np.sqrt(m2 / (samples - 1)) / np.sqrt(samples) if samples > 1 else 0.0
-    return mean, (float(survival), float(stderr))
+    return mean.reshape(8, 8), (float(survival), float(stderr))
 
 
 def channel_factors(channel: NoiseChannel, t: float, weights=None):

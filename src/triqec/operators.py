@@ -14,6 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .models import real_number
+
 DIM = 8
 SPINS = (1, 2, 3)
 
@@ -46,9 +48,10 @@ def validate_spin(spin) -> int:
 
 
 def validate_signs(*signs, name: str = "ancilla signs") -> tuple:
-    """``signs`` if each is +1 or -1, else a ValueError naming them (the one sign rule)."""
-    if not all(sign in (+1, -1) for sign in signs):
-        raise ValueError(f"{name} must be +1 or -1, got {signs!r}")
+    """``signs`` if each is a real +1 or -1 (the one sign rule), else a ValueError naming it."""
+    for sign in signs:
+        if not (real_number(sign) and sign in (+1, -1)):
+            raise ValueError(f"{name} must be +1 or -1, got {sign!r}")
     return signs
 
 
@@ -99,7 +102,13 @@ def idempotent(spin: int, sign: int) -> np.ndarray:
 
 def data_state_from_bloch(bloch) -> np.ndarray:
     """2x2 data-spin density matrix with the given (<2Ix>, <2Iy>, <2Iz>)."""
-    x, y, z = bloch
+    try:
+        x, y, z = bloch
+    except (TypeError, ValueError):  # not three components
+        raise NormalizationError(f"Bloch vector must have 3 components, got {bloch!r}") from None
+    bad = [component for component in (x, y, z) if not real_number(component)]
+    if bad:
+        raise NormalizationError(f"Bloch vector components must be real numbers, got {bad[0]!r}")
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise NormalizationError(f"Bloch vector components must be finite, got {tuple(bloch)!r}")
     r2 = x * x + y * y + z * z

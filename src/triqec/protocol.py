@@ -15,8 +15,8 @@ configuration, so a ``PipelineConfig`` builds it once, when it is made, as a
 is the table, one matrix-vector product and the Bloch read.  The channel
 says how the table is averaged (``noise.channel_factors``): exactly over the
 Gaussian phases, or as the sample mean of seeded trajectories, each of whose
-survivals is the protected observable pulled back into that frame and folded
-onto the 13 conjugate phase pairs, once per configuration.
+survivals is read off the protected observable pulled back into that frame
+and contracted with the frame state, once per configuration.
 ``run_pipeline_mc`` is ``run_pipeline`` on the same configuration with a
 Monte Carlo channel of the given settings.  The agreement of the two
 averages is the central cross-check of the package.  The constant gates
@@ -44,7 +44,6 @@ from .noise import (
     NoiseChannel,
     channel_factors,
     dephasing_frame,
-    pair_weights,
     phase_scaled,
     validate_covariance,
     validate_integer,
@@ -244,28 +243,28 @@ class _ConstantPart(NamedTuple):
     # What run_pipeline needs of a configuration at every time.
     bloch_in: BlochVector
     weight: float  # squared length of bloch_in's protected (y, z) part
-    fold: tuple | None  # the Monte Carlo survival weights, else None
+    contraction: np.ndarray | None  # 8x8 Monte Carlo survival weights, else None
     readout: np.ndarray  # (4, 64): raveled factor table -> raveled reduced state
 
 
 def _constant_part(config: PipelineConfig) -> _ConstantPart:
     # The encoded state in the dephasing frame, folded once into the readout
-    # (and, on a Monte Carlo channel, into the survival weights).
+    # (and, on a Monte Carlo channel, into the survival contraction).
     channel = config.channel
     pre, post, basis = _gates(config.correction, config.basis_rotation, channel.axis)
     rho0 = _initial_state(config)
     bloch_in = bloch_of(partial_trace_ancillae(rho0))
     state = pre @ rho0 @ pre.conj().T
     weight = bloch_in.y**2 + bloch_in.z**2
-    fold = None
+    contraction = None
     if channel.kind == "monte-carlo" and weight > 0:
         # The protected observable, pulled back through the post-noise gates
         # and contracted with the frame state: a trajectory's factor table f
-        # gives its survival Re sum(f * contraction), which the pair weights
-        # turn into w0 + cos @ wc + sin @ ws.  The exact average skips it.
+        # gives its survival Re sum(f * contraction).  The exact average
+        # skips it.
         observable = _product_state(bloch_in.y * PAULI["y"] + bloch_in.z * PAULI["z"], np.ones(4))
-        fold = pair_weights((post.conj().T @ observable @ post).T * state / weight)
-    return _ConstantPart(bloch_in, weight, fold, basis * state.ravel())
+        contraction = (post.conj().T @ observable @ post).T * state / weight
+    return _ConstantPart(bloch_in, weight, contraction, basis * state.ravel())
 
 
 def run_pipeline(config: PipelineConfig, t: float) -> PipelineResult:
@@ -276,8 +275,8 @@ def run_pipeline(config: PipelineConfig, t: float) -> PipelineResult:
     channel also gives the mean and standard error of the trajectories'
     survivals.  t must be a scalar.
     """
-    bloch_in, weight, fold, readout = config._constant
-    factors, estimate = channel_factors(config.channel, t, fold)
+    bloch_in, weight, contraction, readout = config._constant
+    factors, estimate = channel_factors(config.channel, t, contraction)
     reduced = (readout @ factors.ravel()).reshape(2, 2)
     bloch_out = bloch_of(reduced)
     survival, stderr = estimate or (None, None)
@@ -358,6 +357,15 @@ class NoGoCertificate:
 _UNIT_STEPS = np.indices((2, 2, 2)).reshape(3, -1).T[2:]
 
 
+def grid_count(grid_step, name: str) -> int:
+    """n = round(1 / grid_step) for a real step in (0, 1] above 2**-63, else a ValueError."""
+    if not (real_number(grid_step) and 0 < grid_step <= 1):
+        raise ValueError(f"{name} must be in (0, 1], got {grid_step!r}")
+    if not 1.0 / grid_step < 2.0**63:
+        raise ValueError(f"{name} must be above 2**-63, got {grid_step!r}")
+    return max(1, round(1.0 / grid_step))
+
+
 def ancilla_mixture_nogo_search(cov, grid_step: float = 0.01) -> NoGoCertificate:
     """Certify that only the ground mixture has a zero initial slope.
 
@@ -383,11 +391,7 @@ def ancilla_mixture_nogo_search(cov, grid_step: float = 0.01) -> NoGoCertificate
     diag = np.diagonal(validate_covariance(cov))
     if diag[0] <= 0:
         raise ValueError("the no-go search requires a positive data-spin variance c11")
-    if not (real_number(grid_step) and 0 < grid_step <= 1):
-        raise ValueError(f"grid_step must be in (0, 1], got {grid_step!r}")
-    if not 1.0 / grid_step < 2.0**63:  # n must be a finite int64 count
-        raise ValueError(f"grid_step must be above 2**-63, got {grid_step!r}")
-    n = max(1, round(1.0 / grid_step))
+    n = grid_count(grid_step, "grid_step")
     tol = 1e-12 * diag.max()
 
     def mixtures(counts):  # (mu_pp, mu_pm, mu_mp, mu_mm) from rows of counts

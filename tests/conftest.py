@@ -15,7 +15,6 @@ from triqec.noise import (
     NoiseChannel,
     _phase_loading,
     dephasing_factors,
-    phase_table,
     validate_covariance,
 )
 from triqec.operators import (
@@ -67,7 +66,10 @@ def mc_channel(cov, samples: int = 100, seed=1, **kwargs) -> NoiseChannel:
 
 
 def z_scores(mc, exact, stderr) -> np.ndarray:
-    """(mc - exact) / stderr elementwise: Monte Carlo errors in units of their standard errors."""
+    """(mc - exact) / stderr elementwise: Monte Carlo errors in units of their standard errors.
+
+    z is undefined at t = 0: there the stderr is 0 and the survival is 1 - O(1e-15).
+    """
     return (np.asarray(mc, dtype=float) - exact) / np.asarray(stderr, dtype=float)
 
 
@@ -81,8 +83,8 @@ def trajectory_phases(chis) -> np.ndarray:
 
     Laid out like ``noise.dephasing_factors``, whose table is their Gaussian mean.
     """
-    angles = np.asarray(chis, dtype=float) @ PAIRS.T
-    return phase_table(np.cos(angles), np.sin(angles))
+    chis = np.asarray(chis, dtype=float)
+    return np.exp(-1j * (chis @ _EPS.T)).reshape(*chis.shape[:-1], 8, 8)
 
 
 def pair_phasor_products(spin_phasors) -> np.ndarray:
@@ -112,8 +114,8 @@ def explicit_pipeline(config, t: float, factors=None) -> ExplicitRun:
     ``factors`` is given), and the result is decoded, traced over the
     ancillae and read by ``bloch_of``.  ``contraction`` is the protected
     observable pulled back through the post-noise gates times the frame
-    state, over the protected weight: ``pair_weights`` of it is the Monte
-    Carlo survival fold (None when the input has no protected part).
+    state, over the protected weight: ``noise.mean_phases`` takes it as the
+    Monte Carlo survival weights (None when the input has no protected part).
     """
     channel = config.channel
     rho0 = _initial_state(config)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -383,7 +384,7 @@ def test_nogo_requires_data_variance(tmp_path, capsys):
     assert "c11" in capsys.readouterr().err
     for step in ("nan", "5e-324", "1e-19"):
         assert run_cli("nogo", "--model", "uncorrelated", "--tau", 1.0, "--step", step) == 2
-        assert "grid_step" in capsys.readouterr().err
+        assert "--step" in capsys.readouterr().err
 
 
 def test_derivatives_output(capsys):
@@ -536,6 +537,8 @@ BAD_NUMBERS = ("0", "-1", "nan", "inf", "-inf", "1e308", "5e-324", "True", "x", 
 #: Bad counts, none of which may allocate: a count beyond a C index must be
 #: rejected before any work.
 BAD_COUNTS = ("0", "-1", "10" * 16, "1e4", "nan", "True", "x", "")
+#: The flags whose value is a file path.
+FILE_FLAGS = ("--cov", "--in", "--corrected", "--out")
 #: Per command and flag, (valid values, bad values); "<omitted>" leaves the
 #: flag out and "<no value>" gives it without its argument.
 COMMAND_FLAGS = {
@@ -609,7 +612,7 @@ def cli_argvs(draw):
 def test_main_exits_cleanly_on_any_flag_values(tmp_path, monkeypatch, argv):
     # Every argv ends in exit 0, 2 (argparse's SystemExit(2) included) or 3,
     # with no traceback; a failure prints nothing to stdout, and an invalid
-    # input's last stderr line names the command.
+    # input's last stderr line names the command and a flag or a file path.
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(SEED_ENV, raising=False)
     _write_cli_inputs(tmp_path)
@@ -624,4 +627,7 @@ def test_main_exits_cleanly_on_any_flag_values(tmp_path, monkeypatch, argv):
     if code != 0:
         assert out.getvalue() == "", argv
     if code == 2:
-        assert err.getvalue().splitlines()[-1].startswith(f"triqec {argv[0]}:"), argv
+        last = err.getvalue().splitlines()[-1]
+        assert last.startswith(f"triqec {argv[0]}:"), argv
+        paths = [value for flag, value in zip(argv, argv[1:]) if flag in FILE_FLAGS]
+        assert re.search(r"--[a-z]", last) or any(path in last for path in paths), (argv, last)

@@ -4,8 +4,14 @@ import pytest
 from triqec.analytics import inflection_point, predict_corrected_curve, survival_factor
 from triqec.diffusion import SCHEMES, GradientDiffusionSpec, spec_to_covariance
 from triqec.models import NAMED_MODELS, named_model
-from triqec.noise import totally_correlated, uncorrelated
-from triqec.protocol import AncillaMixture, CorrelatedComponent, ancilla_mixture_nogo_search
+from triqec.noise import NoiseChannel, totally_correlated, uncorrelated
+from triqec.operators import NormalizationError
+from triqec.protocol import (
+    AncillaMixture,
+    CorrelatedComponent,
+    PipelineConfig,
+    ancilla_mixture_nogo_search,
+)
 
 
 @pytest.mark.parametrize("name", list(NAMED_MODELS))
@@ -42,6 +48,22 @@ def test_named_models_require_a_positive_tau(tau):
                 factory(tau)
 
 
+@pytest.mark.parametrize("tau", [5e-324, 1e-308, 2 / 1.7976931348623157e308])
+def test_named_models_reject_a_tau_whose_rate_overflows(tau):
+    # 2/tau must be a finite rate: a subnormal tau would give inf entries.
+    for covariance in (*(model.covariance for model in NAMED_MODELS.values()), uncorrelated):
+        with pytest.raises(ValueError, match=r"^tau is too small: the rate 2/tau overflows"):
+            covariance(tau)
+    assert np.isfinite(uncorrelated(1.2e-308)).all()
+
+
+def covariance_with(value):
+    """The identity covariance with ``value`` as its first entry, as an object array."""
+    cov = np.eye(3, dtype=object)
+    cov[0, 0] = value
+    return cov
+
+
 REAL_INPUTS = {
     "tau": (totally_correlated, "tau must be positive and finite"),
     "inflection-tau": (lambda v: inflection_point("correlated", v), "tau must be positive"),
@@ -55,6 +77,15 @@ REAL_INPUTS = {
         "component weight must",
     ),
     "grid-step": (lambda v: ancilla_mixture_nogo_search(np.eye(3), v), "grid_step must be in"),
+    "bloch": (
+        lambda v: PipelineConfig(NoiseChannel(np.eye(3)), bloch=(v, 0.0, 0.0)),
+        "Bloch vector components must be real numbers",
+    ),
+    "sector": (lambda v: CorrelatedComponent(1.0, (0.0, 0.0, 1.0), (v, -1)), "ancilla signs must"),
+    "covariance": (
+        lambda v: NoiseChannel(covariance_with(v)),
+        "covariance entries must be real numbers",
+    ),
 }
 
 
@@ -68,6 +99,16 @@ def test_real_inputs_reject_bools_and_non_numbers_by_name(entry, value):
         entry_point(value)
     assert str(error.value).startswith(message)
     assert str(error.value).endswith(f", got {value!r}")
+
+
+def test_bloch_vectors_and_covariances_are_checked_whole():
+    # Three Bloch components, not two; a flag or string array is no covariance.
+    for bloch in ((0, 0), (0, 0, 0, 1), 0.5):
+        with pytest.raises(NormalizationError, match="Bloch vector must have 3 components"):
+            PipelineConfig(NoiseChannel(np.eye(3)), bloch=bloch)
+    for cov in (np.eye(3, dtype=bool), [["1", 0, 0], [0, 1, 0], [0, 0, 1]], np.eye(3) * 1j):
+        with pytest.raises(ValueError, match="covariance entries must be real numbers"):
+            NoiseChannel(cov)
 
 
 def test_unknown_model_names_are_rejected_everywhere():

@@ -20,7 +20,9 @@ from conftest import (
     trajectory_phases,
 )
 from triqec.noise import (
+    _DIAGONAL,
     _EPS,
+    _FACTOR_MAP,
     _PAIR_INDEX,
     _PAIR_SIGN,
     _PHASOR_ROWS,
@@ -34,14 +36,11 @@ from triqec.noise import (
     _block_sums,
     _phase_loading,
     _phasors,
-    _survival_weights,
     apply_channel,
     dephase,
     dephasing_factors,
     mean_phases,
-    pair_weights,
     phase_scaled,
-    phase_table,
     totally_correlated,
     uncorrelated,
     validate_covariance,
@@ -171,7 +170,7 @@ def test_monte_carlo_seed_accepts_integers_and_seed_sequences():
     assert type(channel.seed) is int and channel.seed == 5
     sequence = np.random.SeedSequence([5, 1])
     assert NoiseChannel(covariance=np.eye(3), seed=sequence).seed is sequence
-    weights = pair_weights(np.arange(64.0).reshape(8, 8))
+    weights = np.arange(64.0).reshape(8, 8)
     runs = [mean_phases(mc_channel(np.eye(3), 10, s), 0.3, weights) for s in (5, np.int64(5))]
     assert np.array_equal(runs[0][0], runs[1][0]) and runs[0][1] == runs[1][1]
     mean_phases(mc_channel(np.eye(3), 10, sequence), 0.3)
@@ -179,8 +178,8 @@ def test_monte_carlo_seed_accepts_integers_and_seed_sequences():
 
 def test_mean_phases_adds_the_block_sums_in_stream_order():
     # Reference: the whole stream's normals drawn at once, cut into BLOCK
-    # rows, each block's pair sums taken, the sums added in order and
-    # scattered once.
+    # rows, each block's products taken, the products added in order and
+    # mapped to the factor table once.
     cov, t, seed, n = random_psd(np.random.default_rng(8)), 0.3, 4, 3 * BLOCK + 5
     normals = np.random.Generator(np.random.Philox(seed)).standard_normal((n, 3))
     half = 0.5 * _phase_loading(cov, t)
@@ -188,7 +187,9 @@ def test_mean_phases_adds_the_block_sums_in_stream_order():
     for start in range(0, n, BLOCK):
         block = normals[start : start + BLOCK]
         total = total + _block_sums(block, half, np.empty((_ROWS, len(block))), None)[0]
-    expected = phase_table(total[: len(PAIRS)] / n, total[len(PAIRS) :] / n)
+    expected = _FACTOR_MAP @ (total / n)
+    expected[_DIAGONAL] = 1.0
+    expected = expected.reshape(8, 8)
     table, estimate = mean_phases(mc_channel(cov, n, seed), t)
     assert np.array_equal(table, expected) and estimate is None
     with pytest.raises(ValueError, match="workers"):
@@ -235,13 +236,15 @@ def test_pair_phasors_match_the_pair_angles(rank):
 
 def test_pair_phasors_are_exact_at_zero_phase():
     # tan(0) = 0 makes every spin phasor exactly 1 + 0i, hence every formed
-    # phasor, and every product with re z1 = 1, im z1 = 0 or 1 is exact.
+    # phasor, and every product with re z1 = 1, im z1 = 0 or 1 is exact: each
+    # off-diagonal element's factor sums to BLOCK.
     half = 0.5 * _phase_loading(random_psd(np.random.default_rng(4)), 0.7)
     slot = np.full((_ROWS, BLOCK), np.nan)
     sums, _ = _block_sums(np.zeros((BLOCK, 3)), half, slot, None)
     for re, im in _PHASOR_ROWS.values():
         assert (slot[re] == 1.0).all() and (slot[im] == 0.0).all()
-    assert (sums[: len(PAIRS)] == BLOCK).all() and (sums[len(PAIRS) :] == 0.0).all()
+    table = _FACTOR_MAP @ sums
+    assert (table[~_DIAGONAL] == BLOCK).all() and (table[_DIAGONAL] == 0.0).all()
 
 
 @pytest.mark.parametrize("magnitude", ["odd-pi", "huge"])
@@ -272,31 +275,50 @@ def test_spin_phasors_have_unit_modulus(chis):
     assert np.abs(spins.real**2 + spins.imag**2 - 1.0).max() <= 1e-15
 
 
+def kernel_weights(weights):
+    """``mean_phases``' survival weights (w0, U) of an 8x8 table of element weights."""
+    w = np.asarray(weights, dtype=complex).ravel()
+    u = (w @ _FACTOR_MAP).real.reshape(10, 3).T
+    return w[_DIAGONAL].real.sum(), np.ascontiguousarray(u)
+
+
+def element_factors(pairs) -> np.ndarray:
+    """The (64, n) factors exp(-i eps . chi) from the (13, n) pair phasors exp(i p . chi)."""
+    factors = np.where(_PAIR_SIGN[:, None] > 0, pairs[_PAIR_INDEX].conj(), pairs[_PAIR_INDEX])
+    factors[_DIAGONAL] = 1.0
+    return factors
+
+
 @pytest.mark.parametrize("n", [BLOCK, 1000])
 def test_block_sums_match_the_pair_phasor_products(n):
     # Against all 13 pair phasors formed by complex multiplication of the
-    # kernel's own spin phasors: the kernel takes each z1 pair sum as two
-    # length-n dot products (error at most n eps/2 times the n terms of
-    # modulus <= 1 each), the oracle rounds each product and sums pairwise,
-    # so (n + 8) n eps bounds the difference.  A trajectory's survival is a
-    # fixed combination of 26 terms per side: 64 eps times the weights'
-    # absolute sum bounds it.
+    # kernel's own spin phasors: the kernel's products map to each element's
+    # factor sum through at most two length-n dot products (error at most
+    # n eps/2 times the n terms of modulus <= 1 each), the oracle rounds each
+    # product and sums pairwise, so (n + 8) n eps bounds the difference of
+    # each part.  A trajectory's survival is a fixed combination of 64
+    # weighted factors per side: 64 eps times the weights' absolute sum
+    # bounds it.  The survivals' mean and M2 are the corrected two pass's.
     rng = np.random.default_rng(50 + n)
     half = 0.5 * _phase_loading(random_psd(rng), 2.0)
-    weights = pair_weights(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    weights = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     normals, slot = rng.standard_normal((n, 3)), np.empty((_ROWS, n))
-    sums, (count, mean, m2) = _block_sums(normals, half, slot, _survival_weights(weights))
+    sums, (count, mean, m2) = _block_sums(normals, half, slot, kernel_weights(weights))
     spins = np.array([slot[re] + 1j * slot[im] for re, im in list(_PHASOR_ROWS.values())[:3]])
-    pairs = pair_phasor_products(spins)
-    expected = np.concatenate([pairs.real.sum(axis=1), pairs.imag.sum(axis=1)])
+    factors = element_factors(pair_phasor_products(spins))
+    table, expected = _FACTOR_MAP @ sums, factors.sum(axis=1)
+    expected[_DIAGONAL] = 0.0  # the map leaves the diagonal's constant factor 1 out
     eps = np.finfo(float).eps
-    assert np.abs(sums - expected).max() <= (n + 8) * n * eps
-    w0, wc, ws = weights
-    survivals = w0 + wc @ pairs.real + ws @ pairs.imag
+    assert np.abs(table.real - expected.real).max() <= (n + 8) * n * eps
+    assert np.abs(table.imag - expected.imag).max() <= (n + 8) * n * eps
+    survivals = (weights.ravel() @ factors).real
     values = slot[_SURVIVAL][2]
-    scale = abs(w0) + np.abs(wc).sum() + np.abs(ws).sum()
+    scale = np.abs(weights.real).sum() + np.abs(weights.imag).sum()
     assert np.abs(values - survivals).max() <= 64 * eps * scale
-    assert count == n and mean == values.mean() and m2 == ((values - mean) ** 2).sum()
+    first = values.mean()
+    shift = (values - first).sum()
+    assert count == n and mean == first + shift / n
+    assert m2 == max(((values - first) ** 2).sum() - shift * shift / n, 0.0)
 
 
 def test_pair_phasors_allocate_nothing():
@@ -306,7 +328,7 @@ def test_pair_phasors_allocate_nothing():
     # 64 KB ufunc iteration buffer.
     rng = np.random.default_rng(2)
     half = 0.5 * _phase_loading(random_psd(rng), 0.5)
-    weights = _survival_weights(pair_weights(rng.normal(size=(8, 8))))
+    weights = kernel_weights(rng.normal(size=(8, 8)))
     for n in (BLOCK, 1000):
         normals, slot = rng.standard_normal((n, 3)), np.empty((_ROWS, n))
         _block_sums(normals, half, slot, weights)  # warm up
@@ -390,7 +412,7 @@ def test_sample_phases_load_every_row(size):
 
 
 def test_mean_phases_is_deterministic_per_seed():
-    cov, weights = uncorrelated(1.0), pair_weights(np.arange(64.0).reshape(8, 8))
+    cov, weights = uncorrelated(1.0), np.arange(64.0).reshape(8, 8)
     a = mean_phases(mc_channel(cov, 100, 9), 0.3, weights)
     b = mean_phases(mc_channel(cov, 100, 9), 0.3, weights)
     c = mean_phases(mc_channel(cov, 100, 10), 0.3, weights)
@@ -467,17 +489,27 @@ def test_pair_maps_cover_each_off_diagonal_element_once():
     assert np.array_equal(counts, np.array([0, 4, 2, 1])[np.count_nonzero(PAIRS, axis=1)])
 
 
-def test_pair_weights_fold_an_element_table_onto_the_pairs():
+def test_factor_map_takes_the_products_to_the_element_factors():
+    # One trajectory's 30 products map to its 56 off-diagonal factors
+    # exp(-i eps . chi) (the diagonal rows are 0: the factor there is 1), so
+    # a table of element weights W folds to w0 = Re sum of W's diagonal and
+    # Re(W @ map), whose product with the products is the survival.
+    assert _FACTOR_MAP.shape == (64, 30)
+    assert set(_FACTOR_MAP.real.ravel()) | set(_FACTOR_MAP.imag.ravel()) == {-1.0, 0.0, 1.0}
+    assert not _FACTOR_MAP[_DIAGONAL].any()
     rng = np.random.default_rng(12)
-    weights = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    cos, sin = rng.normal(size=(2, 5, 13))
-    w0, wc, ws = pair_weights(weights)
-    direct = (phase_table(cos, sin) * weights).sum(axis=(1, 2)).real
-    assert np.abs(w0 + cos @ wc + sin @ ws - direct).max() < 1e-12
+    weights = rng.normal(size=(5, 64)) + 1j * rng.normal(size=(5, 64))
+    for chi, w in zip(4.0 * rng.normal(size=(5, 3)), weights):
+        products, _ = _block_sums(chi[None], 0.5 * np.eye(3), np.empty((_ROWS, 1)), None)
+        factors = trajectory_phases(chi).ravel()
+        table = _FACTOR_MAP @ products
+        assert np.abs(table[~_DIAGONAL] - factors[~_DIAGONAL]).max() < 1e-14
+        survival = w[_DIAGONAL].real.sum() + (w @ _FACTOR_MAP).real @ products
+        assert abs(survival - (w * factors).sum().real) < 1e-12
 
 
 def test_shared_tables_are_read_only():
-    for table in (*FRAMES.values(), PAIRS):
+    for table in (*FRAMES.values(), PAIRS, _FACTOR_MAP):
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
 

@@ -36,7 +36,6 @@ from triqec.noise import (
     dephase,
     dephasing_factors,
     mean_phases,
-    pair_weights,
     totally_correlated,
     uncorrelated,
 )
@@ -198,15 +197,15 @@ def test_run_pipeline_matches_the_explicit_oracle(correction, basis_rotation, ax
 
 @pytest.mark.parametrize("correction,basis_rotation,axis", GATE_KEYS)
 def test_monte_carlo_pipeline_matches_the_explicit_oracle(correction, basis_rotation, axis):
-    # The survival fold of the oracle's contraction gives the same estimate
-    # bit for bit, and the sample mean table the same reduced state.
+    # The oracle's contraction gives the same estimate bit for bit, and the
+    # sample mean table the same reduced state.
     rng = np.random.default_rng(32)
     cov = random_psd(rng)
     channel = NoiseChannel(cov, axis=axis)
     for seed, config in enumerate(_oracle_configs(rng, channel, correction, basis_rotation)):
         t, samples = rng.uniform(0.1, 1.5), 4500
-        fold = pair_weights(explicit_pipeline(config, t).contraction)
-        mean, estimate = mean_phases(mc_channel(cov, samples, seed, axis=axis), t, fold)
+        contraction = explicit_pipeline(config, t).contraction
+        mean, estimate = mean_phases(mc_channel(cov, samples, seed, axis=axis), t, contraction)
         result = run_pipeline_mc(config, t, samples, seed)
         assert (result.survival, result.survival_stderr) == estimate
         expected = explicit_pipeline(config, t, factors=mean)
