@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import named_model, positive_finite
+from .models import float_array, named_model, positive_finite
 from .noise import phase_scaled, validate_covariance
 
 #: Triple-quantum sign patterns (one per pair +-eps) entering the product term.
@@ -41,8 +41,8 @@ class DecayCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        times = float_array(self.times, "curve times must be finite, got ")
+        values = float_array(self.values, "curve values must be finite, got ")
         if times.ndim != 1 or times.shape != values.shape:
             raise ValueError("times and values must be 1-d arrays of equal length")
         for name, array in (("times", times), ("values", values)):

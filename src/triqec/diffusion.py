@@ -15,11 +15,12 @@ nucleus of gyromagnetic ratio gamma, k0 = gamma * g * delta.)
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import NAMED_MODELS, real_number
+from .models import NAMED_MODELS, real_number, shown
 from .noise import validate_integer
 
 #: The canonical named models (aliases excluded), each one pulse arrangement.
@@ -42,12 +43,12 @@ class GradientDiffusionSpec:
 
     def __post_init__(self):
         wavenumber = self.gradient_wavenumber
-        if not (real_number(wavenumber) and -np.inf < wavenumber < np.inf):
-            raise ValueError(f"gradient_wavenumber must be finite, got {wavenumber!r}")
+        if not (real_number(wavenumber) and abs(wavenumber) <= sys.float_info.max):
+            raise ValueError(f"gradient_wavenumber must be finite, got {shown(wavenumber)}")
         for name in ("diffusion_coefficient", "diffusion_time"):
             value = getattr(self, name)
-            if not (real_number(value) and 0 <= value < np.inf):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+            if not (real_number(value) and 0 <= value <= sys.float_info.max):
+                raise ValueError(f"{name} must be finite and >= 0, got {shown(value)}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 

@@ -8,6 +8,7 @@ identity for independent, identically distributed fields ("uncorrelated").
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,10 +36,29 @@ def real_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def shown(value) -> str:
+    """``repr(value)``, but an int beyond the float range shown as a float would be (1e+400)."""
+    if isinstance(value, int) and not abs(value) <= sys.float_info.max:
+        from decimal import Context  # only here: importing it costs 1.5 ms
+
+        return f"{Context(prec=17).create_decimal(value).normalize():e}"
+    return repr(value)
+
+
+def float_array(values, message: str) -> np.ndarray:
+    """``values`` as a float array; an int beyond the float range raises ValueError naming it."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:  # a Python int such as 10**400
+        entries = np.asarray(values, dtype=object).flat
+        big = next(x for x in entries if not abs(x) <= sys.float_info.max)
+        raise ValueError(f"{message}{shown(big)}") from None
+
+
 def positive_finite(value, name: str) -> float:
     """``value`` as a float if it is a real number, finite and > 0, else a ValueError naming it."""
-    if not (real_number(value) and 0 < value < np.inf):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if not (real_number(value) and 0 < value <= sys.float_info.max):
+        raise ValueError(f"{name} must be positive and finite, got {shown(value)}")
     return float(value)
 
 

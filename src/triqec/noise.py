@@ -52,14 +52,14 @@ import itertools
 import math
 import operator
 import sys
-import weakref
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .models import TOTALLY_CORRELATED, UNCORRELATED, real_number
+from .models import TOTALLY_CORRELATED, UNCORRELATED, float_array, real_number
 from .operators import kron3
 
 #: Samples per reduction block; fixed so the summation order never varies.
@@ -117,8 +117,9 @@ class CovarianceError(ValueError):
 #: The index pairs (j, k), j < k, of a covariance's off-diagonal entries.
 _INDEX_PAIRS = tuple(itertools.combinations(range(3), 2))
 
-#: Every array :func:`validate_covariance` returned that is still alive, by id.
-_CHECKED = weakref.WeakValueDictionary()
+#: How many distinct checked covariances :func:`validate_covariance` keeps,
+#: about 0.5 kB each; the least recently used one is dropped first.
+_REGISTRY_SIZE = 256
 
 
 def validate_covariance(cov) -> np.ndarray:
@@ -129,25 +130,38 @@ def validate_covariance(cov) -> np.ndarray:
     positive semidefiniteness (eigenvalues at worst -1e-12 at unit scale).
     The checks run on the matrix divided by its largest entry (when above
     1), so no intermediate overflows.  The copy is backed by bytes, so
-    nothing can make it writable; an array returned here is accepted as is,
-    without a re-check, and any other array is checked.
+    nothing can make it writable.  Checked copies are kept by content, the
+    float64 bytes of the matrix: a matrix equal to one checked recently (a
+    copy, a list or another dtype with the same values) gets the same copy
+    back without a second check, and any other matrix runs every check.
     """
-    if _CHECKED.get(id(cov)) is cov:
-        return cov
-    c = np.asarray(cov)
+    try:
+        c = np.asarray(cov)
+    except ValueError:  # numpy's "inhomogeneous shape": rows of unequal length
+        raise CovarianceError("covariance must be 3x3, got a ragged nested sequence") from None
     if c.dtype.kind not in "iuf":  # flags, strings, complex numbers or objects
         bad = [x for x in np.asarray(cov, dtype=object).ravel().tolist() if not real_number(x)]
         if bad:
             raise CovarianceError(f"covariance entries must be real numbers, got {bad[0]!r}")
-    c = np.array(c, dtype=float)
+    try:
+        c = np.asarray(c, dtype=float)
+    except OverflowError:  # a Python int beyond the float range, such as 10**400
+        raise CovarianceError("covariance has non-finite entries") from None
     if c.shape != (3, 3):
         raise CovarianceError(f"covariance must be 3x3, got shape {c.shape}")
     # The entry checks run on Python floats: on 9 numbers numpy's per-call
     # cost outweighs the arithmetic, which is the same IEEE double either way.
-    entries = c.ravel().tolist()
-    if not all(map(math.isfinite, entries)):
+    if not all(map(math.isfinite, c.ravel().tolist())):
         raise CovarianceError("covariance has non-finite entries")
-    scale = max(1.0, *map(abs, entries))
+    return _checked(c.tobytes())
+
+
+@lru_cache(maxsize=_REGISTRY_SIZE)
+def _checked(key: bytes) -> np.ndarray:
+    # The rules on the matrix as a whole, run once per distinct 72-byte key;
+    # a failure raises, so only a matrix that passed is kept.
+    c = np.frombuffer(key).reshape(3, 3)
+    scale = max(1.0, *map(abs, c.ravel().tolist()))
     u = c / scale
     rows = u.tolist()
     tol = 1e-12
@@ -169,8 +183,6 @@ def validate_covariance(cov) -> np.ndarray:
         raise CovarianceError(
             f"covariance is not positive semidefinite: eigenvalue {lowest * scale!r} < 0"
         )
-    c = np.frombuffer(c.tobytes()).reshape(3, 3)
-    _CHECKED[id(c)] = c
     return c
 
 
@@ -243,33 +255,38 @@ class NoiseChannel:
 def phase_scaled(cov, t, scalar: bool = False):
     """The checked (C, t) for the forms t eps' C eps, eps in {-1, 0, 1}^3.
 
-    The one check of every time: each must be finite and >= 0 (a bool is a
-    flag, not a time), one number if ``scalar`` (a time meeting a channel,
-    which an array would broadcast against), and the forms and the
-    eigenvalues of C*t, at most 9 max|c_jk| t, must be finite floats, else
-    ValueError.  An array is judged by its min and max (NaN fails both); only
-    a failure looks for the first bad time, to name it.  If 9 max|c_jk| alone
-    overflows, C comes back divided and t multiplied by 16 (exactly), so no
-    intermediate overflows.  An int or float time (numpy's float64 included)
-    comes back as a float, any other time as a float array.
+    The one check of every time: each must be a real number, finite and
+    >= 0 (a bool is a flag, not a time), one number if ``scalar`` (a time
+    meeting a channel, which an array would broadcast against), and the
+    forms and the eigenvalues of C*t, at most 9 max|c_jk| t, must be finite
+    floats, else ValueError.  An array is judged by its min and max (NaN
+    fails both); only a failure looks for the first bad time, to name it.
+    If 9 max|c_jk| alone overflows, C comes back divided and t multiplied by
+    16 (exactly), so no intermediate overflows.  An int or float time
+    (numpy's float64 included) comes back as a float, any other time as a
+    float array.
     """
-    if scalar and not isinstance(t, (int, float)) and np.ndim(t) != 0:
-        raise ValueError(f"t must be a scalar time, got an array of shape {np.shape(t)}")
+    fast = isinstance(t, (int, float)) and not isinstance(t, bool) and 0 <= t <= sys.float_info.max
+    if not fast:
+        try:
+            flags = np.asarray(t)
+        except ValueError:  # numpy's "inhomogeneous shape": rows of unequal length
+            raise ValueError(
+                "time must be a real number or an array of them, got a ragged nested sequence"
+            ) from None
+        if scalar and flags.ndim:
+            raise ValueError(f"t must be a scalar time, got an array of shape {flags.shape}")
     c = validate_covariance(cov)
-    if isinstance(t, (int, float)) and not isinstance(t, bool) and 0 <= t <= sys.float_info.max:
+    if fast:
         t = longest = float(t)  # a valid scalar, checked without numpy's per-call cost
     else:
-        flags = np.asarray(t)
         if flags.dtype == bool and flags.size:  # flags, not times
             raise ValueError(f"time must be finite and >= 0, got {flags.flat[0].item()!r}")
-        try:
-            t = np.asarray(t, dtype=float)
-        except OverflowError:  # a Python int beyond the float range, such as 10**400
-            from decimal import Context  # only here: importing it costs 1.5 ms
-
-            big = next(x for x in flags.flat if not abs(x) <= sys.float_info.max)
-            shown = Context(prec=17).create_decimal(big).normalize()  # as a float repr would
-            raise ValueError(f"time must be finite and >= 0, got {shown:e}") from None
+        if flags.dtype.kind not in "biuf":  # strings, complex numbers or objects
+            bad = [x for x in np.asarray(t, dtype=object).ravel().tolist() if not real_number(x)]
+            if bad:
+                raise ValueError(f"time must be a real number, got {bad[0]!r}")
+        t = float_array(flags, "time must be finite and >= 0, got ")
         longest = float(t.max()) if t.size else 0.0
         if t.size and not (t.min() >= 0 and longest <= sys.float_info.max):
             bad = ~(np.isfinite(t) & (t >= 0))

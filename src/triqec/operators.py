@@ -9,12 +9,12 @@ functions here are pure and never mutate their inputs.
 
 from __future__ import annotations
 
-import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from .models import real_number
+from .models import real_number, shown
 
 DIM = 8
 SPINS = (1, 2, 3)
@@ -109,8 +109,9 @@ def data_state_from_bloch(bloch) -> np.ndarray:
     bad = [component for component in (x, y, z) if not real_number(component)]
     if bad:
         raise NormalizationError(f"Bloch vector components must be real numbers, got {bad[0]!r}")
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise NormalizationError(f"Bloch vector components must be finite, got {tuple(bloch)!r}")
+    if not all(abs(component) <= sys.float_info.max for component in (x, y, z)):
+        components = ", ".join(map(shown, (x, y, z)))
+        raise NormalizationError(f"Bloch vector components must be finite, got ({components})")
     r2 = x * x + y * y + z * z
     if r2 > 1.0 + STATE_TOL:
         raise NormalizationError(f"Bloch vector has norm {np.sqrt(r2)!r} > 1")

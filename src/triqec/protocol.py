@@ -31,6 +31,7 @@ a single sector is its one-hot mixture.
 from __future__ import annotations
 
 import bisect
+import sys
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -39,7 +40,7 @@ import numpy as np
 
 from .analytics import _decay_law
 from .gates import encoder, global_rotation, toffoli
-from .models import real_number
+from .models import real_number, shown
 from .noise import (
     NoiseChannel,
     channel_factors,
@@ -66,8 +67,8 @@ class ConfigError(ValueError):
 
 
 def _nonnegative(weight, name: str) -> None:
-    if not (real_number(weight) and -1e-12 <= weight < np.inf):
-        raise ConfigError(f"{name} must be finite and >= 0, got {weight!r}")
+    if not (real_number(weight) and -1e-12 <= weight <= sys.float_info.max):
+        raise ConfigError(f"{name} must be finite and >= 0, got {shown(weight)}")
 
 
 def _unit_sum(weights, name: str) -> None:

@@ -13,6 +13,7 @@ from triqec.noise import (
     _EPS,
     PAIRS,
     NoiseChannel,
+    _checked,
     _phase_loading,
     dephasing_factors,
     validate_covariance,
@@ -37,7 +38,9 @@ from triqec.protocol import AncillaMixture, _gates, _initial_state
 
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
-    # The covariance check is the package's only eigvalsh: count its calls.
+    # The covariance check is the package's only eigvalsh: count its calls,
+    # from an empty registry of checked covariances.
+    _checked.cache_clear()
     calls = []
     original = np.linalg.eigvalsh
 

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from triqec.analytics import inflection_point, predict_corrected_curve, survival_factor
+from triqec.analytics import (
+    DecayCurve,
+    inflection_point,
+    predict_corrected_curve,
+    survival_factor,
+)
 from triqec.diffusion import SCHEMES, GradientDiffusionSpec, spec_to_covariance
 from triqec.models import NAMED_MODELS, named_model
-from triqec.noise import NoiseChannel, totally_correlated, uncorrelated
+from triqec.noise import NoiseChannel, totally_correlated, uncorrelated, validate_covariance
 from triqec.operators import NormalizationError
 from triqec.protocol import (
     AncillaMixture,
@@ -99,6 +104,55 @@ def test_real_inputs_reject_bools_and_non_numbers_by_name(entry, value):
         entry_point(value)
     assert str(error.value).startswith(message)
     assert str(error.value).endswith(f", got {value!r}")
+
+
+BEYOND_FLOAT = {
+    "tau": (totally_correlated, "tau must be positive and finite, got {}"),
+    "inflection-tau": (
+        lambda v: inflection_point("correlated", v),
+        "tau must be positive and finite, got {}",
+    ),
+    "mixture-weight": (
+        lambda v: AncillaMixture(v, 0, 0, 0),
+        "mixture weight mu_pp must be finite and >= 0, got {}",
+    ),
+    "bloch": (
+        lambda v: PipelineConfig(NoiseChannel(np.eye(3)), bloch=(v, 0, 0)),
+        "Bloch vector components must be finite, got ({}, 0, 0)",
+    ),
+    "curve-times": (lambda v: DecayCurve([0, v], [1, 0.5]), "curve times must be finite, got {}"),
+    "curve-values": (lambda v: DecayCurve([0, 1], [1, v]), "curve values must be finite, got {}"),
+    "wavenumber": (
+        lambda v: GradientDiffusionSpec(v, 1.0, 1.0),
+        "gradient_wavenumber must be finite, got {}",
+    ),
+    "diffusion-time": (
+        lambda v: GradientDiffusionSpec(1.0, 1.0, v),
+        "diffusion_time must be finite and >= 0, got {}",
+    ),
+    "covariance": (
+        lambda v: validate_covariance([[v, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        "covariance has non-finite entries",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "value, shown", [(10**400, "1e+400"), (10**5000, "1e+5000")], ids=["10**400", "10**5000"]
+)
+@pytest.mark.parametrize("entry", list(BEYOND_FLOAT))
+def test_ints_beyond_the_float_range_get_the_named_error(entry, value, shown):
+    # float(10**400) overflows; the check names the int as a float would show it.
+    entry_point, message = BEYOND_FLOAT[entry]
+    with pytest.raises(ValueError) as error:
+        entry_point(value)
+    assert str(error.value) == message.format(shown)
+
+
+def test_ragged_covariances_are_named():
+    for cov in ([[1.0, 0], [0, 1, 0], [0, 0, 1]], [[[1.0], 0, 0], [0, 1, 0], [0, 0, 1]]):
+        with pytest.raises(ValueError, match="^covariance must be 3x3, got a ragged nested sequence$"):
+            NoiseChannel(cov)
 
 
 def test_bloch_vectors_and_covariances_are_checked_whole():

@@ -26,6 +26,7 @@ from triqec.noise import (
     _PAIR_INDEX,
     _PAIR_SIGN,
     _PHASOR_ROWS,
+    _REGISTRY_SIZE,
     _ROWS,
     _SURVIVAL,
     BLOCK,
@@ -34,6 +35,7 @@ from triqec.noise import (
     CovarianceError,
     NoiseChannel,
     _block_sums,
+    _checked,
     _phase_loading,
     _phasors,
     apply_channel,
@@ -115,15 +117,54 @@ def test_checked_covariance_is_immutable_and_accepted_as_is():
     assert c[0, 0] != 7.0
 
 
-def test_arrays_derived_from_a_checked_covariance_are_checked_afresh(eigvalsh_calls):
+def test_arrays_derived_from_a_checked_covariance_are_checked_by_value(eigvalsh_calls):
+    # Equal values share one checked copy; other values run every check.
     c = validate_covariance(np.eye(3))
     with pytest.raises(CovarianceError, match="negative"):
         validate_covariance(-c)
-    for derived in (c.copy(), 2 * c, c[:]):
+    for derived in (c.copy(), c[:]):
         eigvalsh_calls.clear()
-        checked = validate_covariance(derived)
-        assert checked is not derived and np.array_equal(checked, derived)
-        assert len(eigvalsh_calls) == 1
+        assert validate_covariance(derived) is c
+        assert eigvalsh_calls == []
+    checked = validate_covariance(2 * c)
+    assert np.array_equal(checked, 2 * np.eye(3)) and len(eigvalsh_calls) == 1
+
+
+def test_equal_covariances_share_one_checked_copy(eigvalsh_calls):
+    # A list, ints and float32 with the same float64 values are one entry.
+    c = validate_covariance(np.eye(3))
+    for same in (np.eye(3).tolist(), np.eye(3, dtype=int), np.eye(3, dtype=np.float32)):
+        assert validate_covariance(same) is c
+    assert len(eigvalsh_calls) == 1 and _checked.cache_info().currsize == 1
+
+
+def test_a_caller_array_changed_in_place_is_checked_again(eigvalsh_calls):
+    raw = random_psd(np.random.default_rng(4))
+    validate_covariance(raw)
+    raw[:] = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]  # within Cauchy-Schwarz
+    with pytest.raises(CovarianceError, match="not positive semidefinite"):
+        NoiseChannel(covariance=raw)
+    assert len(eigvalsh_calls) == 2
+
+
+def test_a_failing_covariance_fails_on_every_call(eigvalsh_calls):
+    indefinite = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+    for _ in range(3):
+        with pytest.raises(CovarianceError, match="not positive semidefinite"):
+            validate_covariance(indefinite)
+    assert len(eigvalsh_calls) == 3 and _checked.cache_info().currsize == 0
+
+
+def test_the_registry_keeps_its_bound_and_checks_an_evicted_covariance_again(eigvalsh_calls):
+    first = np.eye(3)
+    validate_covariance(first)
+    for k in range(10_000):
+        validate_covariance(np.diag([1.0, 1.0, 2.0 + k]))
+    assert _checked.cache_info().currsize == _REGISTRY_SIZE
+    assert len(eigvalsh_calls) == 10_001
+    eigvalsh_calls.clear()
+    validate_covariance(first)  # dropped as the least recently used entry
+    assert len(eigvalsh_calls) == 1
 
 
 def test_noise_channel_validation():
@@ -368,6 +409,27 @@ def test_validate_time_names_the_bad_time(t, shown):
     with pytest.raises(ValueError) as error:
         phase_scaled(np.zeros((3, 3)), t)
     assert str(error.value) == f"time must be finite and >= 0, got {shown}"
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        ("0.3", "time must be a real number, got '0.3'"),
+        (0.3 + 0j, "time must be a real number, got (0.3+0j)"),
+        (np.array([0.1, 0.2j]), "time must be a real number, got (0.1+0j)"),
+        (np.array([0.1, None], dtype=object), "time must be a real number, got None"),
+        ([0.1, "x"], "time must be a real number, got 'x'"),
+        (
+            [[0.1, 0.2], [0.3]],
+            "time must be a real number or an array of them, got a ragged nested sequence",
+        ),
+    ],
+    ids=["string", "complex", "complex-array", "object", "strings", "ragged"],
+)
+def test_non_numeric_times_are_named(t, message):
+    with pytest.raises(ValueError) as error:
+        phase_scaled(np.zeros((3, 3)), t)
+    assert str(error.value) == message
 
 
 def test_sample_phases_zero_time():

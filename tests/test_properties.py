@@ -10,6 +10,7 @@ from triqec.analytics import survival_factor
 from triqec.noise import (
     BLOCK,
     NoiseChannel,
+    _checked,
     apply_channel,
     phase_scaled,
     validate_covariance,
@@ -132,14 +133,17 @@ def test_a_checked_covariance_is_accepted_as_is(cov):
 
 @settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cov=covariances())
-def test_a_copy_of_a_checked_covariance_is_checked_again(eigvalsh_calls, cov):
+def test_a_copy_shares_the_check_and_a_one_ulp_change_is_checked_again(eigvalsh_calls, cov):
+    _checked.cache_clear()  # hypothesis may repeat an example
     checked = validate_covariance(cov)
-    copy = checked.copy()
     eigvalsh_calls.clear()
-    again = validate_covariance(copy)
+    assert validate_covariance(checked.copy()) is checked
+    assert eigvalsh_calls == []
+    nudged = cov.copy()
+    nudged[0, 0] = np.nextafter(nudged[0, 0], np.inf)  # a larger variance stays PSD
+    again = validate_covariance(nudged)
     assert len(eigvalsh_calls) == 1
-    assert again is not checked and again is not copy
-    assert np.array_equal(again, checked)
+    assert again is not checked and np.array_equal(again, nudged)
 
 
 @PROPERTY
