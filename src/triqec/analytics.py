@@ -20,11 +20,12 @@ order, so a time on a grid gives the same bits as the same time alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import float_array, named_model, positive_finite
+from .models import named_model, positive_finite, real_array
 from .noise import phase_scaled, validate_covariance
 
 #: Triple-quantum sign patterns (one per pair +-eps) entering the product term.
@@ -35,14 +36,19 @@ _TRIPLE_PATTERNS = np.array(
 
 @dataclass(frozen=True)
 class DecayCurve:
-    """A sampled decay curve: strictly increasing times and matching values."""
+    """A sampled decay curve: strictly increasing times and matching values.
+
+    Both are 1-d float arrays of equal length, made by ``models.real_array``
+    (the one rule for arrays of reals, so a bool or a string is no number)
+    and then checked finite.
+    """
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        times = float_array(self.times, "curve times must be finite, got ")
-        values = float_array(self.values, "curve values must be finite, got ")
+        times = real_array(self.times, "curve times")
+        values = real_array(self.values, "curve values")
         if times.ndim != 1 or times.shape != values.shape:
             raise ValueError("times and values must be 1-d arrays of equal length")
         for name, array in (("times", times), ("values", values)):
@@ -111,22 +117,31 @@ def survival_derivatives_at_zero(cov) -> tuple[float, float, float]:
     The first derivative vanishes identically: the code removes the linear
     decay for every covariance.  The second is strictly negative for nonzero
     noise, and the third is symmetric under relabeling the spins, like the
-    decay law itself.
+    decay law itself.  A covariance whose derivatives overflow a float
+    raises ValueError.
     """
     c = validate_covariance(cov)
-    c11, c22, c33 = c[0, 0], c[1, 1], c[2, 2]
-    c12, c13, c23 = c[0, 1], c[0, 2], c[1, 2]
-    off = 2 * (c12**2 + c13**2 + c23**2)
-    diag = c11 * c22 + c11 * c33 + c22 * c33
-    third = (
-        3 * c11**2 * (c22 + c33)
-        + 3 * c22**2 * (c11 + c33)
-        + 3 * c33**2 * (c11 + c22)
-        + 6 * c11 * c22 * c33
-        + 12 * (c12**2 + c13**2 + c23**2) * (c11 + c22 + c33)
-        + 48 * c12 * c13 * c23
-    ) / 16
-    return 0.0, -0.25 * (off + diag), third
+    # On Python floats, the same IEEE arithmetic as numpy's scalars without
+    # their per-operation cost or warnings: a product that overflows is inf,
+    # a power raises.
+    (c11, c12, c13), (_, c22, c23), (_, _, c33) = c.tolist()
+    try:
+        off = 2 * (c12**2 + c13**2 + c23**2)
+        diag = c11 * c22 + c11 * c33 + c22 * c33
+        second = -0.25 * (off + diag)
+        third = (
+            3 * c11**2 * (c22 + c33)
+            + 3 * c22**2 * (c11 + c33)
+            + 3 * c33**2 * (c11 + c22)
+            + 6 * c11 * c22 * c33
+            + 12 * (c12**2 + c13**2 + c23**2) * (c11 + c22 + c33)
+            + 48 * c12 * c13 * c23
+        ) / 16
+    except OverflowError:
+        second = third = math.inf
+    if not (math.isfinite(second) and math.isfinite(third)):
+        raise ValueError(f"survival derivatives overflow: largest entry {float(abs(c).max())!r}")
+    return 0.0, second, third
 
 
 def inflection_point(model: str, tau: float) -> float:
@@ -172,11 +187,14 @@ def fit_exponential_rate(curve: DecayCurve) -> FitResult:
 def predict_corrected_curve(rate: float, model: str, times) -> DecayCurve:
     """Corrected decay predicted from an uncorrected rate 1/tau.
 
-    Evaluates the closed form of the named model at the given times.
+    Evaluates the closed form of the named model at the given times.  They
+    pass the one time rule (``noise.phase_scaled``) on the model's
+    covariance at that tau, as in every other function that takes times.
     """
+    named, tau = named_model(model), 1.0 / positive_finite(rate, "rate")
+    phase_scaled(named.covariance(tau), times)
     times = np.asarray(times, dtype=float)
-    values = named_model(model).closed_form(1.0 / positive_finite(rate, "rate"), times)
-    return DecayCurve(times=times, values=np.asarray(values))
+    return DecayCurve(times=times, values=np.asarray(named.closed_form(tau, times)))
 
 
 def scale_to_rms(measured: DecayCurve, reference: DecayCurve) -> DecayCurve:

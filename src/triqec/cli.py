@@ -280,7 +280,7 @@ def cmd_nogo(args) -> int:
 
 def cmd_derivatives(args) -> int:
     cov = _resolve_covariance(args)
-    first, second, third = survival_derivatives_at_zero(cov)
+    first, second, third = _naming(args.cov or "--tau", survival_derivatives_at_zero, cov)
     print(f"first_derivative_at_zero = {_fmt(first)}")
     print(f"second_derivative_at_zero = {_fmt(second)}")
     print(f"third_derivative_at_zero = {_fmt(third)}")

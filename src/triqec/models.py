@@ -45,14 +45,26 @@ def shown(value) -> str:
     return repr(value)
 
 
-def float_array(values, message: str) -> np.ndarray:
-    """``values`` as a float array; an int beyond the float range raises ValueError naming it."""
-    try:
-        return np.asarray(values, dtype=float)
-    except OverflowError:  # a Python int such as 10**400
-        entries = np.asarray(values, dtype=object).flat
-        big = next(x for x in entries if not abs(x) <= sys.float_info.max)
-        raise ValueError(f"{message}{shown(big)}") from None
+def real_array(values, name: str, error=ValueError) -> np.ndarray:
+    """``values`` as a float64 array if it holds real numbers, else ``error`` naming them.
+
+    An int or float ndarray is taken as it is; any other input is scanned
+    entry by entry, so a bool (a flag, not a number), a string, a complex
+    number or None among floats is named, as is a ragged nested sequence
+    and an int beyond the float range (shown as ``shown`` prints it).  The
+    range of each entry is the caller's to check.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        try:
+            np.asarray(values)
+        except ValueError:  # numpy's "inhomogeneous shape": rows of unequal length
+            raise error(f"{name} must be real numbers, got a ragged nested sequence") from None
+        for x in np.asarray(values, dtype=object).ravel().tolist():
+            if not real_number(x):
+                raise error(f"{name} must be real numbers, got {x!r}")
+            if isinstance(x, int) and not abs(x) <= sys.float_info.max:
+                raise error(f"{name} must be finite, got {shown(x)}")
+    return np.asarray(values, dtype=float)
 
 
 def positive_finite(value, name: str) -> float:

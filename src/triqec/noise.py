@@ -59,7 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .models import TOTALLY_CORRELATED, UNCORRELATED, float_array, real_number
+from .models import TOTALLY_CORRELATED, UNCORRELATED, real_array
 from .operators import kron3
 
 #: Samples per reduction block; fixed so the summation order never varies.
@@ -125,9 +125,11 @@ _REGISTRY_SIZE = 256
 def validate_covariance(cov) -> np.ndarray:
     """Validate a 3x3 dephasing-rate covariance matrix and return an immutable copy.
 
-    Checks real entries (a bool is a flag, not a rate), symmetry, nonnegative
-    diagonal, the Cauchy-Schwarz bound on the off-diagonal entries, and
-    positive semidefiniteness (eigenvalues at worst -1e-12 at unit scale).
+    Checks real entries (``models.real_array``, the one rule for arrays of
+    reals: a bool is a flag, not a rate), the 3x3 shape, finite entries,
+    symmetry, nonnegative diagonal, the Cauchy-Schwarz bound on the
+    off-diagonal entries, and positive semidefiniteness (eigenvalues at
+    worst -1e-12 at unit scale).
     The checks run on the matrix divided by its largest entry (when above
     1), so no intermediate overflows.  The copy is backed by bytes, so
     nothing can make it writable.  Checked copies are kept by content, the
@@ -135,18 +137,7 @@ def validate_covariance(cov) -> np.ndarray:
     copy, a list or another dtype with the same values) gets the same copy
     back without a second check, and any other matrix runs every check.
     """
-    try:
-        c = np.asarray(cov)
-    except ValueError:  # numpy's "inhomogeneous shape": rows of unequal length
-        raise CovarianceError("covariance must be 3x3, got a ragged nested sequence") from None
-    if c.dtype.kind not in "iuf":  # flags, strings, complex numbers or objects
-        bad = [x for x in np.asarray(cov, dtype=object).ravel().tolist() if not real_number(x)]
-        if bad:
-            raise CovarianceError(f"covariance entries must be real numbers, got {bad[0]!r}")
-    try:
-        c = np.asarray(c, dtype=float)
-    except OverflowError:  # a Python int beyond the float range, such as 10**400
-        raise CovarianceError("covariance has non-finite entries") from None
+    c = real_array(cov, "covariance entries", CovarianceError)
     if c.shape != (3, 3):
         raise CovarianceError(f"covariance must be 3x3, got shape {c.shape}")
     # The entry checks run on Python floats: on 9 numbers numpy's per-call
@@ -255,42 +246,30 @@ class NoiseChannel:
 def phase_scaled(cov, t, scalar: bool = False):
     """The checked (C, t) for the forms t eps' C eps, eps in {-1, 0, 1}^3.
 
-    The one check of every time: each must be a real number, finite and
-    >= 0 (a bool is a flag, not a time), one number if ``scalar`` (a time
-    meeting a channel, which an array would broadcast against), and the
-    forms and the eigenvalues of C*t, at most 9 max|c_jk| t, must be finite
-    floats, else ValueError.  An array is judged by its min and max (NaN
-    fails both); only a failure looks for the first bad time, to name it.
+    The one check of every time: each must be a real number
+    (``models.real_array``, the rule every array of reals goes through: a
+    bool is a flag, not a time), finite and >= 0, one number if ``scalar``
+    (a time meeting a channel, which an array would broadcast against), and
+    the forms and the eigenvalues of C*t, at most 9 max|c_jk| t, must be
+    finite floats, else ValueError.  An array is judged by its min and max
+    (NaN fails both); only a failure looks for the first bad time, to name it.
     If 9 max|c_jk| alone overflows, C comes back divided and t multiplied by
     16 (exactly), so no intermediate overflows.  An int or float time
     (numpy's float64 included) comes back as a float, any other time as a
     float array.
     """
     fast = isinstance(t, (int, float)) and not isinstance(t, bool) and 0 <= t <= sys.float_info.max
-    if not fast:
-        try:
-            flags = np.asarray(t)
-        except ValueError:  # numpy's "inhomogeneous shape": rows of unequal length
-            raise ValueError(
-                "time must be a real number or an array of them, got a ragged nested sequence"
-            ) from None
-        if scalar and flags.ndim:
-            raise ValueError(f"t must be a scalar time, got an array of shape {flags.shape}")
-    c = validate_covariance(cov)
     if fast:
         t = longest = float(t)  # a valid scalar, checked without numpy's per-call cost
     else:
-        if flags.dtype == bool and flags.size:  # flags, not times
-            raise ValueError(f"time must be finite and >= 0, got {flags.flat[0].item()!r}")
-        if flags.dtype.kind not in "biuf":  # strings, complex numbers or objects
-            bad = [x for x in np.asarray(t, dtype=object).ravel().tolist() if not real_number(x)]
-            if bad:
-                raise ValueError(f"time must be a real number, got {bad[0]!r}")
-        t = float_array(flags, "time must be finite and >= 0, got ")
+        t = real_array(t, "times")
+        if scalar and t.ndim:
+            raise ValueError(f"t must be a scalar time, got an array of shape {t.shape}")
         longest = float(t.max()) if t.size else 0.0
         if t.size and not (t.min() >= 0 and longest <= sys.float_info.max):
             bad = ~(np.isfinite(t) & (t >= 0))
             raise ValueError(f"time must be finite and >= 0, got {float(t[bad].flat[0])!r}")
+    c = validate_covariance(cov)
     largest = max(map(abs, c.ravel().tolist()))
     if not math.isfinite(9.0 * (largest * longest)):
         raise ValueError(f"covariance * t overflows: largest entry {largest!r}, t = {longest!r}")

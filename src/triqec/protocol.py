@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -126,7 +127,12 @@ class CorrelatedComponent:
 
 def _correlated_components(components) -> tuple[CorrelatedComponent, ...]:
     # A nonempty tuple of components whose weights sum to one.
-    components = tuple(components)
+    components = tuple(components) if isinstance(components, Iterable) else (components,)
+    bad = [comp for comp in components if not isinstance(comp, CorrelatedComponent)]
+    if bad:
+        raise ConfigError(
+            f"correlated mixture components must be CorrelatedComponents, got {bad[0]!r}"
+        )
     if not components:
         raise ConfigError("correlated mixture needs at least one component")
     _unit_sum((comp.weight for comp in components), "correlated mixture weights")

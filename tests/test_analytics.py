@@ -127,6 +127,13 @@ def test_third_derivative_sign_probe():
     assert all(np.isfinite(values))
 
 
+def test_derivatives_that_overflow_are_named():
+    # The third derivative of 1e300 I is about 1e900: no float, so no number.
+    with pytest.raises(ValueError) as error:
+        survival_derivatives_at_zero(np.eye(3) * 1e300)
+    assert str(error.value) == "survival derivatives overflow: largest entry 1e+300"
+
+
 def test_first_derivative_vanishes_for_every_covariance():
     rng = np.random.default_rng(4)
     h = 1e-4

@@ -397,6 +397,17 @@ def test_derivatives_output(capsys):
     assert inflection == pytest.approx(np.log(3.0) / 2, rel=1e-12)
 
 
+def test_derivatives_that_overflow_name_their_source(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("big.cov").write_text("1e300 0 0\n0 1 0\n0 0 1\n")
+    for source, args in (("--tau", ("--model", "correlated", "--tau", 1e-200)),
+                         ("big.cov", ("--cov", "big.cov"))):
+        assert run_cli("derivatives", *args) == 2
+        largest = "2e+200" if source == "--tau" else "1e+300"
+        assert capsys.readouterr() == ("", f"triqec derivatives: {source}: survival derivatives "
+                                       f"overflow: largest entry {largest}\n")
+
+
 def test_seed_env_variable_is_the_default(tmp_path, monkeypatch):
     args = ("decay", "--model", "correlated", "--tau", 1.0, "--points", 4,
             "--tmax", 0.5, "--mc", 500)
@@ -505,6 +516,17 @@ def test_fit_names_a_non_finite_curve_file(tmp_path, capsys, rows, message):
     assert not out.exists()
 
 
+def test_fit_rejects_a_negative_time_by_its_file(tmp_path, monkeypatch, capsys):
+    # The prediction's times go through the one time rule: no survival at t < 0.
+    monkeypatch.chdir(tmp_path)
+    Path("neg.csv").write_text("-1,1.2\n0,1\n1,0.6\n")
+    assert run_cli("fit", "--in", "neg.csv", "--model", "correlated", "--out", "p.csv") == 2
+    assert capsys.readouterr() == (
+        "", "triqec fit: --in neg.csv: time must be finite and >= 0, got -1.0\n"
+    )
+    assert not Path("p.csv").exists()
+
+
 @pytest.mark.parametrize(
     "text,line,row",
     [
@@ -589,11 +611,19 @@ def cli_argvs(draw):
     command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
     flags = COMMAND_FLAGS[command]
     bad = draw(st.sets(st.sampled_from(sorted(flags)), max_size=3))
+    values = {
+        flag: draw(st.sampled_from((*invalid, "<no value>") if flag in bad else valid))
+        for flag, (valid, invalid) in flags.items()
+    }
+    if command == "decay" and values["--mc"] != "<omitted>":
+        # A Monte Carlo curve stays small: 8 points or fewer, and 2 samples
+        # a point at the default 32 points.
+        if values["--points"] == "10000":
+            values["--points"] = "8"
+        elif values["--points"] == "<omitted>" and values["--mc"] == "10000":
+            values["--mc"] = "2"
     argv = [command]
-    for flag, (valid, invalid) in flags.items():
-        value = draw(st.sampled_from((*invalid, "<no value>") if flag in bad else valid))
-        if command == "decay" and flag == "--points" and "--mc" in argv and value == "10000":
-            value = "8"  # a Monte Carlo curve stays at 8 points or fewer
+    for flag, value in values.items():
         if value == "<no value>":
             argv.append(flag)
         elif value != "<omitted>":
@@ -601,21 +631,10 @@ def cli_argvs(draw):
     return argv
 
 
-@settings(
-    max_examples=150,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(argv=cli_argvs())
-def test_main_exits_cleanly_on_any_flag_values(tmp_path, monkeypatch, argv):
-    # Every argv ends in exit 0, 2 (argparse's SystemExit(2) included) or 3,
-    # with no traceback; a failure prints nothing to stdout, and an invalid
-    # input's last stderr line names the command and a flag or a file path.
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(SEED_ENV, raising=False)
-    _write_cli_inputs(tmp_path)
+def _main_exits_cleanly(argv):
+    # Runs main(argv), which must end in exit 0, 2 (argparse's SystemExit(2)
+    # included) or 3, with no traceback; a failure prints nothing to stdout,
+    # and an invalid input's last stderr line, returned, names the command.
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -629,5 +648,99 @@ def test_main_exits_cleanly_on_any_flag_values(tmp_path, monkeypatch, argv):
     if code == 2:
         last = err.getvalue().splitlines()[-1]
         assert last.startswith(f"triqec {argv[0]}:"), argv
+        return last
+    return None
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=cli_argvs())
+def test_main_exits_cleanly_on_any_flag_values(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    _write_cli_inputs(tmp_path)
+    last = _main_exits_cleanly(argv)
+    if last is not None:  # it names a flag or a file path
         paths = [value for flag, value in zip(argv, argv[1:]) if flag in FILE_FLAGS]
         assert re.search(r"--[a-z]", last) or any(path in last for path in paths), (argv, last)
+
+
+#: Fields of an input file: numbers (negative, huge, beyond the float range,
+#: subnormal, not finite), a bool, a non-number and an empty field.
+FIELDS = ("0", "0.5", "-1", "1e300", "1e400", "5e-324", "nan", "inf", "True", "x", "")
+#: A valid covariance file's rows and a valid curve file's rows, header first.
+COVARIANCE_ROWS = (("1.0", "0.3", "0.1"), ("0.3", "0.8", "0.2"), ("0.1", "0.2", "0.5"))
+CURVE_ROWS = (("t", "v"), ("0", "1"), ("0.5", "0.6"), ("1", "0.37"))
+
+
+@st.composite
+def edited_rows(draw, rows):
+    """``rows`` after up to three edits: a field replaced by one of ``FIELDS``,
+    a field dropped (a ragged row), a column added, a row dropped (the header
+    too), repeated or swapped with another (unsorted or repeated times)."""
+    rows = [list(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("field", "ragged", "column", "drop", "repeat", "swap")))
+        if not rows:
+            break
+        i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        if edit == "field" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(FIELDS))
+        elif edit == "ragged" and rows[i]:
+            rows[i].pop()
+        elif edit == "column":
+            for row in rows:
+                row.append(draw(st.sampled_from(FIELDS)))
+        elif edit == "drop":
+            del rows[i]
+        elif edit == "repeat":
+            rows.insert(i, list(rows[i]))
+        elif edit == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+    return rows
+
+
+@st.composite
+def cli_files(draw):
+    """An argv that reads one or two drawn input files, and those files' rows."""
+    command = draw(st.sampled_from(("decay", "derivatives", "fit", "nogo")))
+    if command != "fit":
+        argv = {
+            "decay": ["decay", "--points", "4", "--out", "out.csv"],
+            "derivatives": ["derivatives"],
+            "nogo": ["nogo", "--step", "0.25"],
+        }[command]
+        if command == "decay" and draw(st.booleans()):
+            argv += ["--mc", "2"]
+        return [*argv, "--cov", "cov.txt"], {"cov.txt": (" ", draw(edited_rows(COVARIANCE_ROWS)))}
+    argv = ["fit", "--model", "correlated", "--out", "out.csv", "--in", "in.csv"]
+    files = {"in.csv": (",", draw(edited_rows(CURVE_ROWS)))}
+    if draw(st.booleans()):
+        argv += ["--corrected", "corrected.csv"]
+        files["corrected.csv"] = (",", draw(edited_rows(CURVE_ROWS)))
+    return argv, files
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=cli_files())
+def test_main_exits_cleanly_on_any_file_contents(tmp_path, monkeypatch, case):
+    # The flag property's contract, over the contents of --cov, --in and
+    # --corrected files: exit 0, 2 or 3, no traceback, and an invalid
+    # input's last stderr line names the command and one of the files.
+    argv, files = case
+    monkeypatch.chdir(tmp_path)
+    for name, (separator, rows) in files.items():
+        (tmp_path / name).write_text("".join(separator.join(row) + "\n" for row in rows))
+    last = _main_exits_cleanly(argv)
+    assert last is None or any(name in last for name in files), (argv, files, last)

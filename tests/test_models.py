@@ -9,7 +9,13 @@ from triqec.analytics import (
 )
 from triqec.diffusion import SCHEMES, GradientDiffusionSpec, spec_to_covariance
 from triqec.models import NAMED_MODELS, named_model
-from triqec.noise import NoiseChannel, totally_correlated, uncorrelated, validate_covariance
+from triqec.noise import (
+    CovarianceError,
+    NoiseChannel,
+    totally_correlated,
+    uncorrelated,
+    validate_covariance,
+)
 from triqec.operators import NormalizationError
 from triqec.protocol import (
     AncillaMixture,
@@ -132,7 +138,7 @@ BEYOND_FLOAT = {
     ),
     "covariance": (
         lambda v: validate_covariance([[v, 0, 0], [0, 1, 0], [0, 0, 1]]),
-        "covariance has non-finite entries",
+        "covariance entries must be finite, got {}",
     ),
 }
 
@@ -149,10 +155,69 @@ def test_ints_beyond_the_float_range_get_the_named_error(entry, value, shown):
     assert str(error.value) == message.format(shown)
 
 
+#: Each input that is an array of real numbers (``models.real_array``): a call
+#: taking it, the name its errors give it, and their type.
+ARRAY_INPUTS = {
+    "covariance": (validate_covariance, "covariance entries", CovarianceError),
+    "survival-times": (lambda t: survival_factor(np.eye(3), t), "times", ValueError),
+    "curve-times": (lambda t: DecayCurve(t, [1.0, 0.5]), "curve times", ValueError),
+    "curve-values": (lambda v: DecayCurve([0.0, 1.0], v), "curve values", ValueError),
+    "predicted-times": (
+        lambda t: predict_corrected_curve(1.0, "correlated", t),
+        "times",
+        ValueError,
+    ),
+}
+
+#: Entries that are no real number or beyond the float range, and how the
+#: error ends for each.
+BAD_ENTRIES = [
+    pytest.param(True, "real numbers, got True", id="True"),
+    pytest.param("0.3", "real numbers, got '0.3'", id="string"),
+    pytest.param(0.3 + 0j, "real numbers, got (0.3+0j)", id="complex"),
+    pytest.param(None, "real numbers, got None", id="None"),
+    pytest.param([[0.1, 0.2], [0.3]], "real numbers, got a ragged nested sequence", id="ragged"),
+    pytest.param(10**400, "finite, got 1e+400", id="10**400"),
+]
+
+
+@pytest.mark.parametrize("form", ["alone", "after-a-float"])
+@pytest.mark.parametrize("value, ending", BAD_ENTRIES)
+@pytest.mark.parametrize("entry", list(ARRAY_INPUTS))
+def test_array_inputs_name_their_first_bad_entry(entry, value, ending, form):
+    # One rule for every array of reals: a bool among floats is a flag, a
+    # string is never parsed, and each failure names the input and the entry.
+    call, name, error = ARRAY_INPUTS[entry]
+    with pytest.raises(error) as raised:
+        call(value if form == "alone" else [0.5, value])
+    assert type(raised.value) is error
+    assert str(raised.value) == f"{name} must be {ending}"
+
+
+def test_typed_arrays_are_scanned_like_lists():
+    # An array of another dtype than int or float is scanned entry by entry,
+    # and a bool among a covariance's float rows is named as it is in a list.
+    for values, shown in (
+        (np.array([0.1, 0.2j]), "(0.1+0j)"),
+        (np.array([0.1, None], dtype=object), "None"),
+        (np.array(["0", "1"]), "'0'"),
+        (np.array([False, True]), "False"),
+    ):
+        with pytest.raises(ValueError) as raised:
+            survival_factor(np.eye(3), values)
+        assert str(raised.value) == f"times must be real numbers, got {shown}"
+    with pytest.raises(CovarianceError) as raised:
+        validate_covariance([[True, 0, 0], [0, 1.0, 0], [0, 0, 1]])
+    assert str(raised.value) == "covariance entries must be real numbers, got True"
+
+
 def test_ragged_covariances_are_named():
     for cov in ([[1.0, 0], [0, 1, 0], [0, 0, 1]], [[[1.0], 0, 0], [0, 1, 0], [0, 0, 1]]):
-        with pytest.raises(ValueError, match="^covariance must be 3x3, got a ragged nested sequence$"):
+        with pytest.raises(CovarianceError) as raised:
             NoiseChannel(cov)
+        assert str(raised.value) == (
+            "covariance entries must be real numbers, got a ragged nested sequence"
+        )
 
 
 def test_bloch_vectors_and_covariances_are_checked_whole():

@@ -382,51 +382,39 @@ def test_pair_phasors_allocate_nothing():
         assert peak < BLOCK * 8, n
 
 
-@pytest.mark.parametrize(
-    "t, shown",
-    [
-        (float("nan"), "nan"),
-        (float("inf"), "inf"),
-        (-float("inf"), "-inf"),
-        (-1.0, "-1.0"),
-        (-2, "-2.0"),
-        (np.float64(-0.5), "-0.5"),
-        (np.array(float("nan")), "nan"),
-        (np.array(float("inf")), "inf"),
-        (np.array(-3.0), "-3.0"),
-        (np.array([0.5, -4.0]), "-4.0"),
-        pytest.param(10**400, "1e+400", id="10**400"),
-        pytest.param(-(10**400), "-1e+400", id="-10**400"),
-        pytest.param(3**1000, "1.3220708194808066e+477", id="3**1000"),
-        pytest.param([0.5, 10**400], "1e+400", id="list-10**400"),
-        (True, "True"),
-        (np.True_, "True"),
-        (np.array([False, True]), "False"),
-    ],
-)
-def test_validate_time_names_the_bad_time(t, shown):
-    # phase_scaled is the one time check; a zero covariance tests the times alone.
-    with pytest.raises(ValueError) as error:
-        phase_scaled(np.zeros((3, 3)), t)
-    assert str(error.value) == f"time must be finite and >= 0, got {shown}"
+#: The message of every time that is not finite and >= 0.
+RANGE = "time must be finite and >= 0, got "
 
 
 @pytest.mark.parametrize(
     "t, message",
     [
-        ("0.3", "time must be a real number, got '0.3'"),
-        (0.3 + 0j, "time must be a real number, got (0.3+0j)"),
-        (np.array([0.1, 0.2j]), "time must be a real number, got (0.1+0j)"),
-        (np.array([0.1, None], dtype=object), "time must be a real number, got None"),
-        ([0.1, "x"], "time must be a real number, got 'x'"),
-        (
-            [[0.1, 0.2], [0.3]],
-            "time must be a real number or an array of them, got a ragged nested sequence",
+        pytest.param(float("nan"), RANGE + "nan", id="nan-nan"),
+        pytest.param(float("inf"), RANGE + "inf", id="inf-inf"),
+        pytest.param(-float("inf"), RANGE + "-inf", id="-inf--inf"),
+        pytest.param(-1.0, RANGE + "-1.0", id="-1.0--1.0"),
+        pytest.param(-2, RANGE + "-2.0", id="-2--2.0"),
+        pytest.param(np.float64(-0.5), RANGE + "-0.5", id="-0.5--0.5"),
+        pytest.param(np.array(float("nan")), RANGE + "nan", id="t6-nan"),
+        pytest.param(np.array(float("inf")), RANGE + "inf", id="t7-inf"),
+        pytest.param(np.array(-3.0), RANGE + "-3.0", id="t8--3.0"),
+        pytest.param(np.array([0.5, -4.0]), RANGE + "-4.0", id="t9--4.0"),
+        # An int beyond the float range and a bool fail the one array rule.
+        pytest.param(10**400, "times must be finite, got 1e+400", id="10**400"),
+        pytest.param(-(10**400), "times must be finite, got -1e+400", id="-10**400"),
+        pytest.param(
+            3**1000, "times must be finite, got 1.3220708194808066e+477", id="3**1000"
+        ),
+        pytest.param([0.5, 10**400], "times must be finite, got 1e+400", id="list-10**400"),
+        pytest.param(True, "times must be real numbers, got True", id="True-True"),
+        pytest.param(np.True_, "times must be real numbers, got np.True_", id="t15-True"),
+        pytest.param(
+            np.array([False, True]), "times must be real numbers, got False", id="t16-False"
         ),
     ],
-    ids=["string", "complex", "complex-array", "object", "strings", "ragged"],
 )
-def test_non_numeric_times_are_named(t, message):
+def test_validate_time_names_the_bad_time(t, message):
+    # phase_scaled is the one time check; a zero covariance tests the times alone.
     with pytest.raises(ValueError) as error:
         phase_scaled(np.zeros((3, 3)), t)
     assert str(error.value) == message

@@ -386,7 +386,13 @@ def test_constant_gates_are_cached_read_only():
 
 
 @pytest.mark.parametrize(
-    "bad", [-1.0, float("nan"), float("inf"), pytest.param(10**400, id="10**400")]
+    "bad, message",
+    [
+        pytest.param(-1.0, "time must be finite and >= 0, got -1.0", id="-1.0"),
+        pytest.param(float("nan"), "time must be finite and >= 0, got nan", id="nan"),
+        pytest.param(float("inf"), "time must be finite and >= 0, got inf", id="inf"),
+        pytest.param(10**400, "times must be finite, got 1e+400", id="10**400"),
+    ],
 )
 @pytest.mark.parametrize(
     "entry_point",
@@ -411,9 +417,10 @@ def test_constant_gates_are_cached_read_only():
         "run_pipeline_mc",
     ],
 )
-def test_entry_points_reject_bad_times(entry_point, bad):
-    with pytest.raises(ValueError, match="time must be finite and >= 0"):
+def test_entry_points_reject_bad_times(entry_point, bad, message):
+    with pytest.raises(ValueError) as error:
         entry_point(bad)
+    assert str(error.value) == message
 
 
 FLOAT_MAX = float(np.finfo(float).max)
@@ -634,6 +641,33 @@ def test_each_input_rule_keeps_its_message(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "ancillae, shown",
+    [
+        ((0.25,) * 4, "0.25"),
+        (0.25, "0.25"),
+        ([None], "None"),
+        (
+            AncillaMixture(1.0, 0.0, 0.0, 0.0),
+            "AncillaMixture(mu_pp=1.0, mu_pm=0.0, mu_mp=0.0, mu_mm=0.0)",
+        ),
+    ],
+    ids=["weights", "number", "none", "mixture"],
+)
+def test_correlated_mixtures_hold_only_components(ancillae, shown):
+    # Both ways in (a configuration's ancillae, the residuals) name the first
+    # entry that is no CorrelatedComponent; a configuration takes a mixture.
+    calls = [lambda: correlated_mixture_residuals(ancillae, np.eye(3))]
+    if not isinstance(ancillae, AncillaMixture):
+        calls.append(lambda: make_config(np.eye(3), bloch=BLOCH, ancillae=ancillae))
+    for call in calls:
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert str(info.value) == (
+            f"correlated mixture components must be CorrelatedComponents, got {shown}"
+        )
 
 
 def test_z_axis_noise_with_basis_rotation_is_protected():
