@@ -420,6 +420,21 @@ def test_validate_time_names_the_bad_time(t, message):
     assert str(error.value) == message
 
 
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        (np.array([0.1, 0.2j]), "times must be real numbers, got (0.1+0j)"),
+        (np.array([0.1, None], dtype=object), "times must be real numbers, got None"),
+    ],
+    ids=["complex-array", "object"],
+)
+def test_non_numeric_times_are_named(t, message):
+    # Typed arrays of times are scanned entry by entry, as lists are.
+    with pytest.raises(ValueError) as error:
+        phase_scaled(np.zeros((3, 3)), t)
+    assert str(error.value) == message
+
+
 def test_sample_phases_zero_time():
     rng = np.random.default_rng(0)
     assert np.abs(sample_phases(np.eye(3), 0.0, rng)).max() == 0.0
