@@ -117,31 +117,33 @@ def survival_derivatives_at_zero(cov) -> tuple[float, float, float]:
     The first derivative vanishes identically: the code removes the linear
     decay for every covariance.  The second is strictly negative for nonzero
     noise, and the third is symmetric under relabeling the spins, like the
-    decay law itself.  A covariance whose derivatives overflow a float
-    raises ValueError.
+    decay law itself.  Sums that overflow are taken again on C / max|c_jk|
+    and scaled back; derivatives that still overflow a float raise ValueError.
     """
     c = validate_covariance(cov)
+    largest = float(abs(c).max())
     # On Python floats, the same IEEE arithmetic as numpy's scalars without
     # their per-operation cost or warnings: a product that overflows is inf,
-    # a power raises.
-    (c11, c12, c13), (_, c22, c23), (_, _, c33) = c.tolist()
-    try:
-        off = 2 * (c12**2 + c13**2 + c23**2)
-        diag = c11 * c22 + c11 * c33 + c22 * c33
-        second = -0.25 * (off + diag)
-        third = (
-            3 * c11**2 * (c22 + c33)
-            + 3 * c22**2 * (c11 + c33)
-            + 3 * c33**2 * (c11 + c22)
-            + 6 * c11 * c22 * c33
-            + 12 * (c12**2 + c13**2 + c23**2) * (c11 + c22 + c33)
-            + 48 * c12 * c13 * c23
-        ) / 16
-    except OverflowError:
-        second = third = math.inf
-    if not (math.isfinite(second) and math.isfinite(third)):
-        raise ValueError(f"survival derivatives overflow: largest entry {float(abs(c).max())!r}")
-    return 0.0, second, third
+    # a power raises.  The plain pass (s = 1) is exact, so it keeps its bits.
+    for s in (1.0, largest):
+        (c11, c12, c13), (_, c22, c23), (_, _, c33) = (c / s).tolist()
+        try:
+            off = 2 * (c12**2 + c13**2 + c23**2)
+            diag = c11 * c22 + c11 * c33 + c22 * c33
+            second = -0.25 * (off + diag) * s * s
+            third = (
+                3 * c11**2 * (c22 + c33)
+                + 3 * c22**2 * (c11 + c33)
+                + 3 * c33**2 * (c11 + c22)
+                + 6 * c11 * c22 * c33
+                + 12 * (c12**2 + c13**2 + c23**2) * (c11 + c22 + c33)
+                + 48 * c12 * c13 * c23
+            ) / 16 * s * s * s  # not s**3: 0 * inf would be NaN
+        except OverflowError:
+            continue
+        if math.isfinite(second) and math.isfinite(third):
+            return 0.0, second, third
+    raise ValueError(f"survival derivatives overflow: largest entry {largest!r}")
 
 
 def inflection_point(model: str, tau: float) -> float:
@@ -190,8 +192,13 @@ def predict_corrected_curve(rate: float, model: str, times) -> DecayCurve:
     Evaluates the closed form of the named model at the given times.  They
     pass the one time rule (``noise.phase_scaled``) on the model's
     covariance at that tau, as in every other function that takes times.
+    A rate so large or so small that tau or the model's rate 2/tau is no
+    float raises ValueError naming the rate.
     """
-    named, tau = named_model(model), 1.0 / positive_finite(rate, "rate")
+    named, rate = named_model(model), positive_finite(rate, "rate")
+    tau = 1.0 / rate
+    if not (math.isfinite(tau) and math.isfinite(2.0 / tau)):
+        raise ValueError(f"rate is out of range: tau = 1/rate or 2/tau overflows, got {rate!r}")
     phase_scaled(named.covariance(tau), times)
     times = np.asarray(times, dtype=float)
     return DecayCurve(times=times, values=np.asarray(named.closed_form(tau, times)))

@@ -39,11 +39,11 @@ once per stream for the mean table, and folds a 64-element observable
 into the 3 x 10 weights whose product with the phasor rows gives each
 trajectory's survival.
 
-Monte Carlo reproducibility and memory: the phases come from a counter-based
-Philox stream keyed by the seed, drawn and reduced ``BLOCK`` vectors at a time
-and added in stream order, so memory does not grow with the sample count.
-The calling thread reduces each block in one slot while one background thread
-draws the next two blocks ahead (see ``_stream``).
+Monte Carlo reproducibility and memory: one serial stream draws, reduces and
+adds ``BLOCK`` vectors at a time in stream order, so memory does not grow with
+the sample count.  Its normals are Box-Muller transforms (Box & Muller, 1958)
+of SFC64 uniforms seeded by the seed; they replaced Philox ziggurat normals
+once, which changed every seeded Monte Carlo value.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ import itertools
 import math
 import operator
 import sys
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -223,7 +221,7 @@ class NoiseChannel:
     ``kind`` is "analytic" for the exact Gaussian average or "monte-carlo" for
     sampled trajectories, which requires ``samples``.  Every setting is checked
     here: ``samples`` (when given) in [1, ``MAX_SAMPLES``], ``seed`` >= 0 or a
-    SeedSequence.  The threads that draw and reduce the samples are not a setting.
+    SeedSequence.  Samples are drawn serially: Box-Muller normals of SFC64 uniforms.
     """
 
     covariance: np.ndarray
@@ -353,21 +351,26 @@ def _factor_map() -> np.ndarray:
 _FACTOR_MAP = _factor_map()
 
 
+def _double_angle(sine: np.ndarray, cosine: np.ndarray) -> None:
+    # Half angles x in ``sine`` to sin 2x there and cos 2x in ``cosine`` from
+    # h = tan x, as numpy's float64 tan is SIMD where its cos and sin may call
+    # scalar libm: cos 2x = 2 / (1 + h^2) - 1 and sin 2x = h * 2 / (1 + h^2).
+    np.tan(sine, out=sine)
+    np.multiply(sine, sine, out=cosine)
+    cosine += 1.0
+    np.divide(2.0, cosine, out=cosine)
+    sine *= cosine
+    cosine -= 1.0
+
+
 def _phasors(normals: np.ndarray, half: np.ndarray, slot: np.ndarray) -> np.ndarray:
     # The (10, n) phasor rows of n normals' phases chi = 2 half @ normal,
-    # written into the (_ROWS, n) ``slot`` with no temporaries.  chi / 2 goes
-    # into the sine rows; z_k comes from h = tan(chi_k / 2), since numpy's
-    # float64 tan is SIMD where its cos and sin may call scalar libm:
-    # cos chi = 2 / (1 + h^2) - 1 and sin chi = h * 2 / (1 + h^2).  Row 11 is
-    # the products' scratch.
+    # written into the (_ROWS, n) ``slot`` with no temporaries: chi / 2 goes
+    # into the sine rows, and z_k = exp(i chi_k) comes from _double_angle.
+    # Row 11 is the products' scratch.
     h, r, scratch = slot[_SIN], slot[_COS], slot[11]
     np.matmul(half, normals.T, out=h)
-    np.tan(h, out=h)
-    np.multiply(h, h, out=r)
-    r += 1.0
-    np.divide(2.0, r, out=r)
-    h *= r
-    r -= 1.0
+    _double_angle(h, r)
     (re_p, re_m, im_p, im_m), (re2, re3), (im2, im3) = slot[:4], r[1:], h[1:]
     np.multiply(re2, re3, out=scratch)
     np.multiply(im2, im3, out=re_m)
@@ -421,28 +424,40 @@ def _add(total, block):
     return sums + block_sums, a
 
 
+def _normals(rng: np.random.Generator, count: int, buffer: np.ndarray) -> np.ndarray:
+    # ``count`` normals by Box-Muller from m = ceil(count / 2) uniform pairs
+    # (u, v) in [0, 1), drawn as u's then v's into ``buffer`` (3 m floats, the
+    # last m scratch): the first ``count`` of [r cos 2 pi v, r sin 2 pi v],
+    # r = sqrt(-2 ln(1 - u)), by _double_angle of pi v.  1 - u >= 2^-53 and
+    # |tan(pi v)| < 2e16, so nothing overflows.
+    m = -(-count // 2)
+    radius, sine, cosine = buffer[:m], buffer[m : 2 * m], buffer[2 * m : 3 * m]
+    rng.random(out=buffer[: 2 * m])
+    np.subtract(1.0, radius, out=radius)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    sine *= np.pi
+    _double_angle(sine, cosine)
+    sine *= radius
+    radius *= cosine
+    return buffer[:count]
+
+
 def _stream(half: np.ndarray, samples: int, seed, weights):
     # The total of _block_sums over each BLOCK of the seeded stream, added by
-    # _add in stream order.  The calling thread draws block 0 and reduces each
-    # block while one background thread keeps the next two blocks' normals
-    # drawn ahead (with one, its wake-up falls on the critical path); a
-    # one-block stream submits nothing, so it starts no thread.  Every block
-    # works in the one slot allocated per call, as fresh BLOCK-float rows
-    # would be mapped and page-faulted per block; a block of n samples takes
-    # its first _ROWS * n floats as (_ROWS, n), so its rows are contiguous and
-    # no ufunc allocates an iteration buffer.
-    rng = np.random.Generator(np.random.Philox(seed))
-    sizes = (min(BLOCK, samples - start) for start in range(0, samples, BLOCK))
-    slot, total, ahead = np.empty(_ROWS * min(BLOCK, samples)), None, deque()
-    with ThreadPoolExecutor(1) as pool:
-        normals = rng.standard_normal((next(sizes), 3))
-        while normals is not None:
-            for size in itertools.islice(sizes, 2 - len(ahead)):
-                ahead.append(pool.submit(rng.standard_normal, (size, 3)))
-            n = len(normals)
-            block = _block_sums(normals, half, slot[: _ROWS * n].reshape(_ROWS, n), weights)
-            total = block if total is None else _add(total, block)
-            normals = ahead.popleft().result() if ahead else None
+    # _add in stream order.  Every block draws into the one buffer and works in
+    # the one slot allocated per call, as fresh BLOCK-float rows would be
+    # mapped and page-faulted per block; a block of n samples takes its first
+    # _ROWS * n floats as (_ROWS, n), so its rows are contiguous and no ufunc
+    # allocates an iteration buffer.
+    rng, size, total = np.random.Generator(np.random.SFC64(seed)), min(BLOCK, samples), None
+    slot, buffer = np.empty(_ROWS * size), np.empty(3 * -(-3 * size // 2))
+    for start in range(0, samples, BLOCK):
+        n = min(BLOCK, samples - start)
+        normals = _normals(rng, 3 * n, buffer).reshape(n, 3)
+        block = _block_sums(normals, half, slot[: _ROWS * n].reshape(_ROWS, n), weights)
+        total = block if total is None else _add(total, block)
     return total
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from triqec.noise import (
     _EPS,
+    BLOCK,
     PAIRS,
     NoiseChannel,
     _checked,
@@ -76,9 +77,28 @@ def z_scores(mc, exact, stderr) -> np.ndarray:
     return (np.asarray(mc, dtype=float) - exact) / np.asarray(stderr, dtype=float)
 
 
+def reference_normals(seed, samples: int) -> np.ndarray:
+    """The (samples, 3) normals of a seeded ``samples``-sample Monte Carlo stream (oracle).
+
+    Drawn ``BLOCK`` samples at a time, as the stream draws them: a block of n
+    takes 2m uniforms from an SFC64 generator, m = ceil(3n / 2), the m u's
+    then the m v's, and its normals are the first 3n of [r cos(2 pi v),
+    r sin(2 pi v)] with r = sqrt(-2 ln(1 - u)).  Written with np.cos and
+    np.sin, independently of the package's half-angle tangents.
+    """
+    rng = np.random.Generator(np.random.SFC64(seed))
+    blocks = []
+    for start in range(0, samples, BLOCK):
+        n = min(BLOCK, samples - start)
+        u, v = rng.random(2 * -(-3 * n // 2)).reshape(2, -1)
+        r, angle = np.sqrt(-2.0 * np.log(1.0 - u)), 2.0 * np.pi * v
+        blocks.append(np.concatenate([r * np.cos(angle), r * np.sin(angle)])[: 3 * n])
+    return np.concatenate(blocks).reshape(samples, 3)
+
+
 def reference_stream(cov, t: float, seed, samples: int) -> np.ndarray:
-    """The seeded Monte Carlo phase stream's first ``samples`` vectors, drawn at once."""
-    return sample_phases(cov, t, np.random.Generator(np.random.Philox(seed)), samples)
+    """The phases chi of a seeded ``samples``-sample Monte Carlo stream (oracle)."""
+    return reference_normals(seed, samples) @ _phase_loading(cov, t).T
 
 
 def trajectory_phases(chis) -> np.ndarray:

@@ -134,6 +134,18 @@ def test_derivatives_that_overflow_are_named():
     assert str(error.value) == "survival derivatives overflow: largest entry 1e+300"
 
 
+def test_derivatives_that_overflow_only_in_their_sums_are_scaled():
+    # For 1e102 everywhere the third derivative's terms add up to about
+    # 1.8e308 before the division by 16, but the derivative is 11.25e306:
+    # taken on C / 1e102 and scaled, it is a float.  At 1e160 it is not.
+    _, second, third = survival_derivatives_at_zero(np.ones((3, 3)) * 1e102)
+    assert second == pytest.approx(-2.25e204, rel=1e-14)
+    assert third == pytest.approx(1.125e307, rel=1e-14)
+    with pytest.raises(ValueError) as error:
+        survival_derivatives_at_zero(np.ones((3, 3)) * 1e160)
+    assert str(error.value) == "survival derivatives overflow: largest entry 1e+160"
+
+
 def test_first_derivative_vanishes_for_every_covariance():
     rng = np.random.default_rng(4)
     h = 1e-4
@@ -220,6 +232,15 @@ def test_predict_corrected_curve_values():
         predict_corrected_curve(0.0, "correlated", times)
     with pytest.raises(ValueError):
         predict_corrected_curve(1.0, "no-such-model", times)
+
+
+@pytest.mark.parametrize("rate", [1e308, 5e-324])
+def test_predict_corrected_curve_names_a_rate_out_of_range(rate):
+    # The rate is what the caller passed: 2/tau overflows at 1e308, and
+    # tau = 1/rate itself at 5e-324.
+    with pytest.raises(ValueError) as error:
+        predict_corrected_curve(rate, "correlated", [0.0, 1.0])
+    assert str(error.value) == f"rate is out of range: tau = 1/rate or 2/tau overflows, got {rate!r}"
 
 
 def test_scale_to_rms_examples():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import triqec
+from triqec import cli
 from triqec.analytics import fit_exponential_rate
 from triqec.cli import SEED_ENV, main, read_covariance_file, read_curve_csv
 from triqec.models import NAMED_MODELS
@@ -369,6 +371,38 @@ def test_cli_import_loads_no_scipy():
     src = str(Path(triqec.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = "import sys, triqec.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    # Each parser made records its prog; the subcommands' are "triqec decay" etc.
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def recording(parser, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert run_cli("derivatives", "--model", "correlated", "--tau", 1.0) == 0
+    assert built.count("triqec") == 1 and capsys.readouterr().err == ""
+
+
+def test_cli_import_loads_no_thread_pool_or_logging():
+    # The Monte Carlo stream is serial: nothing imports concurrent.futures,
+    # which would pull in logging.
+    src = str(Path(triqec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, triqec.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=60,

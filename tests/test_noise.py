@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
+from scipy.special import ndtr
 
 from conftest import (
     mc_channel,
@@ -15,6 +16,7 @@ from conftest import (
     random_density,
     random_propagator,
     random_psd,
+    reference_normals,
     reference_stream,
     sample_phases,
     trajectory_phases,
@@ -36,6 +38,7 @@ from triqec.noise import (
     NoiseChannel,
     _block_sums,
     _checked,
+    _normals,
     _phase_loading,
     _phasors,
     apply_channel,
@@ -218,16 +221,17 @@ def test_monte_carlo_seed_accepts_integers_and_seed_sequences():
 
 
 def test_mean_phases_adds_the_block_sums_in_stream_order():
-    # Reference: the whole stream's normals drawn at once, cut into BLOCK
-    # rows, each block's products taken, the products added in order and
-    # mapped to the factor table once.
+    # Reference: the package's own normals, drawn one BLOCK at a time from
+    # the seeded generator, each block's products taken, the products added
+    # in order and mapped to the factor table once.
     cov, t, seed, n = random_psd(np.random.default_rng(8)), 0.3, 4, 3 * BLOCK + 5
-    normals = np.random.Generator(np.random.Philox(seed)).standard_normal((n, 3))
+    rng, buffer = np.random.Generator(np.random.SFC64(seed)), np.empty(9 * BLOCK // 2)
     half = 0.5 * _phase_loading(cov, t)
     total = 0
     for start in range(0, n, BLOCK):
-        block = normals[start : start + BLOCK]
-        total = total + _block_sums(block, half, np.empty((_ROWS, len(block))), None)[0]
+        size = min(BLOCK, n - start)
+        block = _normals(rng, 3 * size, buffer).reshape(size, 3)
+        total = total + _block_sums(block, half, np.empty((_ROWS, size)), None)[0]
     expected = _FACTOR_MAP @ (total / n)
     expected[_DIAGONAL] = 1.0
     expected = expected.reshape(8, 8)
@@ -237,6 +241,53 @@ def test_mean_phases_adds_the_block_sums_in_stream_order():
         run_pipeline_mc(mc_config(cov), t, n, seed, workers=0)
     with pytest.raises(ValueError, match="samples"):
         run_pipeline_mc(mc_config(cov), t, 1e3, seed)
+
+
+def test_box_muller_normals_are_standard_normal():
+    # 2^20 normals of one draw.  The bounds were fixed before the test was
+    # run: |mean| <= 5 / sqrt(N); the sample variance inside the chi-square
+    # 1e-6 and 1 - 1e-6 quantiles (chi2(N - 1) / (N - 1)); the Kolmogorov-
+    # Smirnov distance to N(0, 1) below its 1e-4 critical value (scipy's
+    # kstwo.isf(1e-4, N)); and each pair's (r cos, r sin), the normals i and
+    # m + i, correlated by at most 5 / sqrt(N / 2).
+    n = 2**20
+    x = _normals(np.random.Generator(np.random.SFC64(2026)), n, np.empty(3 * n // 2))
+    assert abs(x.mean()) <= 5 / np.sqrt(n)
+    assert 0.993448919336969 <= x.var(ddof=1) <= 1.0065785401986271
+    cdf = ndtr(np.sort(x))
+    steps = np.arange(n + 1) / n
+    assert max((steps[1:] - cdf).max(), (cdf - steps[:-1]).max()) < 0.0021729372167971855
+    cosines, sines = x.reshape(2, -1)
+    assert abs(np.corrcoef(cosines, sines)[0, 1]) <= 5 / np.sqrt(n / 2)
+
+
+def test_box_muller_normals_match_the_cos_sin_oracle():
+    # The stream's half-angle tangents against np.cos and np.sin of 2 pi v,
+    # on the same uniforms, over two full blocks and a short one.
+    rng, buffer = np.random.Generator(np.random.SFC64(9)), np.empty(9 * BLOCK // 2)
+    normals = np.concatenate([_normals(rng, 3 * n, buffer).copy() for n in (BLOCK, BLOCK, 7)])
+    assert np.abs(normals - reference_normals(9, 2 * BLOCK + 7).ravel()).max() <= 1e-14
+
+
+def test_box_muller_edge_uniforms_give_finite_normals():
+    # The extreme uniforms: u = 0 gives r = 0, u = 1 - 2^-53 the largest
+    # radius sqrt(106 ln 2); v = 0.5 puts tan(pi v) near 1.6e16.  No warning
+    # may be raised and every normal must be the oracle's.
+    top = 1.0 - 2.0**-53
+    u, v = np.repeat([0.0, top], 3), np.tile([0.0, 0.5, top], 2)
+
+    class Edges:
+        def random(self, out):
+            out[:] = np.concatenate([u, v])
+            return out
+
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        normals = _normals(Edges(), 12, np.empty(18))
+    r = np.sqrt(-2.0 * np.log(1.0 - u))
+    expected = np.concatenate([r * np.cos(2 * np.pi * v), r * np.sin(2 * np.pi * v)])
+    assert np.isfinite(normals).all() and np.abs(normals - expected).max() <= 1e-14
+    assert normals.max() == pytest.approx(np.sqrt(106 * np.log(2)), rel=1e-15)
 
 
 #: The pair index of each of the five phasors a block forms (z1, z2, z3,

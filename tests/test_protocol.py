@@ -2,7 +2,6 @@ import itertools
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -282,22 +281,20 @@ def test_mc_memory_does_not_grow_with_samples(workers):
     assert large - small < 2e6
 
 
-def test_one_block_stream_starts_no_thread(monkeypatch):
-    submitted = []
-    submit = ThreadPoolExecutor.submit
+def test_multi_block_stream_starts_no_thread(monkeypatch):
+    # The thread count seen at every merge of a four-block stream, while the
+    # stream runs, and after it: no other thread draws or reduces a block.
+    counts, add = [], noise._add
 
-    def spy(pool, *args, **kwargs):
-        submitted.append(args)
-        return submit(pool, *args, **kwargs)
+    def counting(total, block):
+        counts.append(threading.active_count())
+        return add(total, block)
 
-    monkeypatch.setattr(ThreadPoolExecutor, "submit", spy)
+    monkeypatch.setattr(noise, "_add", counting)
     config = make_config(uncorrelated(1.0), bloch=BLOCH)
     before = threading.active_count()
-    for samples in (1, noise.BLOCK):
-        run_pipeline_mc(config, 0.3, samples, seed=1)
-        assert submitted == [] and threading.active_count() == before
-    run_pipeline_mc(config, 0.3, noise.BLOCK + 1, seed=1)
-    assert len(submitted) == 1  # the spy is live: a second block is drawn ahead
+    run_pipeline_mc(config, 0.3, 3 * noise.BLOCK + 5, seed=1)
+    assert counts == [before] * 3 and threading.active_count() == before
 
 
 def test_stream_leaves_no_thread_running(monkeypatch):
@@ -305,7 +302,7 @@ def test_stream_leaves_no_thread_running(monkeypatch):
     before = threading.enumerate()
     run_pipeline_mc(config, 0.4, 6 * noise.BLOCK + 5, seed=2)
     assert threading.enumerate() == before
-    # A reduction that raises at the third block, with the next two drawn ahead.
+    # A reduction that raises at the third block.
     add, calls = noise._add, []
 
     def failing(total, block):
