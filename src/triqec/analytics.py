@@ -155,10 +155,21 @@ def inflection_point(model: str, tau: float) -> float:
     return float(named_model(model).inflection * positive_finite(tau, "tau"))
 
 
+def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x / 2**e, e), 2**e the least power of two above max|x|.
+
+    The scaling is exact, and it keeps squares and products of the entries
+    within the float range: a curve of 1e200s or 1e-200s has an RMS and a
+    Pearson r, and any other keeps the bits of both.
+    """
+    e = int(np.frexp(np.abs(x).max())[1])
+    return np.ldexp(x, -e), e
+
+
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson's r of two series; 0 by convention if either is constant (r is undefined)."""
     constant = np.ptp(x) == 0 or np.ptp(y) == 0  # exact: a std can round above 0
-    return 0.0 if constant else float(np.corrcoef(x, y)[0, 1])
+    return 0.0 if constant else float(np.corrcoef(_unit_scaled(x)[0], _unit_scaled(y)[0])[0, 1])
 
 
 def fit_exponential_rate(curve: DecayCurve) -> FitResult:
@@ -213,13 +224,13 @@ def scale_to_rms(measured: DecayCurve, reference: DecayCurve) -> DecayCurve:
         measured.times, reference.times
     ):
         raise ValueError("measured and reference curves are on different time grids")
-    ref_rms = float(np.sqrt(np.mean(reference.values**2)))
-    if ref_rms == 0:
+    if not reference.values.any():
         raise ValueError("reference curve is identically zero")
-    meas_rms = float(np.sqrt(np.mean(measured.values**2)))
-    if meas_rms == 0:
+    if not measured.values.any():
         return DecayCurve(measured.times, measured.values.copy())
-    return DecayCurve(measured.times, measured.values * (ref_rms / meas_rms))
+    (ref, ref_exp), (meas, _) = _unit_scaled(reference.values), _unit_scaled(measured.values)
+    ratio = np.sqrt(np.mean(ref**2)) / np.sqrt(np.mean(meas**2))
+    return DecayCurve(measured.times, np.ldexp(meas * ratio, ref_exp))
 
 
 def curve_correlation(a: DecayCurve, b: DecayCurve) -> float:

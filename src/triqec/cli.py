@@ -238,8 +238,8 @@ def cmd_fit(args) -> int:
     header = ["t", "theta_predicted"]
     columns = [predicted.times, predicted.values]
     if corrected is not None:
-        # The prediction is the rescale's reference: if its RMS is 0, the fit is at fault.
-        if np.sqrt(np.mean(predicted.values**2)) == 0:
+        # The prediction is the rescale's reference: if it is all 0, the fit is at fault.
+        if not predicted.values.any():
             raise ValueError(
                 f"--in {args.infile}: the curve predicted at the fitted rate "
                 f"{_fmt(fit.rate)} is identically zero"

@@ -15,6 +15,7 @@ nucleus of gyromagnetic ratio gamma, k0 = gamma * g * delta.)
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -51,21 +52,36 @@ class GradientDiffusionSpec:
                 raise ValueError(f"{name} must be finite and >= 0, got {shown(value)}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if not math.isfinite(self.rate):
+            raise ValueError(
+                "the rate k0^2 D must be a finite float, got gradient_wavenumber "
+                f"{float(wavenumber)!r} and diffusion_coefficient "
+                f"{float(self.diffusion_coefficient)!r}"
+            )
 
     @property
     def rate(self) -> float:
         """The dephasing rate k0^2 D shared by all coherence formulas."""
-        return self.gradient_wavenumber**2 * self.diffusion_coefficient
+        try:
+            return float(self.gradient_wavenumber) ** 2 * float(self.diffusion_coefficient)
+        except OverflowError:  # k0^2 is no float
+            return math.inf if self.diffusion_coefficient else 0.0
 
 
 def attenuation_factor(spec: GradientDiffusionSpec, order: int) -> float:
     """Echo attenuation exp(-n^2 k0^2 D t / 2) of an order-n coherence.
 
-    Equals 1 for order 0 and decays with the square of the coherence order;
-    a non-integer order raises ValueError.
+    Equals 1 for order 0 and decays with the square of the coherence order,
+    to 0.0 where n^2 k0^2 D t overflows; a non-integer order, or one beyond
+    the float range, raises ValueError.
     """
     order = validate_integer(order, "order")
-    return float(np.exp(-0.5 * order**2 * spec.rate * spec.diffusion_time))
+    if not abs(order) <= sys.float_info.max:
+        raise ValueError(f"order must be within the float range, got {shown(order)}")
+    if not (order and spec.rate and spec.diffusion_time):
+        return 1.0  # exactly: n^2 alone may overflow, and inf * 0 is NaN
+    n = float(order)
+    return float(np.exp(-0.5 * n * n * spec.rate * spec.diffusion_time))
 
 
 def spec_to_covariance(spec: GradientDiffusionSpec) -> np.ndarray:

@@ -158,23 +158,23 @@ def explicit_pipeline(config, t: float, factors=None) -> ExplicitRun:
     return ExplicitRun(reduced, survival, contraction)
 
 
-def first_order_coefficients(config, component: str) -> np.ndarray:
-    """d/dt at 0 of the exact route's survival of one protected component (oracle).
+def gate_derivatives(config, component: str, covs, order: int) -> np.ndarray:
+    """The order-th derivative at t = 0 of the exact route's output ``component`` (oracle).
 
-    On the exact route the output's ``component`` (y or z) is Re sum_e W_e
-    exp(-(t/2) eps_e^T C eps_e) over the 64 frame elements e, where W is that
-    component's observable pulled back through the post-noise gates times
-    the encoded frame state.  So its first derivative at t = 0 is linear in
-    C, -(1/2) sum_e Re W_e eps_e^T C eps_e, and is returned as its 6
-    coefficients on (c11, c22, c33, c12, c13, c23): all 6 vanish exactly
-    when the linear term vanishes for every covariance.
+    On the exact route the output's ``component`` (y or z) is sum_e W_e
+    exp(-(t/2) eps_e^T C eps_e) over the 64 frame elements e, where W is Re of
+    that component's observable pulled back through the post-noise gates
+    times the encoded frame state.  So its k-th derivative at t = 0 is
+    sum_e W_e (-(1/2) eps_e^T C eps_e)^k: a polynomial of degree k in the 6
+    entries of C, read here from the gates alone at each of the (n, 3, 3)
+    ``covs``.
     """
     pre, post = _gates(config.correction, config.basis_rotation, config.channel.axis)[:2]
     state = pre @ _initial_state(config) @ pre.conj().T
     observable = np.kron(PAULI[component], np.eye(4))
     weights = ((post.conj().T @ observable @ post).T * state).real.ravel()
-    m = -0.5 * np.einsum("e,ej,ek->jk", weights, _EPS, _EPS)
-    return np.array([m[0, 0], m[1, 1], m[2, 2], 2 * m[0, 1], 2 * m[0, 2], 2 * m[1, 2]])
+    forms = -0.5 * np.einsum("ej,njk,ek->ne", _EPS, np.asarray(covs, dtype=float), _EPS)
+    return forms**order @ weights
 
 
 def polar_amplitudes(theta: float, phi: float) -> tuple[complex, complex]:
@@ -188,15 +188,6 @@ def polar_amplitudes(theta: float, phi: float) -> tuple[complex, complex]:
         np.cos(theta / 2) * np.exp(-0.5j * phi),
         -1j * np.sin(theta / 2) * np.exp(0.5j * phi),
     )
-
-
-def sample_phases(cov, t: float, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw accumulated phase vectors chi ~ N(0, C*t): the next ``size`` of ``rng``'s stream.
-
-    Returns shape (3,) or (size, 3).
-    """
-    loading = _phase_loading(cov, t)
-    return rng.standard_normal(3 if size is None else (size, 3)) @ loading.T
 
 
 def random_propagator(chi, axis: str = "x") -> np.ndarray:

@@ -3,7 +3,6 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import (
-    asymmetric_third_derivative_at_zero,
     forward_derivative,
     random_psd,
     richardson_second_derivative,
@@ -79,16 +78,6 @@ def test_survival_matches_cosh_sinh_form():
         assert survival_factor(cov, t) == pytest.approx(direct, abs=1e-12)
 
 
-@pytest.mark.parametrize("tau", [0.389, 1.0])
-def test_second_derivative_landmarks(tau):
-    assert survival_derivatives_at_zero(uncorrelated(tau))[1] == pytest.approx(
-        -3.0 / tau**2, rel=1e-12
-    )
-    assert survival_derivatives_at_zero(totally_correlated(tau))[1] == pytest.approx(
-        -9.0 / tau**2, rel=1e-12
-    )
-
-
 def test_derivatives_match_finite_differences():
     rng = np.random.default_rng(2)
     for _ in range(8):
@@ -107,24 +96,6 @@ def test_derivatives_match_finite_differences():
         assert abs(fd_first - first) < 1e-5
         assert fd_second == pytest.approx(second, rel=1e-5)
         assert fd_third == pytest.approx(third, rel=1e-4)
-
-
-def test_third_derivative_variants_disagree_generically():
-    rng = np.random.default_rng(3)
-    cov = random_psd(rng)
-    sym = survival_derivatives_at_zero(cov)[2]
-    asym = asymmetric_third_derivative_at_zero(cov)
-    assert sym != pytest.approx(asym, rel=1e-6)
-
-
-def test_third_derivative_sign_probe():
-    # The initial third derivative looks positive on every covariance we
-    # draw, but positivity is not a contract: probe and report, never fail.
-    rng = np.random.default_rng(30)
-    values = [survival_derivatives_at_zero(random_psd(rng))[2] for _ in range(200)]
-    positive = sum(v > 0 for v in values)
-    print(f"\nthird derivative positive on {positive}/200 random covariances")
-    assert all(np.isfinite(values))
 
 
 def test_derivatives_that_overflow_are_named():
@@ -257,6 +228,10 @@ def test_scale_to_rms_examples():
     scaled = scale_to_rms(noisy, reference)
     ref_rms = np.sqrt(np.mean(reference.values**2))
     assert np.sqrt(np.mean(scaled.values**2)) == pytest.approx(ref_rms, abs=1e-12)
+    # Both scale by powers of two inside, which is exact: the plain formulas' bits.
+    plain = noisy.values * (ref_rms / np.sqrt(np.mean(noisy.values**2)))
+    assert scaled.values.tobytes() == plain.tobytes()
+    assert curve_correlation(noisy, reference) == np.corrcoef(noisy.values, reference.values)[0, 1]
 
 
 def test_scale_to_rms_rejects_grid_mismatch():
@@ -264,6 +239,21 @@ def test_scale_to_rms_rejects_grid_mismatch():
     b = DecayCurve(np.linspace(0, 2, 5), np.ones(5))
     with pytest.raises(ValueError):
         scale_to_rms(a, b)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_rms_scaling_and_correlation_of_curves_whose_squares_leave_the_float_range(scale):
+    # Squares of 1e200 overflow and those of 1e-200 underflow; either way,
+    # the curve rescales and correlates as its ordinary shape does.
+    times = np.linspace(0.0, 1.0, 12)
+    shape = DecayCurve(times, np.exp(-times) + 0.1 * np.sin(7 * times))
+    extreme, other = DecayCurve(times, scale * shape.values), DecayCurve(times, np.exp(-2 * times))
+    for got, expected in [
+        (scale_to_rms(extreme, other).values, scale_to_rms(shape, other).values),
+        (scale_to_rms(other, extreme).values, scale * scale_to_rms(other, shape).values),
+        (curve_correlation(extreme, other), curve_correlation(shape, other)),
+    ]:
+        np.testing.assert_allclose(got, expected, rtol=1e-15)
 
 
 def test_decay_curve_validation():

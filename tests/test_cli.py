@@ -308,6 +308,22 @@ def test_fit_against_a_constant_corrected_series(tmp_path, capsys, level):
     assert "prediction_correlation = 0\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("exponent", ["e200", "e-200"])
+def test_fit_against_a_corrected_curve_beyond_the_squares_float_range(tmp_path, capsys, exponent):
+    # Corrected values of 1e200 (squares overflow) or 1e-200 (squares
+    # underflow) scale and correlate as the same digits without the exponent.
+    times = np.linspace(0.0, 1.0, 12)
+    (tmp_path / "u.csv").write_text("".join(f"{t},{np.exp(-2.0 * t)}\n" for t in times))
+    outputs = []
+    for suffix in ("", exponent):
+        (tmp_path / "c.csv").write_text("".join(f"{t},{1 - t * t / 2}{suffix}\n" for t in times))
+        assert run_cli("fit", "--in", tmp_path / "u.csv", "--model", "correlated", "--corrected",
+                       tmp_path / "c.csv", "--out", tmp_path / "o.csv") == 0
+        report = capsys.readouterr().out.split("prediction_correlation = ")[1]
+        outputs.append(np.append(np.array(read_rows(tmp_path / "o.csv")[1])[:, 2], float(report)))
+    np.testing.assert_allclose(outputs[1], outputs[0], rtol=1e-15)
+
+
 def test_nogo_reports_unique_vertex(capsys):
     assert run_cli("nogo", "--model", "uncorrelated", "--tau", 1.0, "--step", 0.05) == 0
     printed = capsys.readouterr().out

@@ -88,3 +88,28 @@ def test_spec_validation():
         make_spec(t=-0.1)
     with pytest.raises(ValueError):
         make_spec(scheme="partially-correlated")
+
+
+@pytest.mark.parametrize(
+    "k0, diffusion",
+    [(1e154, 10.0), (1e200, 1e-9), (10**200, 1.0), (np.float64(1e160), 1.0)],
+    ids=["1e154", "1e200", "10**200", "float64"],
+)
+def test_spec_rejects_a_rate_beyond_the_float_range(k0, diffusion):
+    # k0^2 D of inf would give NaN attenuations and inf or NaN covariances.
+    with pytest.raises(ValueError) as error:
+        GradientDiffusionSpec(k0, diffusion, 1.0)
+    assert str(error.value) == (
+        "the rate k0^2 D must be a finite float, got gradient_wavenumber "
+        f"{float(k0)!r} and diffusion_coefficient {float(diffusion)!r}"
+    )
+
+
+def test_attenuation_of_huge_orders():
+    # An order whose n^2 k0^2 D t overflows is fully attenuated, but not
+    # without diffusion, at any k0; an order beyond the float range is named.
+    assert attenuation_factor(make_spec(), 10**200) == 0.0
+    assert attenuation_factor(GradientDiffusionSpec(1e200, 0.0, 1.0), 10**200) == 1.0
+    with pytest.raises(ValueError) as error:
+        attenuation_factor(make_spec(), -(10**400))
+    assert str(error.value) == "order must be within the float range, got -1e+400"

@@ -18,7 +18,6 @@ from conftest import (
     random_psd,
     reference_normals,
     reference_stream,
-    sample_phases,
     trajectory_phases,
 )
 from triqec.noise import (
@@ -486,45 +485,13 @@ def test_non_numeric_times_are_named(t, message):
     assert str(error.value) == message
 
 
-def test_sample_phases_zero_time():
-    rng = np.random.default_rng(0)
-    assert np.abs(sample_phases(np.eye(3), 0.0, rng)).max() == 0.0
-
-
-def test_sample_phases_negative_time_rejected():
-    with pytest.raises(ValueError):
-        sample_phases(np.eye(3), -0.1, np.random.default_rng(0))
-
-
-def test_sample_phases_covariance_statistics():
-    # Empirical covariance within 4 standard errors of C*t; the estimator
-    # variance for Gaussian data is (c_jj c_kk + c_jk^2) t^2 / n.
-    tau, t, n = 0.7, 0.9, 200_000
-    cov = uncorrelated(tau)
-    draws = sample_phases(cov, t, np.random.default_rng(42), size=n)
-    empirical = np.cov(draws.T, bias=True)
-    target = cov * t
-    for j in range(3):
-        for k in range(3):
-            se = np.sqrt((target[j, j] * target[k, k] + target[j, k] ** 2) / n)
-            assert abs(empirical[j, k] - target[j, k]) < 4 * se
-
-
-def test_sample_phases_totally_correlated_rank_one():
-    draws = sample_phases(totally_correlated(1.0), 0.5, np.random.default_rng(7), size=1000)
-    assert np.abs(draws - draws[:, [0]]).max() < 1e-12
-
-
-@pytest.mark.parametrize("size", [None, 1, BLOCK, 2 * BLOCK + 5])
-def test_sample_phases_load_every_row(size):
-    # Every row must equal its normals times the loading.
-    cov, t = random_psd(np.random.default_rng(3)), 0.8
-    normals = np.random.default_rng(5).standard_normal(3 if size is None else (size, 3))
-    eigvals, eigvecs = np.linalg.eigh(cov * t)
-    expected = normals @ (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))).T
-    draws = sample_phases(cov, t, np.random.default_rng(5), size=size)
-    assert draws.shape == expected.shape
-    np.testing.assert_allclose(draws, expected, rtol=0, atol=1e-12)
+def test_mean_phases_totally_correlated_rank_one():
+    # One shared phase: the elements whose pattern eps sums to 0 keep factor 1
+    # in every trajectory.  The loading clips C*t's rounding-negative
+    # eigenvalues; their square roots of magnitudes would add phases of 1e-9.
+    table, _ = mean_phases(mc_channel(totally_correlated(1.0), 4096), 0.5)
+    balanced = _EPS.sum(axis=1) == 0
+    assert np.abs(table.ravel()[balanced] - 1.0).max() < 1e-13
 
 
 def test_mean_phases_is_deterministic_per_seed():
@@ -575,7 +542,7 @@ def test_trajectory_phases_reproduce_the_random_propagator(axis):
     # Per sample, the frame kernel equals conjugation by the 8x8 unitary.
     rng = np.random.default_rng(9)
     rho = random_density(rng)
-    chis = sample_phases(random_psd(rng), 0.8, rng, size=64)
+    chis = reference_stream(random_psd(rng), 0.8, 9, 64)
     states = dephase(rho, trajectory_phases(chis), axis)
     for chi, state in zip(chis, states):
         u = random_propagator(chi, axis)

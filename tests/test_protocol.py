@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     explicit_pipeline,
-    first_order_coefficients,
     forward_derivative,
+    gate_derivatives,
     grid_nogo_search,
     mc_channel,
     polar_amplitudes,
@@ -19,7 +19,6 @@ from conftest import (
     random_propagator,
     random_psd,
     reference_stream,
-    sample_phases,
     sector_mixture,
     z_scores,
 )
@@ -239,14 +238,45 @@ def test_monte_carlo_configuration_builds_no_kronecker_product(monkeypatch):
 UNIT_BLOCH = {"y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
 
+def symmetric(c11, c22, c33, c12, c13, c23) -> list:
+    return [[c11, c12, c13], [c12, c22, c23], [c13, c23, c33]]
+
+
+#: The unit covariance of each entry: a linear decay's 6 coefficients are its values there.
+UNIT_COVARIANCES = np.array([symmetric(*row) for row in np.eye(6)])
+
+#: Every covariance with diagonal entries in {4, 5, 6, 7} and off-diagonal ones in
+#: {-1, 0, 1, 2}: diagonally dominant, so PSD.  Four values of each entry fix
+#: any polynomial of degree <= 3 in each, so polynomials that agree on these
+#: 4096 matrices agree on every covariance.
+LATTICE = np.array(
+    [symmetric(*row) for row in itertools.product(*[range(4, 8)] * 3, *[range(-1, 3)] * 3)],
+    dtype=float,
+)
+
+
+@pytest.fixture(scope="module")
+def lattice_derivatives():
+    # The closed form's (first, second, third) derivatives at 0 on the lattice.
+    return np.array([survival_derivatives_at_zero(cov) for cov in LATTICE])
+
+
 @pytest.mark.parametrize("component", ["y", "z"])
 @pytest.mark.parametrize("axis,basis_rotation", [("x", "none"), ("z", "y-pi/2")])
-def test_linear_decay_vanishes_for_every_covariance(axis, basis_rotation, component):
-    # A certificate, not a sample: the 6 coefficients in C of the survival's
-    # first derivative at 0, from the pipeline's own gates, are all zero.
+def test_decay_law_matches_the_gates_to_third_order(
+    axis, basis_rotation, component, lattice_derivatives
+):
+    # A certificate, not a sample.  The 6 coefficients in C of the gates'
+    # linear decay are all zero, the closed form's first derivative is exactly
+    # 0, and its first three derivatives are the gates' polynomials on the
+    # lattice, so on every covariance.
     channel = NoiseChannel(np.eye(3), axis=axis)
     config = PipelineConfig(channel, UNIT_BLOCH[component], basis_rotation=basis_rotation)
-    assert np.abs(first_order_coefficients(config, component)).max() <= 1e-15
+    assert np.abs(gate_derivatives(config, component, UNIT_COVARIANCES, 1)).max() <= 1e-15
+    assert not lattice_derivatives[:, 0].any()
+    for order in (1, 2, 3):
+        gates = gate_derivatives(config, component, LATTICE, order)
+        np.testing.assert_allclose(gates, lattice_derivatives[:, order - 1], rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("component", ["y", "z"])
@@ -257,7 +287,7 @@ def test_linear_decay_per_ancilla_sector_is_minus_slopes(component):
         config = PipelineConfig(
             NoiseChannel(np.eye(3)), UNIT_BLOCH[component], sector_mixture(*sector)
         )
-        coefficients = first_order_coefficients(config, component)
+        coefficients = gate_derivatives(config, component, UNIT_COVARIANCES, 1)
         assert np.abs(coefficients[:3] + SLOPES[:, k]).max() <= 1e-15
         assert np.abs(coefficients[3:]).max() <= 1e-15
 
@@ -382,6 +412,25 @@ def test_constant_gates_are_cached_read_only():
             gate[0, 0] = 0.0
 
 
+FLOAT_MAX = float(np.finfo(float).max)
+
+#: Each entry point where a time meets a covariance, as a function of both,
+#: returning arrays that must be finite; "apply_channel_analytic" is
+#: ``apply_channel`` on an analytic channel.
+COVARIANCE_TIME_ENTRY_POINTS = {
+    "survival_factor": lambda cov, t: survival_factor(cov, t),
+    "survival_factor_array": lambda cov, t: survival_factor(cov, np.array([0.0, t])),
+    "uncorrected_decay": lambda cov, t: uncorrected_decay(cov, t),
+    "dephasing_factors": lambda cov, t: dephasing_factors(cov, t),
+    "apply_channel_analytic": lambda cov, t: apply_channel(np.eye(8) / 8, NoiseChannel(cov), t),
+    "mean_phases": lambda cov, t: mean_phases(mc_channel(cov), t)[0],
+    "run_pipeline": lambda cov, t: run_pipeline(make_config(cov, bloch=BLOCH), t).reduced,
+    "run_pipeline_mc": lambda cov, t: run_pipeline_mc(
+        make_config(cov, bloch=BLOCH), t, samples=10, seed=0
+    ).reduced,
+}
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [
@@ -391,51 +440,11 @@ def test_constant_gates_are_cached_read_only():
         pytest.param(10**400, "times must be finite, got 1e+400", id="10**400"),
     ],
 )
-@pytest.mark.parametrize(
-    "entry_point",
-    [
-        lambda t: survival_factor(uncorrelated(0.389), t),
-        lambda t: survival_factor(uncorrelated(0.389), np.array([0.0, t])),
-        lambda t: uncorrected_decay(uncorrelated(0.389), t),
-        lambda t: dephasing_factors(np.eye(3), t),
-        lambda t: apply_channel(np.eye(8) / 8, NoiseChannel(np.eye(3)), t),
-        lambda t: sample_phases(np.eye(3), t, np.random.default_rng(0)),
-        lambda t: run_pipeline(make_config(np.eye(3), bloch=BLOCH), t),
-        lambda t: run_pipeline_mc(make_config(np.eye(3), bloch=BLOCH), t, samples=10, seed=0),
-    ],
-    ids=[
-        "survival_factor",
-        "survival_factor_array",
-        "uncorrected_decay",
-        "dephasing_factors",
-        "apply_channel_analytic",  # apply_channel on an analytic channel
-        "sample_phases",
-        "run_pipeline",
-        "run_pipeline_mc",
-    ],
-)
+@pytest.mark.parametrize("entry_point", list(COVARIANCE_TIME_ENTRY_POINTS))
 def test_entry_points_reject_bad_times(entry_point, bad, message):
     with pytest.raises(ValueError) as error:
-        entry_point(bad)
+        COVARIANCE_TIME_ENTRY_POINTS[entry_point](uncorrelated(0.389), bad)
     assert str(error.value) == message
-
-
-FLOAT_MAX = float(np.finfo(float).max)
-
-#: Each entry point of the test above as a function of (covariance, time),
-#: returning arrays that must be finite.
-COVARIANCE_TIME_ENTRY_POINTS = {
-    "survival_factor": lambda cov, t: survival_factor(cov, t),
-    "survival_factor_array": lambda cov, t: survival_factor(cov, np.array([0.0, t])),
-    "uncorrected_decay": lambda cov, t: uncorrected_decay(cov, t),
-    "dephasing_factors": lambda cov, t: dephasing_factors(cov, t),
-    "apply_channel_analytic": lambda cov, t: apply_channel(np.eye(8) / 8, NoiseChannel(cov), t),
-    "sample_phases": lambda cov, t: sample_phases(cov, t, np.random.default_rng(0)),
-    "run_pipeline": lambda cov, t: run_pipeline(make_config(cov, bloch=BLOCH), t).reduced,
-    "run_pipeline_mc": lambda cov, t: run_pipeline_mc(
-        make_config(cov, bloch=BLOCH), t, samples=10, seed=0
-    ).reduced,
-}
 
 
 @pytest.mark.parametrize("entry_point", list(COVARIANCE_TIME_ENTRY_POINTS))
@@ -744,19 +753,6 @@ def test_mc_pipeline_at_time_zero_is_exact():
     mc = run_pipeline_mc(config, 0.0, samples=500, seed=0)
     assert mc.survival == pytest.approx(1.0, abs=1e-12)
     assert mc.survival_stderr == pytest.approx(0.0, abs=1e-12)
-
-
-def test_corrected_deficit_is_second_order_uncorrected_first_order():
-    tau = 1.0
-    cov = totally_correlated(tau)
-    config = make_config(cov, bloch=(0.0, 0.0, 1.0))
-    h = 0.01 * tau
-    corrected_deficit = 1.0 - run_pipeline(config, h).survival
-    uncorrected_deficit = 1.0 - uncorrected_decay(cov, h)
-    assert uncorrected_deficit >= 10 * corrected_deficit
-    # Quadratic scaling: shrinking h by 10 shrinks the deficit by ~100.
-    smaller = 1.0 - run_pipeline(config, h / 10).survival
-    assert corrected_deficit / smaller == pytest.approx(100.0, rel=0.1)
 
 
 def test_sector_survival_ground_sector_is_the_survival_factor():
