@@ -146,9 +146,13 @@ def _write_file_atomic(path: str, text: str) -> None:
 
 
 def _write_outputs(command: str, parameters: dict, path: str, header: list, columns: list) -> None:
-    """Write the columns as one CSV atomically, then its manifest beside it."""
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(x) for x in row) for row in zip(*columns)]
+    """Write the columns as one CSV atomically, then its manifest beside it.
+
+    Each row is formatted in one step, "%.17g" per value as ``_fmt`` gives it.
+    """
+    template = ",".join(["%.17g"] * len(header))
+    rows = np.column_stack(columns).tolist()
+    lines = [",".join(header), *(template % tuple(row) for row in rows)]
     _write_file_atomic(path, "\n".join(lines) + "\n")
     manifest = {
         "command": command,

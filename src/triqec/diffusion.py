@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import NAMED_MODELS, real_number, shown
+from .models import NAMED_MODELS, plain, real_number, shown
 from .noise import validate_integer
 
 #: The canonical named models (aliases excluded), each one pulse arrangement.
@@ -44,11 +44,11 @@ class GradientDiffusionSpec:
 
     def __post_init__(self):
         wavenumber = self.gradient_wavenumber
-        if not (real_number(wavenumber) and abs(wavenumber) <= sys.float_info.max):
+        if not (real_number(wavenumber) and abs(plain(wavenumber)) <= sys.float_info.max):
             raise ValueError(f"gradient_wavenumber must be finite, got {shown(wavenumber)}")
         for name in ("diffusion_coefficient", "diffusion_time"):
             value = getattr(self, name)
-            if not (real_number(value) and 0 <= value <= sys.float_info.max):
+            if not (real_number(value) and 0 <= plain(value) <= sys.float_info.max):
                 raise ValueError(f"{name} must be finite and >= 0, got {shown(value)}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")

@@ -36,6 +36,15 @@ def real_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def plain(value):
+    """A real number as a Python number: a rational (an int too) as it is, else a float.
+
+    Range checks compare this against ``sys.float_info.max``: a numpy float16
+    or float32 would cast that bound to its own type, which overflows.
+    """
+    return value if isinstance(value, numbers.Rational) else float(value)
+
+
 def shown(value) -> str:
     """``repr(value)``, but an int beyond the float range shown as a float would be (1e+400)."""
     if isinstance(value, int) and not abs(value) <= sys.float_info.max:
@@ -69,7 +78,7 @@ def real_array(values, name: str, error=ValueError) -> np.ndarray:
 
 def positive_finite(value, name: str) -> float:
     """``value`` as a float if it is a real number, finite and > 0, else a ValueError naming it."""
-    if not (real_number(value) and 0 < value <= sys.float_info.max):
+    if not (real_number(value) and 0 < plain(value) <= sys.float_info.max):
         raise ValueError(f"{name} must be positive and finite, got {shown(value)}")
     return float(value)
 

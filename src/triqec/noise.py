@@ -24,26 +24,28 @@ Monte Carlo, its sample count and seed, both checked when it is made), and
 ``phase_scaled`` is the one check of a time, for the channels (where it must
 be a scalar) and the closed forms alike.
 
-The 56 off-diagonal elements share only 13 conjugate pairs of patterns
-eps = +-p (``PAIRS``), and the Monte Carlo kernel (``mean_phases``) never
-forms the angles p . chi: each pair phasor exp(i p . chi) is a product of
-the three spin phasors z_k = exp(i chi_k), and a trajectory forms only five
-of them.  3 half-angle tangents and a few rational operations give z1, z2
-and z3, and 2 complex products in real arithmetic give z2 z3 and
-z2 conj(z3).  The other eight pairs are z1 w or z1 conj(w) for w one of z3,
-z2 conj(z3), z2 and z2 z3, so their real and imaginary parts are sums of
-the products of the w rows with re z1 and im z1.  A block keeps only the 30
-sums of those products, the phasor rows times [re z1, im z1, 1]; one
-constant map (``_FACTOR_MAP``) takes them to the 64 elements' factor sums,
-once per stream for the mean table, and folds a 64-element observable
-into the 3 x 10 weights whose product with the phasor rows gives each
-trajectory's survival.
+The Monte Carlo kernel (``mean_phases``) never forms the angles eps . chi.
+Each factor is the product over the spins with eps_k != 0 of
+cos chi_k - i eps_k sin chi_k, a sum of multilinear monomials in the spins'
+cos and sin.  A trajectory's feature rows are cos chi_k and sin chi_k (from 3
+half-angle tangents and a few rational operations), a row of ones and the 4
+products of spin 2's cos or sin with spin 3's; a block keeps only the 33 sums
+of the features times [cos chi1, sin chi1, 1].  One constant map
+(``_FACTOR_MAP``, entries 0, +-1 and +-i) takes them to the 64 elements' factor
+sums, once per stream for the mean table, and folds a 64-element observable
+into the 3 x 11 weights whose product with the feature rows gives each
+trajectory's survival.  The diagonal is the constant monomial, so its mean is
+exactly 1.
 
 Monte Carlo reproducibility and memory: one serial stream draws, reduces and
-adds ``BLOCK`` vectors at a time in stream order, so memory does not grow with
-the sample count.  Its normals are Box-Muller transforms (Box & Muller, 1958)
-of SFC64 uniforms seeded by the seed; they replaced Philox ziggurat normals
-once, which changed every seeded Monte Carlo value.
+adds ``BLOCK`` vectors at a time in stream order, into one slot whose size does
+not grow with the sample count.  A trajectory draws one normal per
+eigen-direction of C*t with a phase variance above 1e-12 rad^2, so the
+totally correlated model draws 1 normal and a C*t of rank 0 (t = 0 or C = 0)
+none: one trajectory then stands for all.  The normals are Box-Muller
+transforms (Box & Muller, 1958) of SFC64 uniforms seeded by the seed; they
+replaced Philox ziggurat normals once, and their rank-sized layout and the
+block width changed once, each change moving every seeded Monte Carlo value.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .models import TOTALLY_CORRELATED, UNCORRELATED, real_array
 from .operators import kron3
 
 #: Samples per reduction block; fixed so the summation order never varies.
-BLOCK = 4096
+BLOCK = 8192
 
 
 def _frozen(table: np.ndarray) -> np.ndarray:
@@ -94,18 +96,6 @@ _EPS = ((_Z_SIGNS[:, None, :] - _Z_SIGNS[None, :, :]) / 2.0).reshape(64, 3)
 #: The products eps_j eps_k of each element, row 8 r + c, column 3 j + k, shape
 #: (64, 9): the element's quadratic form eps^T C eps is its row times C raveled.
 _EPS_PRODUCTS = (_EPS[:, :, None] * _EPS[:, None, :]).reshape(64, 9)
-
-#: One pattern p per conjugate pair +-p of nonzero eps, the one whose first
-#: nonzero entry is positive, shape (13, 3).
-PAIRS = _frozen(
-    np.array([p for p in itertools.product((-1.0, 0.0, 1.0), repeat=3) if p > (0, 0, 0)])
-)
-
-#: Each element's pair: eps = _PAIR_SIGN * PAIRS[_PAIR_INDEX] row by row, with
-#: sign 0 (and index 0) on the diagonal, where eps = 0.
-_PAIR_SIGN = np.sign(_EPS[np.arange(64), np.argmax(_EPS != 0, axis=1)])
-_PAIR_INDEX = np.argmax((_PAIR_SIGN[:, None, None] * _EPS[:, None] == PAIRS).all(axis=2), axis=1)
-_DIAGONAL = _PAIR_SIGN == 0
 
 
 class CovarianceError(ValueError):
@@ -274,13 +264,23 @@ def phase_scaled(cov, t, scalar: bool = False):
     return (c, t) if math.isfinite(9.0 * largest) else (c / 16.0, t * 16.0)
 
 
+#: The smallest phase variance (rad^2) a Monte Carlo stream draws a normal
+#: for.  A direction dropped below it moves each Gaussian factor
+#: exp(-(t/2) eps' C eps) by at most 1.5e-12, as |eps|^2 <= 3: far below the
+#: standard error of any feasible sample count.
+_MIN_PHASE_VARIANCE = 1e-12
+
+
 def _phase_loading(cov, t: float) -> np.ndarray:
-    # The loading L of chi = L z, z standard normal: a symmetric square root
-    # of C*t via eigendecomposition, which tolerates rank-deficient covariances
-    # (Cholesky would fail) by clamping tiny negatives to zero.
+    # The (3, r) loading L of chi = L z, z r standard normals: the
+    # eigen-directions of C*t whose variance exceeds _MIN_PHASE_VARIANCE, each
+    # scaled by its standard deviation.  The threshold is absolute, so a
+    # large variance never hides a small one that matters, and it drops the
+    # rounding-level eigenvalues of a rank-deficient C*t (Cholesky would fail).
     c, t = phase_scaled(cov, t, scalar=True)
     eigvals, eigvecs = np.linalg.eigh(c * t)
-    return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    keep = eigvals > _MIN_PHASE_VARIANCE
+    return eigvecs[:, keep] * np.sqrt(eigvals[keep])
 
 
 def dephasing_factors(cov, t: float) -> np.ndarray:
@@ -300,54 +300,37 @@ def dephase(rho: np.ndarray, factors: np.ndarray, axis: str = "x") -> np.ndarray
     return frame.conj().T @ (factors * rotated) @ frame
 
 
-#: Rows of a block's slot: its 10 phasor rows, a row of ones (refilled per
-#: block, as the survivals' three rows reuse it), and 2 scratch rows.
-_ROWS = 13
-#: Slot rows (real, imaginary) of the five phasors a block forms, by their
-#: pattern p: z1, z2, z3, z2 z3 and z2 conj(z3), for the spin phasors
-#: z_k = exp(i chi_k).  The spins' rows come in order, so that z1, z2, z3
-#: span two 3-row blocks, and re z1, im z1 and the ones (row 10) are evenly
-#: spaced: the right-hand side of a block's sums is one strided view.
-_PHASOR_ROWS = {
-    (1, 0, 0): (4, 7),
-    (0, 1, 0): (5, 8),
-    (0, 0, 1): (6, 9),
-    (0, 1, 1): (0, 2),
-    (0, 1, -1): (1, 3),
-}
-#: Slot rows of the phasors, cos chi_k, sin chi_k, [re z1, im z1, 1] and the survivals.
-_PHASORS, _COS, _SIN, _RIGHT, _SURVIVAL = (
-    slice(0, 10), slice(4, 7), slice(7, 10), slice(4, 11, 3), slice(10, 13)
+#: Rows of a block's slot.  Its 11 feature rows: the products cos chi2 cos chi3,
+#: cos chi2 sin chi3, sin chi2 cos chi3 and sin chi2 sin chi3 (rows 0-3),
+#: cos chi_k (4-6), sin chi_k (7-9) and ones (10), so that cos chi1, sin chi1
+#: and the ones are evenly spaced: the right-hand side of a block's sums is
+#: one strided view.  Then the survivals' 3 rows.  The normals are drawn into
+#: the head of the slot, which the products overwrite once they are used.
+_ROWS = 14
+_FEATURES, _COS, _SIN, _ONES, _RIGHT, _SURVIVAL = (
+    slice(0, 11), slice(4, 7), slice(7, 10), 10, slice(4, 11, 3), slice(11, 14)
 )
+#: Feature row of each monomial a2 a3 of spins 2 and 3, a factor each of
+#: [cos, sin, 1], in row-major order of (a2, a3).
+_MONOMIAL_ROWS = [0, 1, 5, 2, 3, 8, 6, 9, 10]
 
 
 def _factor_map() -> np.ndarray:
-    # The (64, 30) map from a block's products P = phasor rows @ [re z1,
-    # im z1, 1], raveled, to its sums of the factors exp(-i eps . chi) of
-    # element 8 r + c, with zero rows on the diagonal.  Pair p's phasor is
-    # a w: w = re w + i s im w is one of the five phasors (s = 1) or its
-    # conjugate (s = -1), and a is z1 (P's columns 0 and 1) if p has a z1
-    # factor that w leaves out, else 1 (column 2).  The element with
-    # eps = +-p takes the pair's real part -+ i its imaginary part.
-    fold = np.zeros((2, len(PAIRS), 10, 3))
-    for k, (p1, p2, p3) in enumerate(PAIRS.astype(int)):
-        if p2 == p3 == 0:
-            (re, im), s, z1 = _PHASOR_ROWS[1, 0, 0], 1, False
-        else:
-            s = 1 if (p2, p3) > (0, 0) else -1
-            (re, im), z1 = _PHASOR_ROWS[0, s * p2, s * p3], p1 == 1
-        if z1:  # (re z1 + i im z1)(re w + i s im w)
-            fold[:, k, re, :2] += np.eye(2)
-            fold[:, k, im, :2] += s * np.array([[0, -1], [1, 0]])
-        else:
-            fold[0, k, re, 2], fold[1, k, im, 2] = 1, s
-    real, imag = fold.reshape(2, len(PAIRS), 30)[:, _PAIR_INDEX]
-    table = real - 1j * _PAIR_SIGN[:, None] * imag
-    table[_DIAGONAL] = 0.0
-    return _frozen(table)
+    # The (64, 33) map from a block's sums, its feature rows times
+    # [cos chi1, sin chi1, 1] raveled, to the sums of the factors
+    # exp(-i eps . chi) of element 8 r + c.  A factor is the product over the
+    # spins of cos chi_k - i eps_k sin chi_k (of 1 where eps_k = 0), each a
+    # vector over [cos chi_k, sin chi_k, 1]; their outer product is the
+    # element's coefficient on each monomial a1 a2 a3, which is column a1 of
+    # the feature row of a2 a3.
+    spins = np.stack([_EPS != 0, -1j * _EPS, _EPS == 0], axis=-1)
+    terms = np.einsum("ea,eb,ec->ebca", spins[:, 0], spins[:, 1], spins[:, 2])
+    table = np.zeros((64, 11, 3), dtype=complex)
+    table[:, _MONOMIAL_ROWS] = terms.reshape(64, 9, 3)
+    return _frozen(table.reshape(64, 33))
 
 
-#: Exact (entries 0 and +-1) map from a block's products to its factor sums.
+#: Exact (entries 0, +-1 and +-i) map from a block's sums to its factor sums.
 _FACTOR_MAP = _factor_map()
 
 
@@ -363,54 +346,40 @@ def _double_angle(sine: np.ndarray, cosine: np.ndarray) -> None:
     cosine -= 1.0
 
 
-def _phasors(normals: np.ndarray, half: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    # The (10, n) phasor rows of n normals' phases chi = 2 half @ normal,
-    # written into the (_ROWS, n) ``slot`` with no temporaries: chi / 2 goes
-    # into the sine rows, and z_k = exp(i chi_k) comes from _double_angle.
-    # Row 11 is the products' scratch.
-    h, r, scratch = slot[_SIN], slot[_COS], slot[11]
-    np.matmul(half, normals.T, out=h)
-    _double_angle(h, r)
-    (re_p, re_m, im_p, im_m), (re2, re3), (im2, im3) = slot[:4], r[1:], h[1:]
-    np.multiply(re2, re3, out=scratch)
-    np.multiply(im2, im3, out=re_m)
-    np.subtract(scratch, re_m, out=re_p)
-    np.add(scratch, re_m, out=re_m)
-    np.multiply(im2, re3, out=scratch)
-    np.multiply(re2, im3, out=im_m)
-    np.add(scratch, im_m, out=im_p)
-    np.subtract(scratch, im_m, out=im_m)
-    return slot[_PHASORS]
-
-
 def _block_sums(normals: np.ndarray, half: np.ndarray, slot: np.ndarray, weights):
-    # One block's 30 products, the phasor rows times [re z1, im z1, 1] summed
-    # over its trajectories, and, given the survival weights (w0, U) of
-    # ``mean_phases``, the (count, mean, M2) of its survivals, left in slot
-    # row 12.  The z1 pairs are sums of these products, so the 8 phasors z1 w
-    # and z1 conj(w) are never formed.  The mean and M2 are the corrected two
-    # pass's: with d = value - sum / n, the mean is sum / n + sum(d) / n and
-    # M2 = sum(d^2) - sum(d)^2 / n (at least 0), so equal survivals (at t = 0,
-    # say) give their value and an M2 of exactly 0.
-    phasors, right = _phasors(normals, half, slot), slot[_RIGHT]
-    right[2] = 1.0
-    products = (phasors @ right.T).ravel()
-    stats = None
-    if weights is not None:
-        w0, u = weights
-        (re1, im1, _), (by_re1, by_im1, values) = right, slot[_SURVIVAL]
-        np.matmul(u, phasors, out=slot[_SURVIVAL])
-        by_re1 *= re1
-        by_im1 *= im1
-        values += by_re1
-        values += by_im1
-        values += w0
-        n, mean = len(normals), values.mean()
-        np.subtract(values, mean, out=by_re1)
-        shift = by_re1.sum()
-        by_re1 *= by_re1
-        stats = n, mean + shift / n, max(by_re1.sum() - shift * shift / n, 0.0)
-    return products, stats
+    # One block's 33 sums, its feature rows times [cos chi1, sin chi1, 1]
+    # summed over its trajectories, and, given the (3, 11) survival weights U
+    # of ``mean_phases``, the (count, mean, M2) of its survivals, left in the
+    # slot's last row.  The (r, n) ``normals`` may lie in the slot's first
+    # 3 rows: they are read once, to put chi / 2 = half @ normals into the
+    # sine rows.  The mean and M2 are the corrected two pass's: with
+    # d = value - sum / n, the mean is sum / n + sum(d) / n and
+    # M2 = d . d - sum(d)^2 / n (at least 0).
+    cos, sin, features, right = slot[_COS], slot[_SIN], slot[_FEATURES], slot[_RIGHT]
+    if len(normals) == 1:  # numpy's matmul loops slowly over an inner dimension of 1
+        for row, scale in zip(sin, half[:, 0]):
+            np.multiply(normals[0], scale, out=row)
+    else:
+        np.matmul(half, normals, out=sin)
+    _double_angle(sin, cos)
+    (c2, c3), (s2, s3) = cos[1:], sin[1:]
+    for row, (a, b) in enumerate(((c2, c3), (c2, s3), (s2, c3), (s2, s3))):
+        np.multiply(a, b, out=slot[row])
+    slot[_ONES] = 1.0
+    sums = (features @ right.T).ravel()
+    if weights is None:
+        return sums, None
+    by_cos, by_sin, values = survival = slot[_SURVIVAL]
+    np.matmul(weights, features, out=survival)
+    by_cos *= right[0]
+    by_sin *= right[1]
+    values += by_cos
+    values += by_sin
+    n = len(values)
+    first = values.sum() / n
+    np.subtract(values, first, out=by_cos)
+    shift = by_cos.sum()
+    return sums, (n, first + shift / n, max(np.dot(by_cos, by_cos) - shift * shift / n, 0.0))
 
 
 def _add(total, block):
@@ -446,16 +415,16 @@ def _normals(rng: np.random.Generator, count: int, buffer: np.ndarray) -> np.nda
 
 def _stream(half: np.ndarray, samples: int, seed, weights):
     # The total of _block_sums over each BLOCK of the seeded stream, added by
-    # _add in stream order.  Every block draws into the one buffer and works in
-    # the one slot allocated per call, as fresh BLOCK-float rows would be
-    # mapped and page-faulted per block; a block of n samples takes its first
-    # _ROWS * n floats as (_ROWS, n), so its rows are contiguous and no ufunc
-    # allocates an iteration buffer.
+    # _add in stream order.  Every block draws its r n normals, r rows of n,
+    # into the head of the one slot allocated per call, as fresh BLOCK-float
+    # rows would be mapped and page-faulted per block; a block of n samples
+    # takes its first _ROWS * n floats as (_ROWS, n), so its rows are
+    # contiguous and no ufunc allocates an iteration buffer.
     rng, size, total = np.random.Generator(np.random.SFC64(seed)), min(BLOCK, samples), None
-    slot, buffer = np.empty(_ROWS * size), np.empty(3 * -(-3 * size // 2))
+    rank, slot = half.shape[1], np.empty(_ROWS * size)
     for start in range(0, samples, BLOCK):
         n = min(BLOCK, samples - start)
-        normals = _normals(rng, 3 * n, buffer).reshape(n, 3)
+        normals = _normals(rng, rank * n, slot).reshape(rank, n)
         block = _block_sums(normals, half, slot[: _ROWS * n].reshape(_ROWS, n), weights)
         total = block if total is None else _add(total, block)
     return total
@@ -464,26 +433,27 @@ def _stream(half: np.ndarray, samples: int, seed, weights):
 def mean_phases(channel: NoiseChannel, t: float, weights=None):
     """Sample mean of the factors exp(-i eps . chi) over a Monte Carlo channel's stream.
 
-    The blocks' products, added in stream order, are mapped to the 8x8 table
+    The blocks' sums, added in stream order, are mapped to the 8x8 table
     once.  Given ``weights``, an 8x8 table of complex element weights, also
     returns the mean and standard error of the trajectories' survivals
-    Re sum(weights * factors) (else None).
+    Re sum(weights * factors) (else None).  Where C*t has rank 0 every phase
+    is 0, so one trajectory stands for all and nothing is drawn: every
+    factor is exactly 1 and the standard error exactly 0.
     """
     if channel.kind != "monte-carlo":
         raise ValueError(f"sampled phases need a monte-carlo channel, got kind {channel.kind!r}")
-    samples, loading = channel.samples, _phase_loading(channel.covariance, t)
+    loading = _phase_loading(channel.covariance, t)
+    samples = channel.samples if loading.size else 1
     if weights is not None:
         w = np.asarray(weights, dtype=complex).ravel()
-        u = (w @ _FACTOR_MAP).real.reshape(10, 3).T
-        weights = w[_DIAGONAL].real.sum(), np.ascontiguousarray(u)
-    products, stats = _stream(0.5 * loading, samples, channel.seed, weights)
-    mean = _FACTOR_MAP @ (products / samples)
-    mean[_DIAGONAL] = 1.0
+        weights = np.ascontiguousarray((w @ _FACTOR_MAP).real.reshape(11, 3).T)
+    sums, stats = _stream(0.5 * loading, samples, channel.seed, weights)
+    mean = (_FACTOR_MAP @ (sums / samples)).reshape(8, 8)
     if stats is None:
-        return mean.reshape(8, 8), None
+        return mean, None
     _, survival, m2 = stats
     stderr = np.sqrt(m2 / (samples - 1)) / np.sqrt(samples) if samples > 1 else 0.0
-    return mean.reshape(8, 8), (float(survival), float(stderr))
+    return mean, (float(survival), float(stderr))
 
 
 def channel_factors(channel: NoiseChannel, t: float, weights=None):

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import real_number, shown
+from .models import plain, real_number, shown
 
 DIM = 8
 SPINS = (1, 2, 3)
@@ -109,7 +109,7 @@ def data_state_from_bloch(bloch) -> np.ndarray:
     bad = [component for component in (x, y, z) if not real_number(component)]
     if bad:
         raise NormalizationError(f"Bloch vector components must be real numbers, got {bad[0]!r}")
-    if not all(abs(component) <= sys.float_info.max for component in (x, y, z)):
+    if not all(abs(plain(component)) <= sys.float_info.max for component in (x, y, z)):
         components = ", ".join(map(shown, (x, y, z)))
         raise NormalizationError(f"Bloch vector components must be finite, got ({components})")
     r2 = x * x + y * y + z * z

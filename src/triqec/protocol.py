@@ -41,7 +41,7 @@ import numpy as np
 
 from .analytics import _decay_law
 from .gates import encoder, global_rotation, toffoli
-from .models import real_number, shown
+from .models import plain, real_number, shown
 from .noise import (
     NoiseChannel,
     channel_factors,
@@ -68,12 +68,12 @@ class ConfigError(ValueError):
 
 
 def _nonnegative(weight, name: str) -> None:
-    if not (real_number(weight) and -1e-12 <= weight <= sys.float_info.max):
+    if not (real_number(weight) and -1e-12 <= plain(weight) <= sys.float_info.max):
         raise ConfigError(f"{name} must be finite and >= 0, got {shown(weight)}")
 
 
 def _unit_sum(weights, name: str) -> None:
-    total = sum(weights)
+    total = sum(map(plain, weights))  # a float16 sum would round 1.0001 to 1
     if not (abs(total - 1.0) <= 1e-12):
         raise ConfigError(f"{name} must sum to 1, got {total!r}")
 

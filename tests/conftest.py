@@ -12,7 +12,6 @@ import pytest
 from triqec.noise import (
     _EPS,
     BLOCK,
-    PAIRS,
     NoiseChannel,
     _checked,
     _phase_loading,
@@ -77,28 +76,34 @@ def z_scores(mc, exact, stderr) -> np.ndarray:
     return (np.asarray(mc, dtype=float) - exact) / np.asarray(stderr, dtype=float)
 
 
-def reference_normals(seed, samples: int) -> np.ndarray:
-    """The (samples, 3) normals of a seeded ``samples``-sample Monte Carlo stream (oracle).
+def reference_normals(seed, samples: int, rank: int = 3) -> np.ndarray:
+    """The (samples, rank) normals of a seeded ``samples``-sample Monte Carlo stream (oracle).
 
     Drawn ``BLOCK`` samples at a time, as the stream draws them: a block of n
-    takes 2m uniforms from an SFC64 generator, m = ceil(3n / 2), the m u's
-    then the m v's, and its normals are the first 3n of [r cos(2 pi v),
-    r sin(2 pi v)] with r = sqrt(-2 ln(1 - u)).  Written with np.cos and
-    np.sin, independently of the package's half-angle tangents.
+    takes 2m uniforms from an SFC64 generator, m = ceil(rank n / 2), the m
+    u's then the m v's, and its normals are the first rank n of
+    [r cos(2 pi v), r sin(2 pi v)] with r = sqrt(-2 ln(1 - u)), laid out as
+    rank rows of n, one row per direction.  Written with np.cos and np.sin,
+    independently of the package's half-angle tangents.
     """
     rng = np.random.Generator(np.random.SFC64(seed))
     blocks = []
     for start in range(0, samples, BLOCK):
         n = min(BLOCK, samples - start)
-        u, v = rng.random(2 * -(-3 * n // 2)).reshape(2, -1)
+        u, v = rng.random(2 * -(-rank * n // 2)).reshape(2, -1)
         r, angle = np.sqrt(-2.0 * np.log(1.0 - u)), 2.0 * np.pi * v
-        blocks.append(np.concatenate([r * np.cos(angle), r * np.sin(angle)])[: 3 * n])
-    return np.concatenate(blocks).reshape(samples, 3)
+        normals = np.concatenate([r * np.cos(angle), r * np.sin(angle)])[: rank * n]
+        blocks.append(normals.reshape(rank, n).T)
+    return np.concatenate(blocks)
 
 
 def reference_stream(cov, t: float, seed, samples: int) -> np.ndarray:
-    """The phases chi of a seeded ``samples``-sample Monte Carlo stream (oracle)."""
-    return reference_normals(seed, samples) @ _phase_loading(cov, t).T
+    """The phases chi of a seeded ``samples``-sample Monte Carlo stream (oracle).
+
+    One normal per direction of the stream's loading: its rank.
+    """
+    loading = _phase_loading(cov, t)
+    return reference_normals(seed, samples, loading.shape[1]) @ loading.T
 
 
 def trajectory_phases(chis) -> np.ndarray:
@@ -108,17 +113,6 @@ def trajectory_phases(chis) -> np.ndarray:
     """
     chis = np.asarray(chis, dtype=float)
     return np.exp(-1j * (chis @ _EPS.T)).reshape(*chis.shape[:-1], 8, 8)
-
-
-def pair_phasor_products(spin_phasors) -> np.ndarray:
-    """Every pair's phasor exp(i p . chi), (13, n), by complex multiplication.
-
-    ``spin_phasors`` are the (3, n) z_k = exp(i chi_k); pair p's phasor is
-    the product of z_k over p_k = 1 and conj(z_k) over p_k = -1.
-    """
-    z = np.asarray(spin_phasors, dtype=complex)
-    powers = {-1: z.conj(), 0: np.ones_like(z), 1: z}
-    return np.array([powers[a][0] * powers[b][1] * powers[c][2] for a, b, c in PAIRS.astype(int)])
 
 
 class ExplicitRun(NamedTuple):

@@ -2,12 +2,13 @@
 
     python tests/fixed_commands.py OUTDIR
 
-Runs each command as its own ``python -m triqec.cli`` process on the
-``src`` beside this file, in OUTDIR, and writes there, per command NN
-(01-11): ``NN.argv`` (the command line), ``NN.exit``, ``NN.stdout`` and
-``NN.stderr``, beside the CSVs and manifests the commands write.  Each
-manifest's ``git_commit`` is removed, since it differs between checkouts,
-so that two checkouts' outputs compare with ``diff -r``.  The inputs are
+Runs each command as its own ``python -W error -m triqec.cli`` process on
+the ``src`` beside this file, in OUTDIR, so that any warning fails it.  It
+writes there, per command NN (01-11): ``NN.argv`` (the command line),
+``NN.exit``, ``NN.stdout`` and ``NN.stderr``, beside the CSVs and manifests
+the commands write.  Each manifest's ``git_commit`` is removed, since it
+differs between checkouts, so that two checkouts' outputs compare with
+``diff -r``.  The inputs are
 written into OUTDIR first: the covariance file ``cov.txt`` below and two
 curve files for ``fit``.  Exits 1 if any command exits other than 0.
 Not collected by pytest.
@@ -58,7 +59,7 @@ def run(outdir: Path) -> int:
     env["PYTHONPATH"] = str(SRC)
     failed = 0
     for number, command in enumerate(COMMANDS, start=1):
-        argv = [sys.executable, "-m", "triqec.cli", *command]
+        argv = [sys.executable, "-W", "error", "-m", "triqec.cli", *command]
         done = subprocess.run(argv, cwd=outdir, env=env, capture_output=True, text=True)
         stem = outdir / f"{number:02d}"
         Path(f"{stem}.argv").write_text("triqec " + " ".join(command) + "\n", encoding="utf-8")

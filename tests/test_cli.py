@@ -46,6 +46,17 @@ def test_decay_writes_curve_and_manifest(tmp_path):
     assert "version" in manifest
 
 
+def test_csv_rows_are_formatted_as_each_value_alone(tmp_path):
+    # One "%.17g,...,%.17g" per row gives each value's own format(x, ".17g"),
+    # signed zero, subnormal and near-overflow values included.
+    values = [-0.0, 5e-324, 1e308, 0.1, 2.0]
+    columns = [np.array(values), tuple(reversed(values)), np.array(values) / 3]
+    path = tmp_path / "rows.csv"
+    cli._write_outputs("decay", {}, str(path), ["a", "b", "c"], columns)
+    rows = [",".join(format(x, ".17g") for x in row) for row in zip(*columns)]
+    assert path.read_text() == "\n".join(["a,b,c", *rows]) + "\n"
+
+
 def test_decay_is_deterministic(tmp_path):
     args = ("decay", "--model", "uncorrelated", "--tau", 0.5, "--points", 16,
             "--tmax", 1.0, "--mc", 2000, "--seed", 3)

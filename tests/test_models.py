@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from triqec.analytics import (
     survival_factor,
 )
 from triqec.diffusion import SCHEMES, GradientDiffusionSpec, spec_to_covariance
-from triqec.models import NAMED_MODELS, named_model
+from triqec.models import NAMED_MODELS, named_model, positive_finite
 from triqec.noise import (
     CovarianceError,
     NoiseChannel,
@@ -16,9 +18,10 @@ from triqec.noise import (
     uncorrelated,
     validate_covariance,
 )
-from triqec.operators import NormalizationError
+from triqec.operators import NormalizationError, data_state_from_bloch
 from triqec.protocol import (
     AncillaMixture,
+    ConfigError,
     CorrelatedComponent,
     PipelineConfig,
     ancilla_mixture_nogo_search,
@@ -245,3 +248,34 @@ def test_zero_diffusion_gives_a_zero_covariance():
     for scheme in SCHEMES:
         cov = spec_to_covariance(GradientDiffusionSpec(1.0e4, 0.0, 0.1, scheme=scheme))
         assert np.array_equal(cov, np.zeros((3, 3)))
+
+
+#: Each entry point with a range check, as a function of one number x that a
+#: plain float 1.0 passes, returning what it makes of it as an array.
+RANGE_CHECKED = {
+    "data_state_from_bloch": lambda x: data_state_from_bloch((type(x)(0), type(x)(0), x)),
+    "positive_finite": lambda x: np.array(positive_finite(x, "x")),
+    "totally_correlated": totally_correlated,
+    "AncillaMixture": lambda x: np.array(AncillaMixture(x, 0, 0, 0).weights, dtype=float),
+    "GradientDiffusionSpec": lambda x: spec_to_covariance(GradientDiffusionSpec(2 * x, 1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32])
+@pytest.mark.parametrize("entry", list(RANGE_CHECKED))
+def test_low_precision_scalars_pass_the_range_checks_without_a_warning(entry, dtype):
+    # Compared with sys.float_info.max as numpy scalars, float16 and float32
+    # would cast that bound to their own type and warn of an overflow.
+    call = RANGE_CHECKED[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = call(dtype(1.0))
+    assert np.array_equal(got, call(1.0))
+
+
+def test_low_precision_mixture_weights_are_summed_as_floats():
+    # Added in float16, these round to exactly 1; as floats they sum to 1.00012.
+    weights = [np.float16(w) for w in (0.5, 0.25, 0.125, 0.1251)]
+    for given in (weights, [float(w) for w in weights]):
+        with pytest.raises(ConfigError, match="must sum to 1, got 1.0001220703125"):
+            AncillaMixture(*given)

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import tracemalloc
 import warnings
@@ -12,7 +13,6 @@ from scipy.special import ndtr
 
 from conftest import (
     mc_channel,
-    pair_phasor_products,
     random_density,
     random_propagator,
     random_psd,
@@ -20,26 +20,20 @@ from conftest import (
     reference_stream,
     trajectory_phases,
 )
+from triqec import noise
 from triqec.noise import (
-    _DIAGONAL,
     _EPS,
     _FACTOR_MAP,
-    _PAIR_INDEX,
-    _PAIR_SIGN,
-    _PHASOR_ROWS,
     _REGISTRY_SIZE,
     _ROWS,
-    _SURVIVAL,
     BLOCK,
     FRAMES,
-    PAIRS,
     CovarianceError,
     NoiseChannel,
     _block_sums,
     _checked,
     _normals,
     _phase_loading,
-    _phasors,
     apply_channel,
     dephase,
     dephasing_factors,
@@ -221,19 +215,18 @@ def test_monte_carlo_seed_accepts_integers_and_seed_sequences():
 
 def test_mean_phases_adds_the_block_sums_in_stream_order():
     # Reference: the package's own normals, drawn one BLOCK at a time from
-    # the seeded generator, each block's products taken, the products added
-    # in order and mapped to the factor table once.
+    # the seeded generator as one row per direction of the loading, each
+    # block's sums taken, the sums added in order and mapped to the factor
+    # table once.
     cov, t, seed, n = random_psd(np.random.default_rng(8)), 0.3, 4, 3 * BLOCK + 5
     rng, buffer = np.random.Generator(np.random.SFC64(seed)), np.empty(9 * BLOCK // 2)
     half = 0.5 * _phase_loading(cov, t)
     total = 0
     for start in range(0, n, BLOCK):
         size = min(BLOCK, n - start)
-        block = _normals(rng, 3 * size, buffer).reshape(size, 3)
+        block = _normals(rng, 3 * size, buffer).reshape(3, size)
         total = total + _block_sums(block, half, np.empty((_ROWS, size)), None)[0]
-    expected = _FACTOR_MAP @ (total / n)
-    expected[_DIAGONAL] = 1.0
-    expected = expected.reshape(8, 8)
+    expected = (_FACTOR_MAP @ (total / n)).reshape(8, 8)
     table, estimate = mean_phases(mc_channel(cov, n, seed), t)
     assert np.array_equal(table, expected) and estimate is None
     with pytest.raises(ValueError, match="workers"):
@@ -262,10 +255,11 @@ def test_box_muller_normals_are_standard_normal():
 
 def test_box_muller_normals_match_the_cos_sin_oracle():
     # The stream's half-angle tangents against np.cos and np.sin of 2 pi v,
-    # on the same uniforms, over two full blocks and a short one.
+    # on the same uniforms, over two full blocks and a short one, each block
+    # laid out as one row of normals per direction.
     rng, buffer = np.random.Generator(np.random.SFC64(9)), np.empty(9 * BLOCK // 2)
-    normals = np.concatenate([_normals(rng, 3 * n, buffer).copy() for n in (BLOCK, BLOCK, 7)])
-    assert np.abs(normals - reference_normals(9, 2 * BLOCK + 7).ravel()).max() <= 1e-14
+    blocks = [_normals(rng, 3 * n, buffer).reshape(3, n).T.copy() for n in (BLOCK, BLOCK, 7)]
+    assert np.abs(np.concatenate(blocks) - reference_normals(9, 2 * BLOCK + 7)).max() <= 1e-14
 
 
 def test_box_muller_edge_uniforms_give_finite_normals():
@@ -289,147 +283,166 @@ def test_box_muller_edge_uniforms_give_finite_normals():
     assert normals.max() == pytest.approx(np.sqrt(106 * np.log(2)), rel=1e-15)
 
 
-#: The pair index of each of the five phasors a block forms (z1, z2, z3,
-#: z2 z3, z2 conj(z3)), and one element per pair with eps = +p.
-FORMED_PAIRS = [int(np.flatnonzero((PAIRS == p).all(axis=1))[0]) for p in _PHASOR_ROWS]
-PLUS_ELEMENT = [int(np.flatnonzero((_PAIR_INDEX == k) & (_PAIR_SIGN > 0))[0]) for k in range(13)]
+def kernel_weights(weights) -> np.ndarray:
+    """``mean_phases``' (3, 11) survival weights of an 8x8 table of element weights."""
+    w = np.asarray(weights, dtype=complex).ravel()
+    return np.ascontiguousarray((w @ _FACTOR_MAP).real.reshape(11, 3).T)
 
 
-def formed_phasors(chis, slot=None) -> np.ndarray:
-    """The kernel's five phasors of the phases ``chis``, (n, 5) complex.
-
-    With an identity loading the kernel's chi / 2 is exactly half of chis.
-    """
-    chis = np.asarray(chis, dtype=float)
-    slot = np.empty((_ROWS, len(chis))) if slot is None else slot
-    _phasors(chis, 0.5 * np.eye(3), slot)
-    return np.array([slot[re] + 1j * slot[im] for re, im in _PHASOR_ROWS.values()]).T
+def trajectory_sums(normals, half) -> np.ndarray:
+    """The kernel's 33 sums of the one trajectory of these (r,) normals."""
+    slot = np.empty((_ROWS, 1))
+    return _block_sums(np.reshape(normals, (-1, 1)), half, slot, None)[0]
 
 
-def pair_phasors(chis) -> np.ndarray:
-    """exp(i p . chi) of every pair, (n, 13), read off ``trajectory_phases``."""
-    return trajectory_phases(chis).reshape(-1, 64)[:, PLUS_ELEMENT].conj()
+def test_factor_map_takes_the_products_to_the_element_factors():
+    # Each factor exp(-i eps . chi), expanded into monomials of the spins'
+    # cos and sin, is its map row (entries 0, +-1 and +-i) times the
+    # trajectory's sums; an element weight table W folds into the survival
+    # weights Re(W @ map).  At ranks 1-3, through the loading, and with an
+    # identity loading at odd multiples of pi, where tan(chi / 2) is about
+    # 1e16.
+    parts = np.stack([_FACTOR_MAP.real, _FACTOR_MAP.imag])
+    assert _FACTOR_MAP.shape == (64, 33)
+    assert set(parts.ravel()) == {-1.0, 0.0, 1.0} and (np.abs(parts).sum(axis=0) <= 1).all()
+    rng = np.random.default_rng(12)
+    for case in (1, 2, 3, "odd-pi"):
+        if case == "odd-pi":
+            half, normals = 0.5 * np.eye(3), np.pi * (2 * rng.integers(-2, 2, size=(200, 3)) + 1)
+        else:
+            cov = random_psd(rng, rank=case)
+            half = 0.5 * _phase_loading(cov / np.trace(cov), 4.0)
+            assert half.shape == (3, case)
+            normals = rng.standard_normal((200, case))
+        weights = rng.normal(size=(200, 64)) + 1j * rng.normal(size=(200, 64))
+        for normal, w in zip(normals, weights):
+            sums = trajectory_sums(normal, half)
+            factors = trajectory_phases(2 * half @ normal).ravel()
+            assert np.abs(_FACTOR_MAP @ sums - factors).max() <= 1e-14, case
+            assert abs((w @ _FACTOR_MAP).real @ sums - (w * factors).sum().real) <= 1e-12
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3])
-def test_pair_phasors_match_the_pair_angles(rank):
-    # The kernel multiplies spin phasors instead of taking cos and sin of
-    # p . chi; the two differ by rounding, which grows with |chi| only on the
-    # angle side (the rounding of the sum p . chi).
-    rng = np.random.default_rng(30 + rank)
-    for scale in (1e-3, 1e-1, 1.0, 10.0, 1e3):
-        cov = random_psd(rng, rank=rank)
-        chis = reference_stream(cov / np.trace(cov), scale**2, rank, 2000)
-        error = np.abs(formed_phasors(chis) - pair_phasors(chis)[:, FORMED_PAIRS])
-        bound = 1e-15 * (1 + np.abs(chis).sum(axis=1))
-        assert (error.max(axis=1) <= bound).all(), scale
-
-
-def test_pair_phasors_are_exact_at_zero_phase():
-    # tan(0) = 0 makes every spin phasor exactly 1 + 0i, hence every formed
-    # phasor, and every product with re z1 = 1, im z1 = 0 or 1 is exact: each
-    # off-diagonal element's factor sums to BLOCK.
-    half = 0.5 * _phase_loading(random_psd(np.random.default_rng(4)), 0.7)
-    slot = np.full((_ROWS, BLOCK), np.nan)
-    sums, _ = _block_sums(np.zeros((BLOCK, 3)), half, slot, None)
-    for re, im in _PHASOR_ROWS.values():
-        assert (slot[re] == 1.0).all() and (slot[im] == 0.0).all()
-    table = _FACTOR_MAP @ sums
-    assert (table[~_DIAGONAL] == BLOCK).all() and (table[_DIAGONAL] == 0.0).all()
-
-
-@pytest.mark.parametrize("magnitude", ["odd-pi", "huge"])
-def test_pair_phasors_stay_finite_where_the_half_angle_tangent_is_large(magnitude):
-    # At odd multiples of pi, tan(chi / 2) is about 1e16; far out it is
-    # whatever the argument reduction gives.  Both must still give the
-    # phasors within the bound of test_pair_phasors_match_the_pair_angles,
-    # and finite block sums.
-    rng = np.random.default_rng(41)
-    if magnitude == "odd-pi":
-        chis = np.pi * (2 * rng.integers(-50, 50, size=(500, 3)) + 1)
-    else:
-        chis = rng.choice([-1.0, 1.0], size=(500, 3)) * 10.0 ** rng.uniform(0, 300, size=(500, 3))
-        chis[:3] = [[1e300, -1e300, np.pi], [-np.pi, 1e300, 0.0], [1e-300, 3 * np.pi, -1e300]]
-    phasors = formed_phasors(chis)
-    assert np.isfinite(phasors).all()
-    error = np.abs(phasors - pair_phasors(chis)[:, FORMED_PAIRS])
-    bound = 1e-15 * (1 + np.abs(chis).sum(axis=1))
-    assert (error.max(axis=1) <= bound).all()
-    sums, _ = _block_sums(chis, 0.5 * np.eye(3), np.empty((_ROWS, len(chis))), None)
-    assert np.isfinite(sums).all()
+#: The elements whose factor is one spin's cos chi_k -+ i sin chi_k.
+ONE_SPIN = np.count_nonzero(_EPS, axis=1) == 1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(chis=arrays(float, (5, 3), elements=st.floats(-1e300, 1e300)))
 def test_spin_phasors_have_unit_modulus(chis):
-    spins = formed_phasors(chis)[:, :3]  # z1, z2, z3
+    # Wherever the half-angle tangent lands, however large |chi|, each spin's
+    # cos and sin (its one-spin factors) are finite with cos^2 + sin^2 = 1,
+    # and so every factor, a product of up to three, has modulus 1.
+    tables = np.array([_FACTOR_MAP @ trajectory_sums(chi, 0.5 * np.eye(3)) for chi in chis])
+    assert np.isfinite(tables).all()
+    spins = tables[:, ONE_SPIN]
     assert np.abs(spins.real**2 + spins.imag**2 - 1.0).max() <= 1e-15
-
-
-def kernel_weights(weights):
-    """``mean_phases``' survival weights (w0, U) of an 8x8 table of element weights."""
-    w = np.asarray(weights, dtype=complex).ravel()
-    u = (w @ _FACTOR_MAP).real.reshape(10, 3).T
-    return w[_DIAGONAL].real.sum(), np.ascontiguousarray(u)
-
-
-def element_factors(pairs) -> np.ndarray:
-    """The (64, n) factors exp(-i eps . chi) from the (13, n) pair phasors exp(i p . chi)."""
-    factors = np.where(_PAIR_SIGN[:, None] > 0, pairs[_PAIR_INDEX].conj(), pairs[_PAIR_INDEX])
-    factors[_DIAGONAL] = 1.0
-    return factors
+    assert np.abs(np.abs(tables) - 1.0).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", [BLOCK, 1000])
-def test_block_sums_match_the_pair_phasor_products(n):
-    # Against all 13 pair phasors formed by complex multiplication of the
-    # kernel's own spin phasors: the kernel's products map to each element's
-    # factor sum through at most two length-n dot products (error at most
-    # n eps/2 times the n terms of modulus <= 1 each), the oracle rounds each
-    # product and sums pairwise, so (n + 8) n eps bounds the difference of
-    # each part.  A trajectory's survival is a fixed combination of 64
-    # weighted factors per side: 64 eps times the weights' absolute sum
-    # bounds it.  The survivals' mean and M2 are the corrected two pass's.
+def test_block_sums_and_statistics_match_the_trajectory_oracle(n):
+    # A block's sums map to the sums of its trajectories' factors: each
+    # factor within 1e-14 of the oracle's, plus the rounding of two length-n
+    # sums of terms of modulus <= 1 ((n + 8) n eps).  Its statistics are the
+    # count, mean and M2 of the survivals Re sum(W * factors), each within
+    # 64 eps of the oracle's per trajectory times W's absolute sum.
     rng = np.random.default_rng(50 + n)
     half = 0.5 * _phase_loading(random_psd(rng), 2.0)
     weights = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    normals, slot = rng.standard_normal((n, 3)), np.empty((_ROWS, n))
+    normals = rng.standard_normal((3, n))
+    slot = np.empty((_ROWS, n))
     sums, (count, mean, m2) = _block_sums(normals, half, slot, kernel_weights(weights))
-    spins = np.array([slot[re] + 1j * slot[im] for re, im in list(_PHASOR_ROWS.values())[:3]])
-    factors = element_factors(pair_phasor_products(spins))
-    table, expected = _FACTOR_MAP @ sums, factors.sum(axis=1)
-    expected[_DIAGONAL] = 0.0  # the map leaves the diagonal's constant factor 1 out
-    eps = np.finfo(float).eps
-    assert np.abs(table.real - expected.real).max() <= (n + 8) * n * eps
-    assert np.abs(table.imag - expected.imag).max() <= (n + 8) * n * eps
-    survivals = (weights.ravel() @ factors).real
-    values = slot[_SURVIVAL][2]
-    scale = np.abs(weights.real).sum() + np.abs(weights.imag).sum()
-    assert np.abs(values - survivals).max() <= 64 * eps * scale
-    first = values.mean()
-    shift = (values - first).sum()
-    assert count == n and mean == first + shift / n
-    assert m2 == max(((values - first) ** 2).sum() - shift * shift / n, 0.0)
+    factors = trajectory_phases((2 * half @ normals).T).reshape(n, 64)
+    difference = _FACTOR_MAP @ sums - factors.sum(axis=0)
+    bound = n * 1e-14 + (n + 8) * n * np.finfo(float).eps
+    assert np.abs(difference.real).max() <= bound and np.abs(difference.imag).max() <= bound
+    survivals = (factors @ weights.ravel()).real
+    scale = 64 * np.finfo(float).eps * np.abs(weights).sum()
+    assert count == n and abs(mean - survivals.mean()) <= scale
+    assert m2 == pytest.approx(((survivals - survivals.mean()) ** 2).sum(), rel=1e-10)
 
 
-def test_pair_phasors_allocate_nothing():
+def test_block_sums_allocate_nothing():
     # Every row of a block, from the phases to the survivals' deviations, is
-    # written in place into its slot: any temporary of a row or more
-    # (np.tan(0.5 * chis) would make three) exceeds this peak, and so does a
-    # 64 KB ufunc iteration buffer.
+    # written in place into its slot, whose head holds the normals as the
+    # stream draws them: any temporary of a row or more (np.tan(0.5 * chis)
+    # would make three, a copy of the normals one) exceeds this peak, and so
+    # does a 64 KB ufunc iteration buffer.
     rng = np.random.default_rng(2)
-    half = 0.5 * _phase_loading(random_psd(rng), 0.5)
     weights = kernel_weights(rng.normal(size=(8, 8)))
-    for n in (BLOCK, 1000):
-        normals, slot = rng.standard_normal((n, 3)), np.empty((_ROWS, n))
+    for rank, n in itertools.product((1, 3), (BLOCK, 1000)):
+        half = 0.5 * _phase_loading(random_psd(rng, rank=rank), 0.5)
+        slot = np.empty((_ROWS, n))
+        normals = slot.reshape(-1)[: rank * n].reshape(rank, n)
+        normals[:] = rng.standard_normal((rank, n))
         _block_sums(normals, half, slot, weights)  # warm up
+        normals[:] = rng.standard_normal((rank, n))
         tracemalloc.start()
         try:
             _block_sums(normals, half, slot, weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < BLOCK * 8, n
+        assert peak < BLOCK * 8, (rank, n)
+
+
+def test_phase_loading_keeps_each_direction_above_the_variance_floor():
+    # One column per eigen-direction of C*t with a phase variance above
+    # 1e-12 rad^2.  The floor is absolute: a 1e3 rad^2 direction beside a
+    # 1e15 one is kept, and exactly 1e-12 is dropped.
+    loading = _phase_loading(np.diag([1e15, 1e3, 0.0]), 1.0)
+    assert loading.shape == (3, 2)
+    assert np.diag(loading @ loading.T) == pytest.approx([1e15, 1e3, 0.0], rel=1e-15)
+    assert _phase_loading(np.diag([2e-12, 1e-12, 0.0]), 1.0).shape == (3, 1)
+    for cov, t, rank in [
+        (totally_correlated(0.389), 0.4, 1),
+        (np.diag([1.0, 1.0, 0.0]), 0.4, 2),
+        (uncorrelated(0.304), 0.4, 3),
+        (uncorrelated(0.304), 0.0, 0),
+        (np.zeros((3, 3)), 0.4, 0),
+    ]:
+        loading = _phase_loading(cov, t)
+        assert loading.shape == (3, rank)
+        assert np.abs(loading @ loading.T - cov * t).max() <= 1e-14 * max(1.0, cov.max() * t)
+
+
+def test_a_stream_draws_one_normal_per_direction_of_its_noise(monkeypatch):
+    # r normals per trajectory for a C*t of rank r: 1 for the totally
+    # correlated model, 3 for the uncorrelated one, and none at rank 0
+    # (t = 0 or C = 0), where one trajectory stands for all.
+    counts, draw = [], noise._normals
+
+    def recording(rng, count, buffer):
+        counts.append(count)
+        return draw(rng, count, buffer)
+
+    monkeypatch.setattr(noise, "_normals", recording)
+    n = BLOCK + 5
+    for cov, t, rank in [
+        (totally_correlated(0.389), 0.4, 1),
+        (np.diag([1.0, 1.0, 0.0]), 0.4, 2),
+        (uncorrelated(0.304), 0.4, 3),
+    ]:
+        counts.clear()
+        mean_phases(mc_channel(cov, n, 1), t)
+        assert counts == [rank * BLOCK, rank * 5]
+    for cov, t in [(uncorrelated(0.304), 0.0), (np.zeros((3, 3)), 0.4)]:
+        counts.clear()
+        table, (survival, stderr) = mean_phases(mc_channel(cov, n, 1), t, np.eye(8))
+        assert counts == [0] and (table == 1.0).all() and survival == 8.0 and stderr == 0.0
+
+
+@pytest.mark.parametrize("samples", sorted({4097, 8193, 12289, BLOCK + 1, 2 * BLOCK + 1}))
+@pytest.mark.parametrize("model", ["uncorrelated", "correlated"])
+def test_monte_carlo_at_time_zero_has_no_spread(model, samples):
+    # Every phase is 0 at t = 0, so every factor is exactly 1 and every
+    # trajectory's survival the same: the standard error is exactly 0,
+    # whatever the sample count, including a last block narrower than the
+    # others.
+    cov = uncorrelated(0.304) if model == "uncorrelated" else totally_correlated(0.389)
+    assert run_pipeline_mc(mc_config(cov), 0.0, samples, seed=7).survival_stderr == 0.0
+    table, _ = mean_phases(mc_channel(cov, samples, 7), 0.0)
+    assert (table == 1.0).all()
 
 
 #: The message of every time that is not finite and >= 0.
@@ -487,8 +500,9 @@ def test_non_numeric_times_are_named(t, message):
 
 def test_mean_phases_totally_correlated_rank_one():
     # One shared phase: the elements whose pattern eps sums to 0 keep factor 1
-    # in every trajectory.  The loading clips C*t's rounding-negative
-    # eigenvalues; their square roots of magnitudes would add phases of 1e-9.
+    # in every trajectory.  The loading keeps only C*t's one direction above
+    # the variance floor; square roots of its rounding-level eigenvalues would
+    # add phases of 1e-9.
     table, _ = mean_phases(mc_channel(totally_correlated(1.0), 4096), 0.5)
     balanced = _EPS.sum(axis=1) == 0
     assert np.abs(table.ravel()[balanced] - 1.0).max() < 1e-13
@@ -549,50 +563,8 @@ def test_trajectory_phases_reproduce_the_random_propagator(axis):
         assert np.abs(state - u @ rho @ u.conj().T).max() < 1e-12
 
 
-def test_pair_maps_cover_each_off_diagonal_element_once():
-    # Element |r><c| has eps = s p for one of the 13 pairs p and s = +-1;
-    # its conjugate |c><r| has the same pair and the opposite sign.
-    eps = _EPS.reshape(8, 8, 3)
-    index, sign = _PAIR_INDEX.reshape(8, 8), _PAIR_SIGN.reshape(8, 8)
-    counts = np.zeros(len(PAIRS), dtype=int)
-    for r in range(8):
-        for c in range(8):
-            if r == c:
-                assert sign[r, c] == 0 and not eps[r, c].any()
-                continue
-            assert sign[r, c] in (-1, 1)
-            assert np.array_equal(eps[r, c], sign[r, c] * PAIRS[index[r, c]])
-            assert index[c, r] == index[r, c] and sign[c, r] == -sign[r, c]
-            counts[index[r, c]] += sign[r, c] > 0
-    assert PAIRS.shape == (13, 3)
-    assert len({tuple(p) for p in PAIRS} | {tuple(-p) for p in PAIRS}) == 26
-    # eps = +p for 4, 2 or 1 elements as p has 1, 2 or 3 nonzero entries,
-    # and eps = -p for as many conjugates: 2 * 28 = 56 elements in all.
-    assert counts.sum() == 28
-    assert np.array_equal(counts, np.array([0, 4, 2, 1])[np.count_nonzero(PAIRS, axis=1)])
-
-
-def test_factor_map_takes_the_products_to_the_element_factors():
-    # One trajectory's 30 products map to its 56 off-diagonal factors
-    # exp(-i eps . chi) (the diagonal rows are 0: the factor there is 1), so
-    # a table of element weights W folds to w0 = Re sum of W's diagonal and
-    # Re(W @ map), whose product with the products is the survival.
-    assert _FACTOR_MAP.shape == (64, 30)
-    assert set(_FACTOR_MAP.real.ravel()) | set(_FACTOR_MAP.imag.ravel()) == {-1.0, 0.0, 1.0}
-    assert not _FACTOR_MAP[_DIAGONAL].any()
-    rng = np.random.default_rng(12)
-    weights = rng.normal(size=(5, 64)) + 1j * rng.normal(size=(5, 64))
-    for chi, w in zip(4.0 * rng.normal(size=(5, 3)), weights):
-        products, _ = _block_sums(chi[None], 0.5 * np.eye(3), np.empty((_ROWS, 1)), None)
-        factors = trajectory_phases(chi).ravel()
-        table = _FACTOR_MAP @ products
-        assert np.abs(table[~_DIAGONAL] - factors[~_DIAGONAL]).max() < 1e-14
-        survival = w[_DIAGONAL].real.sum() + (w @ _FACTOR_MAP).real @ products
-        assert abs(survival - (w * factors).sum().real) < 1e-12
-
-
 def test_shared_tables_are_read_only():
-    for table in (*FRAMES.values(), PAIRS, _FACTOR_MAP):
+    for table in (*FRAMES.values(), _FACTOR_MAP):
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
 

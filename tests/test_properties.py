@@ -108,10 +108,9 @@ def test_exact_channel_maps_states_to_states(rho, cov, t, axis):
     seed=st.integers(0, 2**63),
 )
 def test_monte_carlo_at_time_zero_is_the_identity(cov, bloch, axis, correction, samples, seed):
-    # At t = 0 every spin phasor, and so every pair phasor, is exactly 1: the
-    # Monte Carlo factor table is all ones, as the exact one, and every
-    # trajectory's survival is the same weighted sum, so their standard error
-    # is exactly 0.  The sum's rounding, its distance from 1, scales as
+    # At t = 0 every phase is 0, so one trajectory stands for all: the Monte
+    # Carlo factor table is all ones, as the exact one, and the standard
+    # error is exactly 0.  The sum's rounding, its distance from 1, scales as
     # 1 / (y^2 + z^2), the weight divided by.
     channel = NoiseChannel(covariance=cov, axis=axis)
     config = PipelineConfig(channel=channel, bloch=bloch, correction=correction)
