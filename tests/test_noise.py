@@ -24,7 +24,9 @@ from triqec import noise
 from triqec.noise import (
     _EPS,
     _FACTOR_MAP,
+    _FEATURES,
     _REGISTRY_SIZE,
+    _RIGHT,
     _ROWS,
     BLOCK,
     FRAMES,
@@ -320,6 +322,56 @@ def test_factor_map_takes_the_products_to_the_element_factors():
             factors = trajectory_phases(2 * half @ normal).ravel()
             assert np.abs(_FACTOR_MAP @ sums - factors).max() <= 1e-14, case
             assert abs((w @ _FACTOR_MAP).real @ sums - (w * factors).sum().real) <= 1e-12
+
+
+def kernel_factors(chis) -> np.ndarray:
+    """The kernel's 64 factors of each trajectory of the phases ``chis``, (n, 64) complex.
+
+    One block of all the trajectories, through an identity loading (so the
+    kernel's chi / 2 is exactly half of chis); each trajectory's factors are
+    the map times its column of the feature rows times [cos chi1, sin chi1, 1].
+    """
+    chis = np.asarray(chis, dtype=float)
+    slot = np.empty((_ROWS, len(chis)))
+    _block_sums(np.ascontiguousarray(chis.T), 0.5 * np.eye(3), slot, None)
+    products = np.einsum("fn,an->nfa", slot[_FEATURES], slot[_RIGHT]).reshape(len(chis), 33)
+    return products @ _FACTOR_MAP.T
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_pair_phasors_match_the_pair_angles(rank):
+    # The kernel multiplies the spins' cos and sin instead of taking
+    # exp(-i eps . chi); the two differ by rounding, which grows with |chi|
+    # only on the angle side (the rounding of the sum eps . chi).
+    rng = np.random.default_rng(30 + rank)
+    for scale in (1e-3, 1e-1, 1.0, 10.0, 1e3):
+        cov = random_psd(rng, rank=rank)
+        chis = reference_stream(cov / np.trace(cov), scale**2, rank, 2000)
+        error = np.abs(kernel_factors(chis) - trajectory_phases(chis).reshape(-1, 64))
+        bound = 1e-15 * (1 + np.abs(chis).sum(axis=1))
+        assert (error.max(axis=1) <= bound).all(), scale
+
+
+@pytest.mark.parametrize("magnitude", ["odd-pi", "huge"])
+def test_pair_phasors_stay_finite_where_the_half_angle_tangent_is_large(magnitude):
+    # At odd multiples of pi, tan(chi / 2) is about 1e16; far out it is
+    # whatever the argument reduction gives.  Both must still give the
+    # factors within the bound of test_pair_phasors_match_the_pair_angles,
+    # and finite block sums.
+    rng = np.random.default_rng(41)
+    if magnitude == "odd-pi":
+        chis = np.pi * (2 * rng.integers(-50, 50, size=(500, 3)) + 1)
+    else:
+        chis = rng.choice([-1.0, 1.0], size=(500, 3)) * 10.0 ** rng.uniform(0, 300, size=(500, 3))
+        chis[:3] = [[1e300, -1e300, np.pi], [-np.pi, 1e300, 0.0], [1e-300, 3 * np.pi, -1e300]]
+    factors = kernel_factors(chis)
+    assert np.isfinite(factors).all()
+    error = np.abs(factors - trajectory_phases(chis).reshape(-1, 64))
+    bound = 1e-15 * (1 + np.abs(chis).sum(axis=1))
+    assert (error.max(axis=1) <= bound).all()
+    slot = np.empty((_ROWS, len(chis)))
+    sums, _ = _block_sums(np.ascontiguousarray(chis.T), 0.5 * np.eye(3), slot, None)
+    assert np.isfinite(sums).all()
 
 
 #: The elements whose factor is one spin's cos chi_k -+ i sin chi_k.
