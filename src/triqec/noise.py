@@ -27,25 +27,27 @@ be a scalar) and the closed forms alike.
 The Monte Carlo kernel (``mean_phases``) never forms the angles eps . chi.
 Each factor is the product over the spins with eps_k != 0 of
 cos chi_k - i eps_k sin chi_k, a sum of multilinear monomials in the spins'
-cos and sin.  A trajectory's feature rows are cos chi_k and sin chi_k (from 3
-half-angle tangents and a few rational operations), a row of ones and the 4
-products of spin 2's cos or sin with spin 3's; a block keeps only the 33 sums
-of the features times [cos chi1, sin chi1, 1].  One constant map
-(``_FACTOR_MAP``, entries 0, +-1 and +-i) takes them to the 64 elements' factor
-sums, once per stream for the mean table, and folds a 64-element observable
-into the 3 x 11 weights whose product with the feature rows gives each
-trajectory's survival.  The diagonal is the constant monomial, so its mean is
-exactly 1.
+cos and sin (from 3 half-angle tangents and a few rational operations).  A
+trajectory's 9 feature rows are the monomials of spins 2 and 3 (1, their cos
+and sin, and the 4 products of spin 2's cos or sin with spin 3's); a block
+keeps only the 27 sums of the features times [cos chi1, sin chi1, 1].  One
+constant map (``_FACTOR_MAP``, entries 0, +-1 and +-i) takes them to the 64
+elements' factor sums, once per stream for the mean table, and folds a
+64-element observable into the 3 x 9 weights whose product with the features
+gives each trajectory's survival v, or, less the noiseless survival v0 on the
+constant monomial, its deviation d = v - v0, whose sum and d . d follow the
+27 sums.  The diagonal is the constant monomial, so its mean is exactly 1.
 
-Monte Carlo reproducibility and memory: one serial stream draws, reduces and
-adds ``BLOCK`` vectors at a time in stream order, into one slot whose size does
-not grow with the sample count.  A trajectory draws one normal per
-eigen-direction of C*t with a phase variance above 1e-12 rad^2, so the
-totally correlated model draws 1 normal and a C*t of rank 0 (t = 0 or C = 0)
-none: one trajectory then stands for all.  The normals are Box-Muller
-transforms (Box & Muller, 1958) of SFC64 uniforms seeded by the seed; they
-replaced Philox ziggurat normals once, and their rank-sized layout and the
-block width changed once, each change moving every seeded Monte Carlo value.
+Monte Carlo reproducibility and memory: one serial stream reduces ``BLOCK``
+trajectories at a time in one slot whose size does not grow with the sample
+count, and adds each block's vector of sums to one running total in stream
+order.  A trajectory draws one normal per eigen-direction of C*t with a phase
+variance above 1e-12 rad^2, so the totally correlated model draws 1 normal
+and a C*t of rank 0 (t = 0 or C = 0) none: one trajectory then stands for
+all.  The normals are Box-Muller transforms (Box & Muller, 1958) of SFC64
+uniforms seeded by the seed; they replaced Philox ziggurat normals once, and
+their rank-sized layout and the block width changed once, each change moving
+every seeded Monte Carlo value.
 """
 
 from __future__ import annotations
@@ -300,23 +302,22 @@ def dephase(rho: np.ndarray, factors: np.ndarray, axis: str = "x") -> np.ndarray
     return frame.conj().T @ (factors * rotated) @ frame
 
 
-#: Rows of a block's slot.  Its 11 feature rows: the products cos chi2 cos chi3,
-#: cos chi2 sin chi3, sin chi2 cos chi3 and sin chi2 sin chi3 (rows 0-3),
-#: cos chi_k (4-6), sin chi_k (7-9) and ones (10), so that cos chi1, sin chi1
-#: and the ones are evenly spaced: the right-hand side of a block's sums is
-#: one strided view.  Then the survivals' 3 rows.  The normals are drawn into
-#: the head of the slot, which the products overwrite once they are used.
+#: Rows of a block's slot.  Rows 0-2 take the normals as they are drawn, then
+#: the survivals' terms; cos chi1, sin chi1 and ones (3-5) are the right-hand
+#: side of a block's sums; the 9 feature rows (5-13) are ones, cos chi2,
+#: sin chi2, the product cos chi2 cos chi3, cos chi3, sin chi3 and the products
+#: cos chi2 sin chi3, sin chi2 cos chi3 and sin chi2 sin chi3 (8, 11-13).
 _ROWS = 14
-_FEATURES, _COS, _SIN, _ONES, _RIGHT, _SURVIVAL = (
-    slice(0, 11), slice(4, 7), slice(7, 10), 10, slice(4, 11, 3), slice(11, 14)
+_SURVIVAL, _COS, _SIN, _ONES, _RIGHT, _FEATURES = (
+    slice(0, 3), slice(3, 12, 3), slice(4, 13, 3), 5, slice(3, 6), slice(5, 14)
 )
 #: Feature row of each monomial a2 a3 of spins 2 and 3, a factor each of
 #: [cos, sin, 1], in row-major order of (a2, a3).
-_MONOMIAL_ROWS = [0, 1, 5, 2, 3, 8, 6, 9, 10]
+_MONOMIAL_ROWS = [3, 6, 1, 7, 8, 2, 4, 5, 0]
 
 
 def _factor_map() -> np.ndarray:
-    # The (64, 33) map from a block's sums, its feature rows times
+    # The (64, 27) map from a block's sums, its feature rows times
     # [cos chi1, sin chi1, 1] raveled, to the sums of the factors
     # exp(-i eps . chi) of element 8 r + c.  A factor is the product over the
     # spins of cos chi_k - i eps_k sin chi_k (of 1 where eps_k = 0), each a
@@ -325,9 +326,9 @@ def _factor_map() -> np.ndarray:
     # the feature row of a2 a3.
     spins = np.stack([_EPS != 0, -1j * _EPS, _EPS == 0], axis=-1)
     terms = np.einsum("ea,eb,ec->ebca", spins[:, 0], spins[:, 1], spins[:, 2])
-    table = np.zeros((64, 11, 3), dtype=complex)
+    table = np.zeros((64, 9, 3), dtype=complex)
     table[:, _MONOMIAL_ROWS] = terms.reshape(64, 9, 3)
-    return _frozen(table.reshape(64, 33))
+    return _frozen(table.reshape(64, 27))
 
 
 #: Exact (entries 0, +-1 and +-i) map from a block's sums to its factor sums.
@@ -346,15 +347,13 @@ def _double_angle(sine: np.ndarray, cosine: np.ndarray) -> None:
     cosine -= 1.0
 
 
-def _block_sums(normals: np.ndarray, half: np.ndarray, slot: np.ndarray, weights):
-    # One block's 33 sums, its feature rows times [cos chi1, sin chi1, 1]
-    # summed over its trajectories, and, given the (3, 11) survival weights U
-    # of ``mean_phases``, the (count, mean, M2) of its survivals, left in the
-    # slot's last row.  The (r, n) ``normals`` may lie in the slot's first
-    # 3 rows: they are read once, to put chi / 2 = half @ normals into the
-    # sine rows.  The mean and M2 are the corrected two pass's: with
-    # d = value - sum / n, the mean is sum / n + sum(d) / n and
-    # M2 = d . d - sum(d)^2 / n (at least 0).
+def _block_sums(normals: np.ndarray, half: np.ndarray, slot: np.ndarray, weights) -> np.ndarray:
+    # One block's sums as one vector: its 27 feature rows times
+    # [cos chi1, sin chi1, 1] summed over its trajectories, then, given the
+    # (3, 9) survival weights of ``mean_phases``, which give each survival
+    # less the noiseless one, d = v - v0, sum(d) and d . d.  The (r, n)
+    # ``normals`` may lie in the slot's first 3 rows: they are read once, to
+    # put chi / 2 = half @ normals into the sine rows.
     cos, sin, features, right = slot[_COS], slot[_SIN], slot[_FEATURES], slot[_RIGHT]
     if len(normals) == 1:  # numpy's matmul loops slowly over an inner dimension of 1
         for row, scale in zip(sin, half[:, 0]):
@@ -363,34 +362,19 @@ def _block_sums(normals: np.ndarray, half: np.ndarray, slot: np.ndarray, weights
         np.matmul(half, normals, out=sin)
     _double_angle(sin, cos)
     (c2, c3), (s2, s3) = cos[1:], sin[1:]
-    for row, (a, b) in enumerate(((c2, c3), (c2, s3), (s2, c3), (s2, s3))):
+    for row, (a, b) in zip((8, 11, 12, 13), ((c2, c3), (c2, s3), (s2, c3), (s2, s3))):
         np.multiply(a, b, out=slot[row])
     slot[_ONES] = 1.0
     sums = (features @ right.T).ravel()
     if weights is None:
-        return sums, None
-    by_cos, by_sin, values = survival = slot[_SURVIVAL]
+        return sums
+    by_cos, by_sin, deviations = survival = slot[_SURVIVAL]
     np.matmul(weights, features, out=survival)
     by_cos *= right[0]
     by_sin *= right[1]
-    values += by_cos
-    values += by_sin
-    n = len(values)
-    first = values.sum() / n
-    np.subtract(values, first, out=by_cos)
-    shift = by_cos.sum()
-    return sums, (n, first + shift / n, max(np.dot(by_cos, by_cos) - shift * shift / n, 0.0))
-
-
-def _add(total, block):
-    # The running total of the blocks so far plus the next block; the
-    # (count, mean, M2) triples merge by Chan, Golub & LeVeque (1979).
-    (sums, a), (block_sums, b) = total, block
-    if a is not None:
-        (na, ma, sa), (nb, mb, sb) = a, b
-        n, delta = na + nb, mb - ma
-        a = n, ma + delta * (nb / n), sa + sb + delta * delta * (na * nb / n)
-    return sums + block_sums, a
+    deviations += by_cos
+    deviations += by_sin
+    return np.append(sums, (deviations.sum(), np.dot(deviations, deviations)))
 
 
 def _normals(rng: np.random.Generator, count: int, buffer: np.ndarray) -> np.ndarray:
@@ -413,20 +397,19 @@ def _normals(rng: np.random.Generator, count: int, buffer: np.ndarray) -> np.nda
     return buffer[:count]
 
 
-def _stream(half: np.ndarray, samples: int, seed, weights):
-    # The total of _block_sums over each BLOCK of the seeded stream, added by
-    # _add in stream order.  Every block draws its r n normals, r rows of n,
-    # into the head of the one slot allocated per call, as fresh BLOCK-float
-    # rows would be mapped and page-faulted per block; a block of n samples
-    # takes its first _ROWS * n floats as (_ROWS, n), so its rows are
-    # contiguous and no ufunc allocates an iteration buffer.
-    rng, size, total = np.random.Generator(np.random.SFC64(seed)), min(BLOCK, samples), None
+def _stream(half: np.ndarray, samples: int, seed, weights) -> np.ndarray:
+    # The running total of _block_sums over each BLOCK of the seeded stream,
+    # added with + in stream order.  Every block draws its r n normals, r rows
+    # of n, into the head of the one slot allocated per call, as fresh
+    # BLOCK-float rows would be mapped and page-faulted per block; a block of
+    # n samples takes its first _ROWS * n floats as (_ROWS, n), so its rows
+    # are contiguous and no ufunc allocates an iteration buffer.
+    rng, size, total = np.random.Generator(np.random.SFC64(seed)), min(BLOCK, samples), 0.0
     rank, slot = half.shape[1], np.empty(_ROWS * size)
     for start in range(0, samples, BLOCK):
         n = min(BLOCK, samples - start)
         normals = _normals(rng, rank * n, slot).reshape(rank, n)
-        block = _block_sums(normals, half, slot[: _ROWS * n].reshape(_ROWS, n), weights)
-        total = block if total is None else _add(total, block)
+        total = total + _block_sums(normals, half, slot[: _ROWS * n].reshape(_ROWS, n), weights)
     return total
 
 
@@ -445,15 +428,22 @@ def mean_phases(channel: NoiseChannel, t: float, weights=None):
     loading = _phase_loading(channel.covariance, t)
     samples = channel.samples if loading.size else 1
     if weights is not None:
+        # Less v0 = Re sum(weights), the survival at chi = 0, on the constant
+        # monomial 1 1 1.  The mean of d = v - v0 is O(chi^2) against a spread
+        # of O(chi) (both O(chi^4) for a protected survival) at every C and t,
+        # so M2 = d . d - sum(d)^2 / n cancels no more than rounding.
         w = np.asarray(weights, dtype=complex).ravel()
-        weights = np.ascontiguousarray((w @ _FACTOR_MAP).real.reshape(11, 3).T)
-    sums, stats = _stream(0.5 * loading, samples, channel.seed, weights)
-    mean = (_FACTOR_MAP @ (sums / samples)).reshape(8, 8)
-    if stats is None:
+        v0, folded = float(w.sum().real), (w @ _FACTOR_MAP).real.reshape(9, 3)
+        folded[_MONOMIAL_ROWS[-1], 2] -= v0
+        weights = np.ascontiguousarray(folded.T)
+    total = _stream(0.5 * loading, samples, channel.seed, weights)
+    mean = (_FACTOR_MAP @ (total[:27] / samples)).reshape(8, 8)
+    if weights is None:
         return mean, None
-    _, survival, m2 = stats
-    stderr = np.sqrt(m2 / (samples - 1)) / np.sqrt(samples) if samples > 1 else 0.0
-    return mean, (float(survival), float(stderr))
+    first, second = total[27:]
+    m2 = max(second - first * first / samples, 0.0)
+    stderr = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples) if samples > 1 else 0.0
+    return mean, (float(v0 + first / samples), stderr)
 
 
 def channel_factors(channel: NoiseChannel, t: float, weights=None):
@@ -470,9 +460,18 @@ def apply_channel(rho: np.ndarray, channel: NoiseChannel, t: float) -> np.ndarra
     """Dephase rho along the channel's axis for time t, averaged as its kind says.
 
     Completely positive and trace preserving; operators diagonal in the
-    dephasing-axis eigenbasis are fixed points.
+    dephasing-axis eigenbasis are fixed points.  ``rho`` may be any 8x8
+    array of finite int, float or complex numbers, else ValueError.
     """
-    return dephase(rho, channel_factors(channel, t)[0], channel.axis)
+    try:
+        state = np.asarray(rho)
+    except ValueError:  # a ragged nested sequence
+        state = np.asarray(None)
+    if state.dtype.kind not in "iufc" or state.shape != (8, 8):
+        raise ValueError(f"rho must be an 8x8 array of numbers, got {state.dtype} {state.shape}")
+    if not np.isfinite(state).all():
+        raise ValueError("rho must be finite, got a NaN or infinite entry")
+    return dephase(state, channel_factors(channel, t)[0], channel.axis)
 
 
 # The benchmark under perfbench/ still calls and traces these two names; the

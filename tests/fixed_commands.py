@@ -1,6 +1,6 @@
 """Run the fixed set of 11 CLI commands and keep everything they produce.
 
-    python tests/fixed_commands.py OUTDIR
+    python tests/fixed_commands.py OUTDIR [REFDIR]
 
 Runs each command as its own ``python -W error -m triqec.cli`` process on
 the ``src`` beside this file, in OUTDIR, so that any warning fails it.  It
@@ -11,12 +11,18 @@ differs between checkouts, so that two checkouts' outputs compare with
 ``diff -r``.  The inputs are
 written into OUTDIR first: the covariance file ``cov.txt`` below and two
 curve files for ``fit``.  Exits 1 if any command exits other than 0.
-Not collected by pytest.
+
+Given REFDIR, the OUTDIR of another checkout, it then names each file that
+differs between the two (or is in one only) and, for a CSV with the same
+header in both, prints each column's largest absolute and relative
+difference; it exits 1 on any difference.  Not collected by pytest.
 """
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -74,7 +80,58 @@ def run(outdir: Path) -> int:
     return 1 if failed else 0
 
 
+def column_differences(path: Path, reference: Path) -> list[str]:
+    """Each column's largest absolute and relative difference, or why there is none."""
+    with path.open(newline="") as mine, reference.open(newline="") as theirs:
+        rows, ref_rows = list(csv.reader(mine)), list(csv.reader(theirs))
+    if not rows or not ref_rows or rows[0] != ref_rows[0]:
+        return ["  headers differ"]
+    if len(rows) != len(ref_rows):
+        return [f"  {len(rows) - 1} rows against {len(ref_rows) - 1}"]
+    lines = []
+    for index, name in enumerate(rows[0]):
+        largest, relative, text = 0.0, 0.0, False
+        for row, ref_row in zip(rows[1:], ref_rows[1:]):
+            try:
+                value, ref = float(row[index]), float(ref_row[index])
+            except (IndexError, ValueError):
+                text = text or row[index:index + 1] != ref_row[index:index + 1]
+                continue
+            if value == ref or (math.isnan(value) and math.isnan(ref)):
+                continue
+            gap = abs(value - ref)
+            if not gap < math.inf:  # a NaN or an infinity on one side only
+                gap = math.inf
+            largest = max(largest, gap)
+            relative = max(relative, gap / abs(ref) if 0 < abs(ref) < math.inf else math.inf)
+        note = ", text differs" if text else ""
+        lines.append(f"  {name}: largest absolute {largest:.3g}, relative {relative:.3g}{note}")
+    return lines
+
+
+def compare(outdir: Path, refdir: Path) -> int:
+    """Print each file that differs between the two directories; 1 if any does."""
+    names = sorted({p.name for p in outdir.iterdir()} | {p.name for p in refdir.iterdir()})
+    differs = 0
+    for name in names:
+        path, reference = outdir / name, refdir / name
+        if not (path.is_file() and reference.is_file()):
+            print(f"{name}: only in {outdir if path.exists() else refdir}")
+        elif path.read_bytes() != reference.read_bytes():
+            print(f"{name}: differs")
+            if name.endswith(".csv"):
+                print("\n".join(column_differences(path, reference)))
+        else:
+            continue
+        differs += 1
+    print(f"{differs} of {len(names)} files differ from {refdir}")
+    return 1 if differs else 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) not in (2, 3):
         sys.exit(__doc__)
-    sys.exit(run(Path(sys.argv[1])))
+    status = run(Path(sys.argv[1]))
+    if len(sys.argv) == 3:
+        status = max(status, compare(Path(sys.argv[1]), Path(sys.argv[2])))
+    sys.exit(status)

@@ -25,6 +25,7 @@ from triqec.noise import (
     _EPS,
     _FACTOR_MAP,
     _FEATURES,
+    _MONOMIAL_ROWS,
     _REGISTRY_SIZE,
     _RIGHT,
     _ROWS,
@@ -227,7 +228,7 @@ def test_mean_phases_adds_the_block_sums_in_stream_order():
     for start in range(0, n, BLOCK):
         size = min(BLOCK, n - start)
         block = _normals(rng, 3 * size, buffer).reshape(3, size)
-        total = total + _block_sums(block, half, np.empty((_ROWS, size)), None)[0]
+        total = total + _block_sums(block, half, np.empty((_ROWS, size)), None)
     expected = (_FACTOR_MAP @ (total / n)).reshape(8, 8)
     table, estimate = mean_phases(mc_channel(cov, n, seed), t)
     assert np.array_equal(table, expected) and estimate is None
@@ -286,15 +287,22 @@ def test_box_muller_edge_uniforms_give_finite_normals():
 
 
 def kernel_weights(weights) -> np.ndarray:
-    """``mean_phases``' (3, 11) survival weights of an 8x8 table of element weights."""
+    """``mean_phases``' (3, 9) survival weights of an 8x8 table of element weights.
+
+    As there, the noiseless survival Re sum(weights) is taken off the
+    constant monomial's weight, so the kernel sums each trajectory's deviation
+    from it.
+    """
     w = np.asarray(weights, dtype=complex).ravel()
-    return np.ascontiguousarray((w @ _FACTOR_MAP).real.reshape(11, 3).T)
+    folded = (w @ _FACTOR_MAP).real.reshape(9, 3)
+    folded[_MONOMIAL_ROWS[-1], 2] -= w.sum().real
+    return np.ascontiguousarray(folded.T)
 
 
 def trajectory_sums(normals, half) -> np.ndarray:
-    """The kernel's 33 sums of the one trajectory of these (r,) normals."""
+    """The kernel's 27 sums of the one trajectory of these (r,) normals."""
     slot = np.empty((_ROWS, 1))
-    return _block_sums(np.reshape(normals, (-1, 1)), half, slot, None)[0]
+    return _block_sums(np.reshape(normals, (-1, 1)), half, slot, None)
 
 
 def test_factor_map_takes_the_products_to_the_element_factors():
@@ -303,9 +311,9 @@ def test_factor_map_takes_the_products_to_the_element_factors():
     # trajectory's sums; an element weight table W folds into the survival
     # weights Re(W @ map).  At ranks 1-3, through the loading, and with an
     # identity loading at odd multiples of pi, where tan(chi / 2) is about
-    # 1e16.
+    # 1e16.  Every one of the 27 sums is read by some factor.
     parts = np.stack([_FACTOR_MAP.real, _FACTOR_MAP.imag])
-    assert _FACTOR_MAP.shape == (64, 33)
+    assert _FACTOR_MAP.shape == (64, 27) and _FACTOR_MAP.any(axis=0).all()
     assert set(parts.ravel()) == {-1.0, 0.0, 1.0} and (np.abs(parts).sum(axis=0) <= 1).all()
     rng = np.random.default_rng(12)
     for case in (1, 2, 3, "odd-pi"):
@@ -334,7 +342,7 @@ def kernel_factors(chis) -> np.ndarray:
     chis = np.asarray(chis, dtype=float)
     slot = np.empty((_ROWS, len(chis)))
     _block_sums(np.ascontiguousarray(chis.T), 0.5 * np.eye(3), slot, None)
-    products = np.einsum("fn,an->nfa", slot[_FEATURES], slot[_RIGHT]).reshape(len(chis), 33)
+    products = np.einsum("fn,an->nfa", slot[_FEATURES], slot[_RIGHT]).reshape(len(chis), 27)
     return products @ _FACTOR_MAP.T
 
 
@@ -370,7 +378,7 @@ def test_pair_phasors_stay_finite_where_the_half_angle_tangent_is_large(magnitud
     bound = 1e-15 * (1 + np.abs(chis).sum(axis=1))
     assert (error.max(axis=1) <= bound).all()
     slot = np.empty((_ROWS, len(chis)))
-    sums, _ = _block_sums(np.ascontiguousarray(chis.T), 0.5 * np.eye(3), slot, None)
+    sums = _block_sums(np.ascontiguousarray(chis.T), 0.5 * np.eye(3), slot, None)
     assert np.isfinite(sums).all()
 
 
@@ -395,23 +403,25 @@ def test_spin_phasors_have_unit_modulus(chis):
 def test_block_sums_and_statistics_match_the_trajectory_oracle(n):
     # A block's sums map to the sums of its trajectories' factors: each
     # factor within 1e-14 of the oracle's, plus the rounding of two length-n
-    # sums of terms of modulus <= 1 ((n + 8) n eps).  Its statistics are the
-    # count, mean and M2 of the survivals Re sum(W * factors), each within
-    # 64 eps of the oracle's per trajectory times W's absolute sum.
+    # sums of terms of modulus <= 1 ((n + 8) n eps).  Its last two entries
+    # are the sum and the sum of squares of the deviations d = v - v0 of the
+    # survivals v = Re sum(W * factors) from the noiseless v0 = Re sum(W):
+    # the mean of d within 64 eps of the oracle's per trajectory times W's
+    # absolute sum, d . d within a relative 1e-10.
     rng = np.random.default_rng(50 + n)
     half = 0.5 * _phase_loading(random_psd(rng), 2.0)
     weights = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     normals = rng.standard_normal((3, n))
     slot = np.empty((_ROWS, n))
-    sums, (count, mean, m2) = _block_sums(normals, half, slot, kernel_weights(weights))
+    sums = _block_sums(normals, half, slot, kernel_weights(weights))
     factors = trajectory_phases((2 * half @ normals).T).reshape(n, 64)
-    difference = _FACTOR_MAP @ sums - factors.sum(axis=0)
+    difference = _FACTOR_MAP @ sums[:27] - factors.sum(axis=0)
     bound = n * 1e-14 + (n + 8) * n * np.finfo(float).eps
     assert np.abs(difference.real).max() <= bound and np.abs(difference.imag).max() <= bound
-    survivals = (factors @ weights.ravel()).real
+    deviations = (factors @ weights.ravel()).real - weights.sum().real
     scale = 64 * np.finfo(float).eps * np.abs(weights).sum()
-    assert count == n and abs(mean - survivals.mean()) <= scale
-    assert m2 == pytest.approx(((survivals - survivals.mean()) ** 2).sum(), rel=1e-10)
+    assert sums.shape == (29,) and abs(sums[27] / n - deviations.mean()) <= scale
+    assert sums[28] == pytest.approx(deviations @ deviations, rel=1e-10)
 
 
 def test_block_sums_allocate_nothing():
@@ -667,6 +677,28 @@ def test_channel_fixed_points_x_axis():
     for channel in channels(cov, "x"):
         out = apply_channel(op, channel, 0.9)
         assert np.abs(out - op).max() < 1e-12, channel.kind
+
+
+#: States apply_channel names as ``rho``: not finite, not 8x8, not numbers.
+BAD_STATES = {
+    "nan": np.full((8, 8), np.nan),
+    "inf-entry": np.where(np.eye(8) > 0, np.inf, 0.0) + 0j,
+    "stack": np.stack([np.eye(8) / 8] * 2),
+    "4x4": np.eye(4) / 4,
+    "one-by-one": [[1]],
+    "string": "abc",
+    "bools": np.eye(8, dtype=bool),
+}
+
+
+@pytest.mark.parametrize("rho", BAD_STATES.values(), ids=BAD_STATES.keys())
+def test_apply_channel_names_a_bad_state(rho):
+    # An 8x8 array of finite ints, floats or complex numbers, else one
+    # ValueError naming rho, on either kind of channel and before any
+    # arithmetic warns.
+    for channel in channels(np.eye(3), "x"):
+        with pytest.raises(ValueError, match="^rho must be"):
+            apply_channel(rho, channel, 0.3)
 
 
 def test_channel_is_linear_trace_preserving_positive():

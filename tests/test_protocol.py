@@ -1,4 +1,5 @@
 import itertools
+import math
 import threading
 import time
 import tracemalloc
@@ -20,6 +21,7 @@ from conftest import (
     random_psd,
     reference_stream,
     sector_mixture,
+    trajectory_phases,
     z_scores,
 )
 from triqec import noise, protocol
@@ -210,6 +212,27 @@ def test_monte_carlo_pipeline_matches_the_explicit_oracle(correction, basis_rota
         assert np.abs(result.reduced - expected.reduced).max() <= 1e-14
 
 
+@pytest.mark.parametrize("t", [1e-3, 1e-2, 0.4, 1.2, 5.0])
+@pytest.mark.parametrize("model", ["uncorrelated", "correlated"])
+def test_shifted_survival_moments_match_an_exact_two_pass(model, t):
+    # The stream sums each trajectory's deviation from the noiseless survival
+    # and its square.  Against an exactly rounded two pass (math.fsum) over
+    # the oracle's per-trajectory survivals, on four blocks of the same
+    # seeded stream: the survival within 1e-14 and the standard error within
+    # a relative 1e-12.  The bounds were fixed before the test was first run.
+    cov = uncorrelated(0.304) if model == "uncorrelated" else totally_correlated(0.389)
+    config, samples, seed = make_config(cov, bloch=BLOCH), 3 * noise.BLOCK + 5, 11
+    factors = trajectory_phases(reference_stream(cov, t, seed, samples)).reshape(samples, 64)
+    contraction = explicit_pipeline(config, t).contraction.ravel()
+    survivals = (factors @ contraction).real.tolist()
+    mean = math.fsum(survivals) / samples
+    m2 = math.fsum([(v - mean) ** 2 for v in survivals])
+    stderr = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
+    result = run_pipeline_mc(config, t, samples, seed)
+    assert abs(result.survival - mean) <= 1e-14
+    assert abs(result.survival_stderr - stderr) <= 1e-12 * stderr
+
+
 def test_analytic_run_pipeline_builds_no_state_and_checks_nothing(eigvalsh_calls, monkeypatch):
     # A configuration's constant part is built once, when it is made.
     config = make_config(random_psd(np.random.default_rng(33)), bloch=BLOCH)
@@ -312,19 +335,19 @@ def test_mc_memory_does_not_grow_with_samples(workers):
 
 
 def test_multi_block_stream_starts_no_thread(monkeypatch):
-    # The thread count seen at every merge of a four-block stream, while the
+    # The thread count seen at every block of a four-block stream, while the
     # stream runs, and after it: no other thread draws or reduces a block.
-    counts, add = [], noise._add
+    counts, reduce = [], noise._block_sums
 
-    def counting(total, block):
+    def counting(*args):
         counts.append(threading.active_count())
-        return add(total, block)
+        return reduce(*args)
 
-    monkeypatch.setattr(noise, "_add", counting)
+    monkeypatch.setattr(noise, "_block_sums", counting)
     config = make_config(uncorrelated(1.0), bloch=BLOCH)
     before = threading.active_count()
     run_pipeline_mc(config, 0.3, 3 * noise.BLOCK + 5, seed=1)
-    assert counts == [before] * 3 and threading.active_count() == before
+    assert counts == [before] * 4 and threading.active_count() == before
 
 
 def test_stream_leaves_no_thread_running(monkeypatch):
@@ -333,15 +356,15 @@ def test_stream_leaves_no_thread_running(monkeypatch):
     run_pipeline_mc(config, 0.4, 6 * noise.BLOCK + 5, seed=2)
     assert threading.enumerate() == before
     # A reduction that raises at the third block.
-    add, calls = noise._add, []
+    reduce, calls = noise._block_sums, []
 
-    def failing(total, block):
-        calls.append(block)
-        if len(calls) == 2:
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
             raise RuntimeError("reduction failed")
-        return add(total, block)
+        return reduce(*args)
 
-    monkeypatch.setattr(noise, "_add", failing)
+    monkeypatch.setattr(noise, "_block_sums", failing)
     with pytest.raises(RuntimeError, match="reduction failed"):
         run_pipeline_mc(config, 0.4, 6 * noise.BLOCK + 5, seed=2)
     assert threading.enumerate() == before
