@@ -45,9 +45,7 @@ order.  A trajectory draws one normal per eigen-direction of C*t with a phase
 variance above 1e-12 rad^2, so the totally correlated model draws 1 normal
 and a C*t of rank 0 (t = 0 or C = 0) none: one trajectory then stands for
 all.  The normals are Box-Muller transforms (Box & Muller, 1958) of SFC64
-uniforms seeded by the seed; they replaced Philox ziggurat normals once, and
-their rank-sized layout and the block width changed once, each change moving
-every seeded Monte Carlo value.
+uniforms seeded by the seed.
 """
 
 from __future__ import annotations
@@ -414,14 +412,14 @@ def _stream(half: np.ndarray, samples: int, seed, weights) -> np.ndarray:
 
 
 def mean_phases(channel: NoiseChannel, t: float, weights=None):
-    """Sample mean of the factors exp(-i eps . chi) over a Monte Carlo channel's stream.
+    """(8x8 sample mean of the factors exp(-i eps . chi), stderr) over a Monte Carlo stream.
 
-    The blocks' sums, added in stream order, are mapped to the 8x8 table
-    once.  Given ``weights``, an 8x8 table of complex element weights, also
-    returns the mean and standard error of the trajectories' survivals
-    Re sum(weights * factors) (else None).  Where C*t has rank 0 every phase
-    is 0, so one trajectory stands for all and nothing is drawn: every
-    factor is exactly 1 and the standard error exactly 0.
+    The blocks' sums, added in stream order, are mapped to the table once.
+    ``weights``, 64 complex element weights raveled like the table, give the
+    trajectories' survivals Re sum(weights * factors), whose standard error
+    comes back (else None).  Where C*t has rank 0 every phase is 0, so one
+    trajectory stands for all and nothing is drawn: every factor is exactly 1
+    and the standard error exactly 0.
     """
     if channel.kind != "monte-carlo":
         raise ValueError(f"sampled phases need a monte-carlo channel, got kind {channel.kind!r}")
@@ -433,8 +431,8 @@ def mean_phases(channel: NoiseChannel, t: float, weights=None):
         # of O(chi) (both O(chi^4) for a protected survival) at every C and t,
         # so M2 = d . d - sum(d)^2 / n cancels no more than rounding.
         w = np.asarray(weights, dtype=complex).ravel()
-        v0, folded = float(w.sum().real), (w @ _FACTOR_MAP).real.reshape(9, 3)
-        folded[_MONOMIAL_ROWS[-1], 2] -= v0
+        folded = (w @ _FACTOR_MAP).real.reshape(9, 3)
+        folded[_MONOMIAL_ROWS[-1], 2] -= w.sum().real
         weights = np.ascontiguousarray(folded.T)
     total = _stream(0.5 * loading, samples, channel.seed, weights)
     mean = (_FACTOR_MAP @ (total[:27] / samples)).reshape(8, 8)
@@ -442,14 +440,14 @@ def mean_phases(channel: NoiseChannel, t: float, weights=None):
         return mean, None
     first, second = total[27:]
     m2 = max(second - first * first / samples, 0.0)
-    stderr = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples) if samples > 1 else 0.0
-    return mean, (float(v0 + first / samples), stderr)
+    return mean, math.sqrt(m2 / (samples - 1)) / math.sqrt(samples) if samples > 1 else 0.0
 
 
 def channel_factors(channel: NoiseChannel, t: float, weights=None):
-    """(8x8 factor table, estimate) at time t, averaged as the channel's kind says.
+    """(8x8 factor table, stderr) at time t, averaged as the channel's kind says.
 
-    Analytic: ``dephasing_factors`` and None; Monte Carlo: ``mean_phases``.
+    Analytic: ``dephasing_factors`` and None; Monte Carlo: ``mean_phases``,
+    whose standard error needs the survival ``weights`` (else None).
     """
     if channel.kind == "analytic":
         return dephasing_factors(channel.covariance, t), None

@@ -7,22 +7,21 @@ is the partial trace.  With ground-state ancillae the protected (y, z)
 components of the data spin come back scaled by the closed-form survival
 factor; the x component is untouched by construction.
 
-``run_pipeline`` is the one body: the encoded state, in the dephasing frame,
-has its elements multiplied by an 8x8 factor table, then is decoded,
-corrected and reduced.  All of that but the table is fixed by the
-configuration, so a ``PipelineConfig`` builds it once, when it is made, as a
-(4, 64) readout from the raveled table to the raveled reduced state; a run
-is the table, one matrix-vector product and the Bloch read.  The channel
-says how the table is averaged (``noise.channel_factors``): exactly over the
-Gaussian phases, or as the sample mean of seeded trajectories, each of whose
-survivals is read off the protected observable pulled back into that frame
-and contracted with the frame state, once per configuration.
-``run_pipeline_mc`` is ``run_pipeline`` on the same configuration with a
-Monte Carlo channel of the given settings.  The agreement of the two
-averages is the central cross-check of the package.  The constant gates
-(the encode/decode unitaries per correction, rotation and axis, and their
-reduction basis) are one read-only record per key, built once and cached
-(``_gates``); the ancilla sector projectors are rows of a constant identity.
+Both runs share one body: the encoded state, in the dephasing frame, has its
+elements multiplied by an 8x8 factor table, then is decoded, corrected and
+reduced.  All of that but the table is fixed by the configuration, whatever
+its channel, so a ``PipelineConfig`` builds it once as a (4, 64) readout
+from the raveled table to the raveled reduced state; a run is the table, one
+matrix-vector product, the Bloch read and the least squares of the protected
+output on the input.  The channel says how the table is averaged
+(``noise.channel_factors``): exactly over the Gaussian phases, or as the
+sample mean of seeded trajectories, whose survivals, one row of the readout
+times each table, also give a standard error.  ``run_pipeline_mc`` swaps
+only the channel.  The agreement of the two averages is the central
+cross-check of the package.  The constant gates (the encode/decode unitaries
+per correction, rotation and axis, and their reduction basis) are one
+read-only record per key, built once and cached (``_gates``); the ancilla
+sector projectors are rows of a constant identity.
 
 The mixed-ancilla survival and slopes read one sign table, ``SECTOR_SIGNS``;
 a single sector is its one-hot mixture.
@@ -52,7 +51,6 @@ from .noise import (
 )
 from .operators import (
     ANCILLA_SECTORS,
-    PAULI,
     BlochVector,
     bloch_of,
     data_state_from_bloch,
@@ -176,7 +174,8 @@ class PipelineResult:
 
     ``survival`` is the least-squares scalar mapping the protected input
     components (y, z) onto the output ones, or None when the input has no
-    protected component.  Monte Carlo runs also report its standard error.
+    protected component, whatever the channel.  Monte Carlo runs also report
+    its standard error, from the spread of the trajectories' survivals.
     """
 
     reduced: np.ndarray
@@ -247,49 +246,48 @@ def _gates(correction: bool, basis_rotation: str, axis: str) -> tuple[np.ndarray
 
 
 class _ConstantPart(NamedTuple):
-    # What run_pipeline needs of a configuration at every time.
+    # What a run needs of a configuration at every time, on every channel.
     bloch_in: BlochVector
     weight: float  # squared length of bloch_in's protected (y, z) part
-    contraction: np.ndarray | None  # 8x8 Monte Carlo survival weights, else None
     readout: np.ndarray  # (4, 64): raveled factor table -> raveled reduced state
 
 
 def _constant_part(config: PipelineConfig) -> _ConstantPart:
-    # The encoded state in the dephasing frame, folded once into the readout
-    # (and, on a Monte Carlo channel, into the survival contraction).
-    channel = config.channel
-    pre, post, basis = _gates(config.correction, config.basis_rotation, channel.axis)
+    # The encoded state in the dephasing frame, folded once into the readout.
+    pre, _, basis = _gates(config.correction, config.basis_rotation, config.channel.axis)
     rho0 = _initial_state(config)
     bloch_in = bloch_of(partial_trace_ancillae(rho0))
     state = pre @ rho0 @ pre.conj().T
-    weight = bloch_in.y**2 + bloch_in.z**2
-    contraction = None
+    return _ConstantPart(bloch_in, bloch_in.y**2 + bloch_in.z**2, basis * state.ravel())
+
+
+def _run(constant: _ConstantPart, channel: NoiseChannel, t: float) -> PipelineResult:
+    # The body of both runs.  A Monte Carlo trajectory's survival is
+    # Re(row . f), f its raveled factor table: the row reads the protected
+    # output off the readout's rows R00, R01, R10, R11 (z = R00 - R11,
+    # y = -i (R10 - R01)), so its mean is the least squares below.
+    bloch_in, weight, readout = constant
+    _, y, z = bloch_in
+    row = None
     if channel.kind == "monte-carlo" and weight > 0:
-        # The protected observable, pulled back through the post-noise gates
-        # and contracted with the frame state: a trajectory's factor table f
-        # gives its survival Re sum(f * contraction).  The exact average
-        # skips it.
-        observable = _product_state(bloch_in.y * PAULI["y"] + bloch_in.z * PAULI["z"], np.ones(4))
-        contraction = (post.conj().T @ observable @ post).T * state / weight
-    return _ConstantPart(bloch_in, weight, contraction, basis * state.ravel())
+        row = np.array([z, 1j * y, -1j * y, -z]) / weight @ readout
+    factors, stderr = channel_factors(channel, t, row)
+    reduced = (readout @ factors.ravel()).reshape(2, 2)
+    bloch_out = bloch_of(reduced)
+    survival = None
+    if weight > 0:  # least squares on the protected plane
+        survival = (bloch_out.y * y + bloch_out.z * z) / weight
+    return PipelineResult(reduced, bloch_in, bloch_out, survival, stderr)
 
 
 def run_pipeline(config: PipelineConfig, t: float) -> PipelineResult:
     """Run the pipeline at decoherence time t, averaging as the channel says.
 
-    The factor table comes from :func:`noise.channel_factors`.  On an
-    analytic channel the survival is read off the output; a Monte Carlo
-    channel also gives the mean and standard error of the trajectories'
-    survivals.  t must be a scalar.
+    The factor table comes from :func:`noise.channel_factors`, and the
+    survival is read off the output the same way on every channel; a Monte
+    Carlo channel also gives its standard error.  t must be a scalar.
     """
-    bloch_in, weight, contraction, readout = config._constant
-    factors, estimate = channel_factors(config.channel, t, contraction)
-    reduced = (readout @ factors.ravel()).reshape(2, 2)
-    bloch_out = bloch_of(reduced)
-    survival, stderr = estimate or (None, None)
-    if estimate is None and weight > 0:  # least squares on the protected plane
-        survival = (bloch_out.y * bloch_in.y + bloch_out.z * bloch_in.z) / weight
-    return PipelineResult(reduced, bloch_in, bloch_out, survival, stderr)
+    return _run(config._constant, config.channel, t)
 
 
 def run_pipeline_mc(
@@ -297,11 +295,12 @@ def run_pipeline_mc(
 ) -> PipelineResult:
     """:func:`run_pipeline` on ``config`` with a Monte Carlo channel of these settings.
 
-    ``seed`` is an int >= 0 or a SeedSequence; ``workers`` (>= 1) has no effect.
+    Nothing of ``config`` is rebuilt.  ``seed`` is an int >= 0 or a
+    SeedSequence; ``workers`` (>= 1) has no effect.
     """
     validate_integer(workers, "workers", 1)  # the next benchmark change drops workers
     settings = dict(kind="monte-carlo", samples=samples, seed=seed)
-    return run_pipeline(replace(config, channel=replace(config.channel, **settings)), t)
+    return _run(config._constant, replace(config.channel, **settings), t)
 
 
 def mixed_ancilla_survival(mix: AncillaMixture, cov, t):

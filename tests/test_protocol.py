@@ -197,19 +197,46 @@ def test_run_pipeline_matches_the_explicit_oracle(correction, basis_rotation, ax
 
 @pytest.mark.parametrize("correction,basis_rotation,axis", GATE_KEYS)
 def test_monte_carlo_pipeline_matches_the_explicit_oracle(correction, basis_rotation, axis):
-    # The oracle's contraction gives the same estimate bit for bit, and the
-    # sample mean table the same reduced state.
+    # On the sample mean table, the oracle's least squares and reduced state;
+    # with the oracle's contraction as the survival weights, the same standard
+    # error.  The package reads its weights off the readout, so the bounds
+    # allow rounding.
     rng = np.random.default_rng(32)
     cov = random_psd(rng)
     channel = NoiseChannel(cov, axis=axis)
     for seed, config in enumerate(_oracle_configs(rng, channel, correction, basis_rotation)):
         t, samples = rng.uniform(0.1, 1.5), 4500
         contraction = explicit_pipeline(config, t).contraction
-        mean, estimate = mean_phases(mc_channel(cov, samples, seed, axis=axis), t, contraction)
+        mean, stderr = mean_phases(mc_channel(cov, samples, seed, axis=axis), t, contraction)
         result = run_pipeline_mc(config, t, samples, seed)
-        assert (result.survival, result.survival_stderr) == estimate
         expected = explicit_pipeline(config, t, factors=mean)
+        assert abs(result.survival - expected.survival) <= 1e-14
+        assert abs(result.survival_stderr - stderr) <= 1e-13 * stderr
         assert np.abs(result.reduced - expected.reduced).max() <= 1e-14
+
+
+@pytest.mark.parametrize("correction,basis_rotation,axis", GATE_KEYS)
+def test_both_averages_read_the_survival_by_one_rule(correction, basis_rotation, axis, monkeypatch):
+    # The survival is the least squares of the output's protected components
+    # on the input's, bit for bit, on either channel.  Only a Monte Carlo run
+    # hands channel_factors survival weights, and they are the oracle's
+    # contraction.
+    rng = np.random.default_rng(35)
+    cov = random_psd(rng)
+    received, factors = [], protocol.channel_factors
+    monkeypatch.setattr(
+        protocol, "channel_factors", lambda *args: received.append(args[2]) or factors(*args)
+    )
+    for config in _oracle_configs(rng, NoiseChannel(cov, axis=axis), correction, basis_rotation):
+        t = rng.uniform(0.1, 1.5)
+        for result in (run_pipeline(config, t), run_pipeline_mc(config, t, 300, 4)):
+            bloch_in, bloch_out = result.bloch_in, result.bloch_out
+            weight = bloch_in.y**2 + bloch_in.z**2
+            expected = (bloch_out.y * bloch_in.y + bloch_out.z * bloch_in.z) / weight
+            assert result.survival == expected
+        analytic, weights = received[-2:]
+        contraction = explicit_pipeline(config, t).contraction.ravel()
+        assert analytic is None and np.abs(weights - contraction).max() <= 1e-15
 
 
 @pytest.mark.parametrize("t", [1e-3, 1e-2, 0.4, 1.2, 5.0])
@@ -245,9 +272,22 @@ def test_analytic_run_pipeline_builds_no_state_and_checks_nothing(eigvalsh_calls
     assert eigvalsh_calls == []
 
 
+def test_a_configuration_is_built_once_for_both_averages(monkeypatch):
+    # Its constant part does not depend on how the channel averages, so
+    # neither run rebuilds it.
+    config = make_config(random_psd(np.random.default_rng(36)), bloch=BLOCH)
+
+    def rebuild(config):
+        raise AssertionError("the configuration was rebuilt")
+
+    monkeypatch.setattr(protocol, "_constant_part", rebuild)
+    assert run_pipeline(config, 0.4).survival_stderr is None
+    assert run_pipeline_mc(config, 0.4, samples=50, seed=2).survival_stderr > 0
+
+
 def test_monte_carlo_configuration_builds_no_kronecker_product(monkeypatch):
-    # The survival observable is a product state of the protected data
-    # operator and the ancilla identity, built without np.kron.
+    # Neither the configuration nor a Monte Carlo run calls np.kron: the
+    # survival weights are a row of the readout.
     cov = random_psd(np.random.default_rng(34))
     make_config(cov, bloch=BLOCH)  # the constant gates, cached from here on
     krons, kron = [], np.kron
