@@ -21,7 +21,7 @@ from .analytics import (
     survival_factor,
     uncorrected_decay,
 )
-from .diffusion import GradientDiffusionSpec, attenuation_factor, spec_to_covariance
+from .diffusion import GradientDiffusionSpec, spec_to_covariance
 from .gates import encoder, global_rotation, toffoli
 from .noise import (
     CovarianceError,

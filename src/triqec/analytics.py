@@ -200,19 +200,17 @@ def fit_exponential_rate(curve: DecayCurve) -> FitResult:
 def predict_corrected_curve(rate: float, model: str, times) -> DecayCurve:
     """Corrected decay predicted from an uncorrected rate 1/tau.
 
-    Evaluates the closed form of the named model at the given times.  They
-    pass the one time rule (``noise.phase_scaled``) on the model's
-    covariance at that tau, as in every other function that takes times.
-    A rate so large or so small that tau or the model's rate 2/tau is no
-    float raises ValueError naming the rate.
+    Evaluates ``survival_factor`` on the named model's covariance at
+    tau = 1/rate, so the times pass the one time rule of every function
+    that takes times.  A rate so large or so small that tau or the model's
+    rate 2/tau is no float raises ValueError naming the rate.
     """
     named, rate = named_model(model), positive_finite(rate, "rate")
     tau = 1.0 / rate
     if not (math.isfinite(tau) and math.isfinite(2.0 / tau)):
         raise ValueError(f"rate is out of range: tau = 1/rate or 2/tau overflows, got {rate!r}")
-    phase_scaled(named.covariance(tau), times)
-    times = np.asarray(times, dtype=float)
-    return DecayCurve(times=times, values=np.asarray(named.closed_form(tau, times)))
+    values = survival_factor(named.covariance(tau), times)
+    return DecayCurve(times=np.asarray(times, dtype=float), values=np.asarray(values))
 
 
 def scale_to_rms(measured: DecayCurve, reference: DecayCurve) -> DecayCurve:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import os
 import subprocess
@@ -50,6 +51,9 @@ from .noise import MAX_SAMPLES, NoiseChannel, validate_covariance, validate_inte
 from .protocol import PipelineConfig, ancilla_mixture_nogo_search, grid_count, run_pipeline_mc
 
 SEED_ENV = "TRIQEC_SEED"
+
+#: CSV rows formatted and written at a time.
+_CHUNK_ROWS = 65536
 
 
 def _fmt(x: float) -> str:
@@ -130,13 +134,14 @@ def _git_commit() -> str | None:
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-def _write_file_atomic(path: str, text: str) -> None:
+def _write_file_atomic(path: str, chunks) -> None:
+    # Write the strings of chunks in turn to a temporary file, then rename it.
     target = Path(path)
     try:
         fd, tmp_name = tempfile.mkstemp(dir=target.parent or Path("."), suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+                handle.writelines(chunks)
             os.replace(tmp_name, target)
         except BaseException:
             os.unlink(tmp_name)
@@ -148,12 +153,17 @@ def _write_file_atomic(path: str, text: str) -> None:
 def _write_outputs(command: str, parameters: dict, path: str, header: list, columns: list) -> None:
     """Write the columns as one CSV atomically, then its manifest beside it.
 
-    Each row is formatted in one step, "%.17g" per value as ``_fmt`` gives it.
+    Each row is formatted in one step, "%.17g" per value as ``_fmt`` gives it,
+    and ``_CHUNK_ROWS`` rows are formatted and written at a time, so no more
+    than that many are ever held as text.
     """
-    template = ",".join(["%.17g"] * len(header))
-    rows = np.column_stack(columns).tolist()
-    lines = [",".join(header), *(template % tuple(row) for row in rows)]
-    _write_file_atomic(path, "\n".join(lines) + "\n")
+    template = ",".join(["%.17g"] * len(header)) + "\n"
+    table = np.column_stack(columns)
+    chunks = (
+        "".join([template % tuple(row) for row in table[start : start + _CHUNK_ROWS].tolist()])
+        for start in range(0, len(table), _CHUNK_ROWS)
+    )
+    _write_file_atomic(path, itertools.chain([",".join(header) + "\n"], chunks))
     manifest = {
         "command": command,
         "parameters": parameters,
@@ -164,7 +174,7 @@ def _write_outputs(command: str, parameters: dict, path: str, header: list, colu
         "outputs": [path],
     }
     manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    _write_file_atomic(path + ".manifest.json", manifest_text)
+    _write_file_atomic(path + ".manifest.json", [manifest_text])
 
 
 def read_curve_csv(path: str) -> DecayCurve:

@@ -6,7 +6,9 @@ variance D*t, so the echo recovered by the inverse gradient is attenuated by
 exp(-n^2 k0^2 D t / 2) for a coherence of order n.  Because diffusion shifts
 the phase of every spin in a molecule equally, one gradient-diffusion
 interval realizes the totally correlated error model; winding each spin
-during its own interval realizes the uncorrelated one.
+during its own interval realizes the uncorrelated one.  The echo law is
+not coded here: ``noise.dephasing_factors`` of ``spec_to_covariance(spec)``
+reproduces it for every coherence order.
 
 The interface takes k0 directly: the physics enters only through k0^2 D.
 (For a rectangular gradient pulse of strength g and duration delta on a
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import NAMED_MODELS, plain, real_number, shown
-from .noise import validate_integer
 
 #: The canonical named models (aliases excluded), each one pulse arrangement.
 SCHEMES = tuple(name for name, model in NAMED_MODELS.items() if model.name == name)
@@ -68,28 +69,12 @@ class GradientDiffusionSpec:
             return math.inf if self.diffusion_coefficient else 0.0
 
 
-def attenuation_factor(spec: GradientDiffusionSpec, order: int) -> float:
-    """Echo attenuation exp(-n^2 k0^2 D t / 2) of an order-n coherence.
-
-    Equals 1 for order 0 and decays with the square of the coherence order,
-    to 0.0 where n^2 k0^2 D t overflows; a non-integer order, or one beyond
-    the float range, raises ValueError.
-    """
-    order = validate_integer(order, "order")
-    if not abs(order) <= sys.float_info.max:
-        raise ValueError(f"order must be within the float range, got {shown(order)}")
-    if not (order and spec.rate and spec.diffusion_time):
-        return 1.0  # exactly: n^2 alone may overflow, and inf * 0 is NaN
-    n = float(order)
-    return float(np.exp(-0.5 * n * n * spec.rate * spec.diffusion_time))
-
-
 def spec_to_covariance(spec: GradientDiffusionSpec) -> np.ndarray:
     """Effective phase covariance of the gradient-diffusion experiment.
 
     Totally correlated scheme: every entry k0^2 D (one shared random phase).
     Uncorrelated scheme: diag(k0^2 D), i.e. 2/tau with 1/tau = k0^2 D / 2.
-    Feeding the result to the analytic dephasing channel reproduces
-    :func:`attenuation_factor` for every coherence order.
+    Feeding the result to the analytic dephasing channel reproduces the
+    echo attenuation exp(-n^2 k0^2 D t / 2) for every coherence order n.
     """
     return spec.rate * NAMED_MODELS[spec.scheme].pattern

@@ -1,8 +1,9 @@
-"""The named noise models: one table from each name to its closed forms.
+"""The named noise models: one table from each name to its rate pattern.
 
 A named covariance is 2/tau times a rate pattern: all-ones for one field
 shared by the three spins ("totally-correlated", alias "correlated"), the
 identity for independent, identically distributed fields ("uncorrelated").
+Their corrected survival is ``analytics.survival_factor`` of that covariance.
 """
 
 from __future__ import annotations
@@ -10,23 +11,8 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-
-def survival_uncorrelated(tau: float, t):
-    """Corrected survival (3 exp(-t/tau) - exp(-3t/tau)) / 2."""
-    t = np.asarray(t, dtype=float) / tau
-    out = 0.5 * (3 * np.exp(-t) - np.exp(-3 * t))
-    return float(out) if out.ndim == 0 else out
-
-
-def survival_correlated(tau: float, t):
-    """Corrected survival (9 exp(-t/tau) - exp(-9t/tau)) / 8."""
-    t = np.asarray(t, dtype=float) / tau
-    out = 0.125 * (9 * np.exp(-t) - np.exp(-9 * t))
-    return float(out) if out.ndim == 0 else out
 
 
 def real_number(value) -> bool:
@@ -85,15 +71,14 @@ def positive_finite(value, name: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class NamedModel:
-    """A named covariance (2/tau) * pattern and its closed forms.
+    """A named covariance (2/tau) * pattern.
 
-    ``closed_form(tau, t)`` is the corrected survival and ``inflection`` its
-    inflection time in units of tau.
+    ``inflection`` is the time, in units of tau, at which its corrected
+    survival inflects.
     """
 
     name: str
     pattern: np.ndarray
-    closed_form: Callable
     inflection: float
 
     def covariance(self, tau: float) -> np.ndarray:
@@ -104,10 +89,8 @@ class NamedModel:
         return rate * self.pattern
 
 
-TOTALLY_CORRELATED = NamedModel(
-    "totally-correlated", np.ones((3, 3)), survival_correlated, np.log(3.0) / 4
-)
-UNCORRELATED = NamedModel("uncorrelated", np.eye(3), survival_uncorrelated, np.log(3.0) / 2)
+TOTALLY_CORRELATED = NamedModel("totally-correlated", np.ones((3, 3)), np.log(3.0) / 4)
+UNCORRELATED = NamedModel("uncorrelated", np.eye(3), np.log(3.0) / 2)
 
 #: Every accepted model name, in the order the command line offers them.
 NAMED_MODELS = {

@@ -427,9 +427,10 @@ def mean_phases(channel: NoiseChannel, t: float, weights=None):
     samples = channel.samples if loading.size else 1
     if weights is not None:
         # Less v0 = Re sum(weights), the survival at chi = 0, on the constant
-        # monomial 1 1 1.  The mean of d = v - v0 is O(chi^2) against a spread
-        # of O(chi) (both O(chi^4) for a protected survival) at every C and t,
-        # so M2 = d . d - sum(d)^2 / n cancels no more than rounding.
+        # monomial 1 1 1.  A trajectory's survival v is even in chi, so the
+        # mean and the spread of d = v - v0 are of the same order, O(chi^2)
+        # (O(chi^4) for a protected survival), at every C and t, and
+        # M2 = d . d - sum(d)^2 / n cancels no more than rounding.
         w = np.asarray(weights, dtype=complex).ravel()
         folded = (w @ _FACTOR_MAP).real.reshape(9, 3)
         folded[_MONOMIAL_ROWS[-1], 2] -= w.sum().real

@@ -76,6 +76,31 @@ def z_scores(mc, exact, stderr) -> np.ndarray:
     return (np.asarray(mc, dtype=float) - exact) / np.asarray(stderr, dtype=float)
 
 
+def survival_correlated(tau: float, t):
+    """The paper's corrected survival for totally correlated fields (oracle).
+
+    (9 exp(-t/tau) - exp(-9t/tau)) / 8, the two-term form of the decay law
+    at the covariance (2/tau) * ones.
+    """
+    t = np.asarray(t, dtype=float) / tau
+    return 0.125 * (9 * np.exp(-t) - np.exp(-9 * t))
+
+
+def survival_uncorrelated(tau: float, t):
+    """The paper's corrected survival for uncorrelated fields (oracle).
+
+    (3 exp(-t/tau) - exp(-3t/tau)) / 2, the two-term form of the decay law
+    at the covariance (2/tau) * identity.
+    """
+    t = np.asarray(t, dtype=float) / tau
+    return 0.5 * (3 * np.exp(-t) - np.exp(-3 * t))
+
+
+def echo_attenuation(spec, order: int) -> float:
+    """The echo exp(-n^2 k0^2 D t / 2) of an order-n coherence after gradient diffusion (oracle)."""
+    return math.exp(-0.5 * order * order * spec.rate * spec.diffusion_time)
+
+
 def reference_normals(seed, samples: int, rank: int = 3) -> np.ndarray:
     """The (samples, rank) normals of a seeded ``samples``-sample Monte Carlo stream (oracle).
 

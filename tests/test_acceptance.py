@@ -19,6 +19,8 @@ from conftest import (
     project_ancilla_sectors,
     random_psd,
     richardson_second_derivative,
+    survival_correlated,
+    survival_uncorrelated,
 )
 from triqec.analytics import (
     DecayCurve,
@@ -32,7 +34,6 @@ from triqec.analytics import (
     uncorrected_decay,
 )
 from triqec.gates import encoder, toffoli
-from triqec.models import survival_correlated, survival_uncorrelated
 from triqec.noise import (
     NoiseChannel,
     dephasing_factors,

@@ -20,7 +20,7 @@ from triqec.analytics import (
     survival_factor,
     uncorrected_decay,
 )
-from triqec.models import survival_correlated, survival_uncorrelated
+from triqec.models import named_model
 from triqec.noise import totally_correlated, uncorrelated
 from triqec.operators import ANCILLA_SECTORS
 from triqec.protocol import AncillaMixture, mixed_ancilla_survival
@@ -47,22 +47,6 @@ def test_closed_forms_on_a_grid_equal_their_scalar_calls_bit_for_bit():
         for law in laws:
             pointwise = np.array([law(t) for t in grid.tolist()])
             assert law(grid).tobytes() == pointwise.tobytes()
-
-
-@pytest.mark.parametrize("tau", [0.1, 0.389, 1.0])
-def test_uncorrelated_special_case(tau):
-    times = np.linspace(0.0, 5 * tau, 100)
-    general = survival_factor(uncorrelated(tau), times)
-    special = survival_uncorrelated(tau, times)
-    assert np.abs(general - special).max() < 1e-12
-
-
-@pytest.mark.parametrize("tau", [0.1, 0.389, 1.0])
-def test_correlated_special_case(tau):
-    times = np.linspace(0.0, 5 * tau, 100)
-    general = survival_factor(totally_correlated(tau), times)
-    special = survival_correlated(tau, times)
-    assert np.abs(general - special).max() < 1e-12
 
 
 def test_survival_matches_cosh_sinh_form():
@@ -199,6 +183,11 @@ def test_predict_corrected_curve_values():
     x = np.log(3.0) / 2
     one_point = predict_corrected_curve(1.0, "uncorrelated", np.array([0.0, x]))
     assert one_point.values[-1] == pytest.approx(0.5 * (3 * np.exp(-x) - np.exp(-3 * x)), abs=1e-15)
+    rate = 2.5677
+    for model in ("correlated", "uncorrelated"):
+        values = predict_corrected_curve(rate, model, times).values
+        law = survival_factor(named_model(model).covariance(1 / rate), times)
+        assert values.tobytes() == law.tobytes()
     with pytest.raises(ValueError):
         predict_corrected_curve(0.0, "correlated", times)
     with pytest.raises(ValueError):

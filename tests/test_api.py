@@ -27,7 +27,6 @@ PUBLIC_NAMES = [
     "ancilla_mixture_nogo_search",
     "angular_momentum",
     "apply_channel",
-    "attenuation_factor",
     "bloch_of",
     "correlated_mixture_residuals",
     "curve_correlation",
@@ -72,7 +71,7 @@ def test_public_names_are_pinned():
         capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 47
     assert json.loads(out.stdout) == PUBLIC_NAMES
 
 

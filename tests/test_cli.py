@@ -57,6 +57,17 @@ def test_csv_rows_are_formatted_as_each_value_alone(tmp_path):
     assert path.read_text() == "\n".join(["a,b,c", *rows]) + "\n"
 
 
+def test_csv_rows_past_a_chunk_are_written_as_one_join(tmp_path):
+    # One row past a chunk of formatted rows: the file is byte for byte the
+    # one-step join of the header and every "%.17g" row, in order.
+    count = cli._CHUNK_ROWS + 1
+    columns = [np.arange(count) / 7, np.linspace(0.0, 1.0, count)]
+    path = tmp_path / "chunks.csv"
+    cli._write_outputs("decay", {}, str(path), ["t", "v"], columns)
+    rows = ["%.17g,%.17g" % row for row in zip(*(column.tolist() for column in columns))]
+    assert path.read_bytes() == ("\n".join(["t,v", *rows]) + "\n").encode()
+
+
 def test_decay_is_deterministic(tmp_path):
     args = ("decay", "--model", "uncorrelated", "--tau", 0.5, "--points", 16,
             "--tmax", 1.0, "--mc", 2000, "--seed", 3)

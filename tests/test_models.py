@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import survival_correlated, survival_uncorrelated
 from triqec.analytics import (
     DecayCurve,
     inflection_point,
@@ -35,7 +36,8 @@ def test_each_model_agrees_with_the_general_decay_law(name):
     cov = model.covariance(tau)
     assert np.array_equal(cov, (2.0 / tau) * model.pattern)
     times = np.linspace(0.0, 3 * tau, 50)
-    assert np.abs(model.closed_form(tau, times) - survival_factor(cov, times)).max() < 1e-12
+    paper = {"totally-correlated": survival_correlated, "uncorrelated": survival_uncorrelated}
+    assert np.abs(paper[model.name](tau, times) - survival_factor(cov, times)).max() < 1e-12
     assert inflection_point(name, tau) == pytest.approx(model.inflection * tau, rel=1e-15)
 
 
