@@ -18,12 +18,11 @@ nucleus of gyromagnetic ratio gamma, k0 = gamma * g * delta.)
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import NAMED_MODELS, plain, real_number, shown
+from .models import FLOAT_MAX, NAMED_MODELS, one_of, real_in
 
 #: The canonical named models (aliases excluded), each one pulse arrangement.
 SCHEMES = tuple(name for name, model in NAMED_MODELS.items() if model.name == name)
@@ -44,20 +43,18 @@ class GradientDiffusionSpec:
     scheme: str = SCHEMES[0]
 
     def __post_init__(self):
-        wavenumber = self.gradient_wavenumber
-        if not (real_number(wavenumber) and abs(plain(wavenumber)) <= sys.float_info.max):
-            raise ValueError(f"gradient_wavenumber must be finite, got {shown(wavenumber)}")
-        for name in ("diffusion_coefficient", "diffusion_time"):
-            value = getattr(self, name)
-            if not (real_number(value) and 0 <= plain(value) <= sys.float_info.max):
-                raise ValueError(f"{name} must be finite and >= 0, got {shown(value)}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        wavenumber = real_in(
+            self.gradient_wavenumber, "gradient_wavenumber", -FLOAT_MAX, FLOAT_MAX, "finite"
+        )
+        coefficient, _ = (
+            real_in(getattr(self, name), name, 0.0, FLOAT_MAX, "finite and >= 0")
+            for name in ("diffusion_coefficient", "diffusion_time")
+        )
+        one_of(self.scheme, SCHEMES, "scheme")
         if not math.isfinite(self.rate):
             raise ValueError(
                 "the rate k0^2 D must be a finite float, got gradient_wavenumber "
-                f"{float(wavenumber)!r} and diffusion_coefficient "
-                f"{float(self.diffusion_coefficient)!r}"
+                f"{wavenumber!r} and diffusion_coefficient {coefficient!r}"
             )
 
     @property

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .models import validate_integer
 from .operators import (
     IDENTITY2,
     IDENTITY8,
@@ -21,7 +22,6 @@ from .operators import (
     idempotent,
     kron3,
     pauli,
-    validate_spin,
 )
 
 
@@ -52,6 +52,6 @@ def global_rotation(axis: str, angle: float, spins=SPINS) -> np.ndarray:
     """Propagator exp(-i * angle * sum of I_axis over ``spins``)."""
     half = angle / 2
     single = np.cos(half) * IDENTITY2 - 1j * np.sin(half) * pauli(axis)
-    spins = [validate_spin(spin) for spin in spins]
+    spins = [validate_integer(spin, "spin index", 1, 3) for spin in spins]
     factors = [single if spin in spins else IDENTITY2 for spin in SPINS]
     return kron3(*factors)

@@ -1,4 +1,10 @@
-"""The named noise models: one table from each name to its rate pattern.
+"""The input rules and the named noise models.
+
+Each outside input passes one of three rules, which raise a ValueError (or
+the caller's subclass of it) naming the input: ``real_in``, a real number
+in a range, judged as the float it becomes (``real_array`` scans arrays of
+them the same way); ``validate_integer``, an integer within bounds (a bool
+is a flag, in both); ``one_of``, a name from a fixed tuple.
 
 A named covariance is 2/tau times a rate pattern: all-ones for one field
 shared by the three spins ("totally-correlated", alias "correlated"), the
@@ -8,7 +14,9 @@ Their corrected survival is ``analytics.survival_factor`` of that covariance.
 
 from __future__ import annotations
 
+import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -22,15 +30,6 @@ def real_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def plain(value):
-    """A real number as a Python number: a rational (an int too) as it is, else a float.
-
-    Range checks compare this against ``sys.float_info.max``: a numpy float16
-    or float32 would cast that bound to its own type, which overflows.
-    """
-    return value if isinstance(value, numbers.Rational) else float(value)
-
-
 def shown(value) -> str:
     """``repr(value)``, but an int beyond the float range shown as a float would be (1e+400)."""
     if isinstance(value, int) and not abs(value) <= sys.float_info.max:
@@ -40,14 +39,29 @@ def shown(value) -> str:
     return repr(value)
 
 
+#: The largest float, and the least positive one: a float x is > 0 if x >= TINY.
+FLOAT_MAX = sys.float_info.max
+TINY = math.ulp(0.0)
+
+
+def _as_float(value) -> float:
+    """``value`` as a float: +-inf beyond the float range, NaN if it is no real number."""
+    if not real_number(value):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:  # an int or a fraction beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
 def real_array(values, name: str, error=ValueError) -> np.ndarray:
     """``values`` as a float64 array if it holds real numbers, else ``error`` naming them.
 
     An int or float ndarray is taken as it is; any other input is scanned
     entry by entry, so a bool (a flag, not a number), a string, a complex
     number or None among floats is named, as is a ragged nested sequence
-    and an int beyond the float range (shown as ``shown`` prints it).  The
-    range of each entry is the caller's to check.
+    and a rational beyond the float range (shown as ``shown`` prints it).
+    The range of each entry is the caller's to check.
     """
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
         try:
@@ -57,16 +71,50 @@ def real_array(values, name: str, error=ValueError) -> np.ndarray:
         for x in np.asarray(values, dtype=object).ravel().tolist():
             if not real_number(x):
                 raise error(f"{name} must be real numbers, got {x!r}")
-            if isinstance(x, int) and not abs(x) <= sys.float_info.max:
+            if isinstance(x, numbers.Rational) and math.isinf(_as_float(x)):
                 raise error(f"{name} must be finite, got {shown(x)}")
     return np.asarray(values, dtype=float)
 
 
+def real_in(value, name: str, low: float, high: float, rule: str, error=ValueError) -> float:
+    """``value`` as a float if that is in [low, high], else ``error`` naming it and the rule.
+
+    Only the float is compared: a float16 would cast the bounds to its own type.
+    """
+    x = _as_float(value)
+    if not low <= x <= high:
+        raise error(f"{name} must be {rule}, got {shown(value)}")
+    return x
+
+
 def positive_finite(value, name: str) -> float:
-    """``value`` as a float if it is a real number, finite and > 0, else a ValueError naming it."""
-    if not (real_number(value) and 0 < plain(value) <= sys.float_info.max):
-        raise ValueError(f"{name} must be positive and finite, got {shown(value)}")
-    return float(value)
+    """``value`` as a float if that is > 0 and finite, else a ValueError naming it."""
+    return real_in(value, name, TINY, FLOAT_MAX, "positive and finite")
+
+
+def validate_integer(value, name: str, minimum=None, maximum=None) -> int:
+    """``value`` as an int (numpy integers too) in [minimum, maximum], else a ValueError naming it.
+
+    A bound of None is not checked.
+    """
+    try:
+        if isinstance(value, (bool, np.bool_)):  # a flag, not a count
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    if maximum is not None and count > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value!r}")
+    return count
+
+
+def one_of(value, choices: tuple, name: str, error=ValueError) -> str:
+    """``value`` if it is a string in ``choices`` (by ==, never hashed), else ``error``."""
+    if not (isinstance(value, str) and value in choices):
+        raise error(f"{name} must be one of {', '.join(map(repr, choices))}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +149,5 @@ NAMED_MODELS = {
 
 
 def named_model(name: str) -> NamedModel:
-    """Look up a model by name or alias; unknown names raise ValueError."""
-    if name not in NAMED_MODELS:
-        raise ValueError(f"unknown model {name!r}")
-    return NAMED_MODELS[name]
+    """Look up a model by name or alias; any other name raises ValueError."""
+    return NAMED_MODELS[one_of(name, tuple(NAMED_MODELS), "model")]

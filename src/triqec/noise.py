@@ -52,14 +52,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .models import TOTALLY_CORRELATED, UNCORRELATED, real_array
+from .models import TOTALLY_CORRELATED, UNCORRELATED, one_of, real_array, validate_integer
 from .operators import kron3
 
 #: Samples per reduction block; fixed so the summation order never varies.
@@ -82,9 +81,7 @@ FRAMES = {
 
 def dephasing_frame(axis: str) -> np.ndarray:
     """``FRAMES[axis]``; an axis other than 'x' or 'z' raises ValueError."""
-    if axis not in FRAMES:
-        raise ValueError(f"axis must be 'x' or 'z', got {axis!r}")
-    return FRAMES[axis]
+    return FRAMES[one_of(axis, tuple(FRAMES), "axis")]
 
 
 #: Per-basis-state signs of 2Iz for each spin, shape (8, 3).
@@ -175,26 +172,6 @@ def uncorrelated(tau: float) -> np.ndarray:
     return UNCORRELATED.covariance(tau)
 
 
-def validate_integer(
-    value, name: str, minimum: int | None = None, maximum: int | None = None
-) -> int:
-    """``value`` as an int (numpy integers too) in [minimum, maximum], else a ValueError naming it.
-
-    A bound of None is not checked.
-    """
-    try:
-        if isinstance(value, (bool, np.bool_)):  # a flag, not a count
-            raise TypeError
-        count = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if minimum is not None and count < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
-    if maximum is not None and count > maximum:
-        raise ValueError(f"{name} must be <= {maximum}, got {value!r}")
-    return count
-
-
 def validate_seed(seed):
     """A Monte Carlo seed: an int >= 0 (returned as int) or a SeedSequence, else ValueError."""
     return seed if isinstance(seed, np.random.SeedSequence) else validate_integer(seed, "seed", 0)
@@ -223,8 +200,7 @@ class NoiseChannel:
     def __post_init__(self):
         object.__setattr__(self, "covariance", validate_covariance(self.covariance))
         dephasing_frame(self.axis)  # rejects axes other than 'x' and 'z'
-        if self.kind not in ("analytic", "monte-carlo"):
-            raise ValueError(f"kind must be 'analytic' or 'monte-carlo', got {self.kind!r}")
+        one_of(self.kind, ("analytic", "monte-carlo"), "kind")
         object.__setattr__(self, "seed", validate_seed(self.seed))
         if self.kind == "monte-carlo" or self.samples is not None:
             samples = validate_integer(self.samples, "samples", 1, MAX_SAMPLES)

@@ -9,12 +9,11 @@ functions here are pure and never mutate their inputs.
 
 from __future__ import annotations
 
-import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from .models import plain, real_number, shown
+from .models import FLOAT_MAX, one_of, real_in, real_number, validate_integer
 
 DIM = 8
 SPINS = (1, 2, 3)
@@ -35,16 +34,7 @@ STATE_TOL = 1e-9  # tolerance of the Bloch-length check
 
 def pauli(axis: str) -> np.ndarray:
     """``PAULI[axis]``; an axis other than 'x', 'y' or 'z' raises ValueError."""
-    if axis not in PAULI:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    return PAULI[axis]
-
-
-def validate_spin(spin) -> int:
-    """Return ``spin`` if it is 1, 2 or 3, else raise ValueError."""
-    if spin not in SPINS:
-        raise ValueError(f"spin index must be 1, 2 or 3, got {spin!r}")
-    return spin
+    return PAULI[one_of(axis, tuple(PAULI), "axis")]
 
 
 def validate_signs(*signs, name: str = "ancilla signs") -> tuple:
@@ -79,7 +69,7 @@ def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 def embed(op: np.ndarray, spin: int) -> np.ndarray:
     """Embed a 2x2 single-spin operator into the three-spin space."""
     factors = [IDENTITY2, IDENTITY2, IDENTITY2]
-    factors[validate_spin(spin) - 1] = np.asarray(op, dtype=complex)
+    factors[validate_integer(spin, "spin index", 1, 3) - 1] = np.asarray(op, dtype=complex)
     return kron3(*factors)
 
 
@@ -106,15 +96,11 @@ def data_state_from_bloch(bloch) -> np.ndarray:
         x, y, z = bloch
     except (TypeError, ValueError):  # not three components
         raise NormalizationError(f"Bloch vector must have 3 components, got {bloch!r}") from None
-    bad = [component for component in (x, y, z) if not real_number(component)]
-    if bad:
-        raise NormalizationError(f"Bloch vector components must be real numbers, got {bad[0]!r}")
-    if not all(abs(plain(component)) <= sys.float_info.max for component in (x, y, z)):
-        components = ", ".join(map(shown, (x, y, z)))
-        raise NormalizationError(f"Bloch vector components must be finite, got ({components})")
+    rule = "Bloch vector components", -FLOAT_MAX, FLOAT_MAX, "finite real numbers"
+    x, y, z = (real_in(component, *rule, NormalizationError) for component in (x, y, z))
     r2 = x * x + y * y + z * z
     if r2 > 1.0 + STATE_TOL:
-        raise NormalizationError(f"Bloch vector has norm {np.sqrt(r2)!r} > 1")
+        raise NormalizationError(f"Bloch vector has norm {r2**0.5!r} > 1")
     return 0.5 * (IDENTITY2 + x * PAULI["x"] + y * PAULI["y"] + z * PAULI["z"])
 
 

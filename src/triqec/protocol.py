@@ -30,7 +30,6 @@ a single sector is its one-hot mixture.
 from __future__ import annotations
 
 import bisect
-import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -40,7 +39,7 @@ import numpy as np
 
 from .analytics import _decay_law
 from .gates import encoder, global_rotation, toffoli
-from .models import plain, real_number, shown
+from .models import FLOAT_MAX, TINY, one_of, real_in
 from .noise import (
     NoiseChannel,
     channel_factors,
@@ -65,13 +64,12 @@ class ConfigError(ValueError):
     """Pipeline configuration that violates its invariants."""
 
 
-def _nonnegative(weight, name: str) -> None:
-    if not (real_number(weight) and -1e-12 <= plain(weight) <= sys.float_info.max):
-        raise ConfigError(f"{name} must be finite and >= 0, got {shown(weight)}")
+def _weight(value, name: str) -> float:
+    return real_in(value, name, -1e-12, FLOAT_MAX, "finite and >= 0", ConfigError)
 
 
 def _unit_sum(weights, name: str) -> None:
-    total = sum(map(plain, weights))  # a float16 sum would round 1.0001 to 1
+    total = sum(weights)  # checked floats: a float16 sum would round 1.0001 to 1
     if not (abs(total - 1.0) <= 1e-12):
         raise ConfigError(f"{name} must sum to 1, got {total!r}")
 
@@ -89,9 +87,8 @@ class AncillaMixture:
     mu_mm: float
 
     def __post_init__(self):
-        for field in fields(self):
-            _nonnegative(getattr(self, field.name), f"mixture weight {field.name}")
-        _unit_sum(self.weights, "mixture weights")
+        names = [f"mixture weight {field.name}" for field in fields(self)]
+        _unit_sum(map(_weight, self.weights, names), "mixture weights")
 
     @property
     def weights(self) -> tuple[float, float, float, float]:
@@ -118,7 +115,7 @@ class CorrelatedComponent:
     sector: tuple[int, int]
 
     def __post_init__(self):
-        _nonnegative(self.weight, "component weight")
+        _weight(self.weight, "component weight")
         data_state_from_bloch(self.bloch)  # rejects non-finite or too long Bloch vectors
         sector_index(*self.sector)  # rejects signs other than +-1
 
@@ -133,7 +130,7 @@ def _correlated_components(components) -> tuple[CorrelatedComponent, ...]:
         )
     if not components:
         raise ConfigError("correlated mixture needs at least one component")
-    _unit_sum((comp.weight for comp in components), "correlated mixture weights")
+    _unit_sum((float(comp.weight) for comp in components), "correlated mixture weights")
     return components
 
 
@@ -154,7 +151,9 @@ class PipelineConfig:
     basis_rotation: str = "none"
 
     def __post_init__(self):
-        _gates(self.correction, self.basis_rotation, self.channel.axis)  # checks the strings
+        if not isinstance(self.correction, (bool, np.bool_)):
+            raise ConfigError(f"correction must be a bool, got {self.correction!r}")
+        one_of(self.basis_rotation, BASIS_ROTATIONS, "basis_rotation", ConfigError)
         correlated = self.ancillae is not None and not isinstance(self.ancillae, AncillaMixture)
         if correlated:
             components = _correlated_components(self.ancillae)
@@ -221,10 +220,6 @@ def _gates(correction: bool, basis_rotation: str, axis: str) -> tuple[np.ndarray
     # raveled partial trace of post |i><j| post^H: a frame state S scaled by
     # a factor table F decodes to the reduced state sum_ij F_ij S_ij column_ij.
     frame = dephasing_frame(axis)
-    if basis_rotation not in BASIS_ROTATIONS:
-        raise ConfigError(
-            f"basis_rotation must be one of {BASIS_ROTATIONS}, got {basis_rotation!r}"
-        )
     if not correction:
         pre, post = frame, frame.conj().T
     else:
@@ -365,8 +360,7 @@ _UNIT_STEPS = np.indices((2, 2, 2)).reshape(3, -1).T[2:]
 
 def grid_count(grid_step, name: str) -> int:
     """n = round(1 / grid_step) for a real step in (0, 1] above 2**-63, else a ValueError."""
-    if not (real_number(grid_step) and 0 < grid_step <= 1):
-        raise ValueError(f"{name} must be in (0, 1], got {grid_step!r}")
+    grid_step = real_in(grid_step, name, TINY, 1.0, "in (0, 1]")
     if not 1.0 / grid_step < 2.0**63:
         raise ValueError(f"{name} must be above 2**-63, got {grid_step!r}")
     return max(1, round(1.0 / grid_step))

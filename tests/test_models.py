@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from triqec.protocol import (
     CorrelatedComponent,
     PipelineConfig,
     ancilla_mixture_nogo_search,
+    grid_count,
 )
 
 
@@ -49,8 +51,12 @@ def test_alias_and_factories_share_one_table_entry():
     assert tuple(NAMED_MODELS) == ("correlated", "totally-correlated", "uncorrelated")
 
 
-@pytest.mark.parametrize("tau", [None, 0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "tau",
+    [None, 0.0, -1.0, float("nan"), float("inf"), pytest.param(Fraction(1, 10**400), id="1/10**400")],
+)
 def test_named_models_require_a_positive_tau(tau):
+    # A fraction that underflows is judged as the float 0.0 it becomes.
     for name in NAMED_MODELS:
         with pytest.raises(ValueError, match="tau"):
             named_model(name).covariance(tau)
@@ -95,7 +101,7 @@ REAL_INPUTS = {
     "grid-step": (lambda v: ancilla_mixture_nogo_search(np.eye(3), v), "grid_step must be in"),
     "bloch": (
         lambda v: PipelineConfig(NoiseChannel(np.eye(3)), bloch=(v, 0.0, 0.0)),
-        "Bloch vector components must be real numbers",
+        "Bloch vector components must be finite real numbers",
     ),
     "sector": (lambda v: CorrelatedComponent(1.0, (0.0, 0.0, 1.0), (v, -1)), "ancilla signs must"),
     "covariance": (
@@ -129,8 +135,9 @@ BEYOND_FLOAT = {
     ),
     "bloch": (
         lambda v: PipelineConfig(NoiseChannel(np.eye(3)), bloch=(v, 0, 0)),
-        "Bloch vector components must be finite, got ({}, 0, 0)",
+        "Bloch vector components must be finite real numbers, got {}",
     ),
+    "survival-times": (lambda v: survival_factor(np.eye(3), v), "times must be finite, got {}"),
     "curve-times": (lambda v: DecayCurve([0, v], [1, 0.5]), "curve times must be finite, got {}"),
     "curve-values": (lambda v: DecayCurve([0, 1], [1, v]), "curve values must be finite, got {}"),
     "wavenumber": (
@@ -149,11 +156,14 @@ BEYOND_FLOAT = {
 
 
 @pytest.mark.parametrize(
-    "value, shown", [(10**400, "1e+400"), (10**5000, "1e+5000")], ids=["10**400", "10**5000"]
+    "value, shown",
+    [(10**400, "1e+400"), (10**5000, "1e+5000"), (Fraction(10**400), repr(Fraction(10**400)))],
+    ids=["10**400", "10**5000", "Fraction(10**400)"],
 )
 @pytest.mark.parametrize("entry", list(BEYOND_FLOAT))
 def test_ints_beyond_the_float_range_get_the_named_error(entry, value, shown):
     # float(10**400) overflows; the check names the int as a float would show it.
+    # A fraction beyond the float range is named too, as its repr.
     entry_point, message = BEYOND_FLOAT[entry]
     with pytest.raises(ValueError) as error:
         entry_point(value)
@@ -183,6 +193,7 @@ BAD_ENTRIES = [
     pytest.param(None, "real numbers, got None", id="None"),
     pytest.param([[0.1, 0.2], [0.3]], "real numbers, got a ragged nested sequence", id="ragged"),
     pytest.param(10**400, "finite, got 1e+400", id="10**400"),
+    pytest.param(Fraction(10**400), f"finite, got {Fraction(10**400)!r}", id="Fraction(10**400)"),
 ]
 
 
@@ -236,11 +247,11 @@ def test_bloch_vectors_and_covariances_are_checked_whole():
 
 
 def test_unknown_model_names_are_rejected_everywhere():
-    with pytest.raises(ValueError, match="unknown model"):
+    with pytest.raises(ValueError, match="^model must be one of"):
         named_model("partially-correlated")
-    with pytest.raises(ValueError, match="unknown model"):
+    with pytest.raises(ValueError, match="^model must be one of"):
         inflection_point("partially-correlated", 1.0)
-    with pytest.raises(ValueError, match="unknown model"):
+    with pytest.raises(ValueError, match="^model must be one of"):
         predict_corrected_curve(1.0, "partially-correlated", [0.0, 0.1])
     with pytest.raises(ValueError, match="scheme"):
         GradientDiffusionSpec(1.0, 1.0, 0.1, scheme="correlated")
@@ -260,6 +271,9 @@ RANGE_CHECKED = {
     "totally_correlated": totally_correlated,
     "AncillaMixture": lambda x: np.array(AncillaMixture(x, 0, 0, 0).weights, dtype=float),
     "GradientDiffusionSpec": lambda x: spec_to_covariance(GradientDiffusionSpec(2 * x, 1.0, 1.0)),
+    "inflection_point": lambda x: np.array(inflection_point("correlated", x)),
+    "predict_corrected_curve": lambda x: predict_corrected_curve(x, "correlated", [0, 1]).values,
+    "grid_count": lambda x: np.array(grid_count(x, "grid_step")),
 }
 
 

@@ -3,6 +3,7 @@ import math
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from triqec import noise, protocol
 from triqec.analytics import survival_derivatives_at_zero, survival_factor, uncorrected_decay
 from triqec.diffusion import GradientDiffusionSpec
 from triqec.gates import encoder, global_rotation, toffoli
+from triqec.models import named_model
 from triqec.noise import (
     _EPS,
     FRAMES,
@@ -46,6 +48,7 @@ from triqec.operators import (
     bloch_of,
     data_state_from_bloch,
     embed,
+    idempotent,
     partial_trace_ancillae,
     sector_index,
 )
@@ -682,13 +685,55 @@ def test_each_public_call_checks_its_covariance_once(eigvalsh_calls):
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda: NoiseChannel(np.eye(3), axis="y"), "axis must be 'x' or 'z', got 'y'"),
-        (lambda: dephase(np.eye(8), np.ones((8, 8)), "y"), "axis must be 'x' or 'z', got 'y'"),
+        (lambda: NoiseChannel(np.eye(3), axis="y"), "axis must be one of 'x', 'z', got 'y'"),
+        (lambda: NoiseChannel(np.eye(3), axis=["x"]), "axis must be one of 'x', 'z', got ['x']"),
+        (lambda: dephase(np.eye(8), np.ones((8, 8)), "y"), "axis must be one of 'x', 'z', got 'y'"),
         (lambda: angular_momentum(1, "w"), "axis must be one of 'x', 'y', 'z', got 'w'"),
+        (lambda: angular_momentum(1, ["x"]), "axis must be one of 'x', 'y', 'z', got ['x']"),
         (lambda: global_rotation("w", 1.0), "axis must be one of 'x', 'y', 'z', got 'w'"),
         (lambda: random_propagator(np.zeros(3), "w"), "axis must be one of 'x', 'y', 'z', got 'w'"),
-        (lambda: embed(PAULI["x"], 4), "spin index must be 1, 2 or 3, got 4"),
-        (lambda: global_rotation("x", 1.0, spins=(1, 0)), "spin index must be 1, 2 or 3, got 0"),
+        (
+            lambda: NoiseChannel(np.eye(3), kind="exact"),
+            "kind must be one of 'analytic', 'monte-carlo', got 'exact'",
+        ),
+        (
+            lambda: named_model(["correlated"]),
+            "model must be one of 'correlated', 'totally-correlated', 'uncorrelated', "
+            "got ['correlated']",
+        ),
+        (
+            lambda: GradientDiffusionSpec(1.0, 1.0, 1.0, scheme="correlated"),
+            "scheme must be one of 'totally-correlated', 'uncorrelated', got 'correlated'",
+        ),
+        (
+            lambda: make_config(np.eye(3), bloch=BLOCH, basis_rotation=["none"]),
+            "basis_rotation must be one of 'none', 'y-pi/2', got ['none']",
+        ),
+        (
+            lambda: make_config(np.eye(3), bloch=BLOCH, correction="no"),
+            "correction must be a bool, got 'no'",
+        ),
+        (
+            lambda: make_config(np.eye(3), bloch=BLOCH, correction=0.0),
+            "correction must be a bool, got 0.0",
+        ),
+        (
+            lambda: make_config(np.eye(3), bloch=BLOCH, correction=None),
+            "correction must be a bool, got None",
+        ),
+        (
+            lambda: make_config(np.eye(3), bloch=BLOCH, correction=[1]),
+            "correction must be a bool, got [1]",
+        ),
+        (lambda: embed(PAULI["x"], 4), "spin index must be <= 3, got 4"),
+        (lambda: global_rotation("x", 1.0, spins=(1, 0)), "spin index must be >= 1, got 0"),
+        (
+            lambda: global_rotation("x", 1.0, spins=(1.0,)),
+            "spin index must be an integer, got 1.0",
+        ),
+        (lambda: angular_momentum(1.0, "x"), "spin index must be an integer, got 1.0"),
+        (lambda: angular_momentum(True, "x"), "spin index must be an integer, got True"),
+        (lambda: idempotent(2.0, 1), "spin index must be an integer, got 2.0"),
         (
             lambda: AncillaMixture(1.5, -0.5, 0.0, 0.0),
             "mixture weight mu_pm must be finite and >= 0, got -0.5",
@@ -945,7 +990,7 @@ def test_nogo_search_requires_data_spin_variance():
     silent_data = np.diag([0.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="c11"):
         ancilla_mixture_nogo_search(silent_data)
-    for step in (0.0, -0.1, 1.5, float("nan"), 5e-324, 1e-19):
+    for step in (0.0, -0.1, 1.5, float("nan"), 5e-324, 1e-19, Fraction(1, 10**400)):
         with pytest.raises(ValueError, match="grid_step"):
             ancilla_mixture_nogo_search(np.eye(3), grid_step=step)
 
