@@ -76,21 +76,43 @@ class FitResult:
             raise ValueError(f"correlation {self.correlation!r} outside [-1, 1]")
 
 
+def _decays(rates: np.ndarray, t):
+    # exp(-(t/2) rate), one row per rate with time along the last axes: one
+    # table, scaled and exponentiated in place.
+    table = rates.reshape((-1,) + (1,) * np.ndim(t)) * t
+    table *= -0.5
+    return np.exp(table, out=table)
+
+
 def _triple_quantum_product(cov: np.ndarray, t):
     # F1 F2 F3 F123 as a mean of decaying exponentials (stable for PSD cov),
-    # one row of exponentials per pattern, added in pattern order.
+    # one row of exponentials per pattern, added in place in pattern order.
     quads = np.einsum("pj,jk,pk->p", _TRIPLE_PATTERNS, cov, _TRIPLE_PATTERNS)
-    e0, e1, e2, e3 = np.exp(-0.5 * np.multiply.outer(quads, t))
-    return 0.25 * (e0 + e1 + e2 + e3)
+    e0, e1, e2, e3 = _decays(quads, t)
+    e0 += e1
+    e0 += e2
+    e0 += e3
+    e0 *= 0.25
+    return e0
 
 
 def _decay_law(c: np.ndarray, t, a2, a3, b):
     # 0.5 (F1 + a2 F2 + a3 F3 - b F1 F2 F3 F123) for the checked (c, t) of
-    # phase_scaled; (1, 1, 1) is the ground-state law.  Time runs along the
-    # last, contiguous axis, so each exp is one pass over a (k, n) table.
-    f1, f2, f3 = np.exp(-0.5 * np.multiply.outer(np.diagonal(c), t))
-    out = 0.5 * (f1 + f2 * a2 + f3 * a3 - b * _triple_quantum_product(c, t))
-    return float(out) if out.ndim == 0 else out
+    # phase_scaled; (1, 1, 1) is the ground-state law.  The rows are combined
+    # in place, in the formula's order, so 7 rows of times are all it holds;
+    # the 4 of the triple go before the result is copied out of the other 3,
+    # so that a caller keeps one row.
+    f1, f2, f3 = _decays(np.diagonal(c), t)
+    triple = _triple_quantum_product(c, t)
+    f2 *= a2
+    f2 += f1
+    f3 *= a3
+    f2 += f3
+    triple *= b
+    f2 -= triple
+    del triple
+    f2 *= 0.5
+    return float(f2) if f2.ndim == 0 else f2.copy()
 
 
 def survival_factor(cov, t):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .models import validate_integer
+from .models import FLOAT_MAX, real_in, validate_integer
 from .operators import (
     IDENTITY2,
     IDENTITY8,
@@ -49,8 +49,8 @@ def toffoli() -> np.ndarray:
 
 
 def global_rotation(axis: str, angle: float, spins=SPINS) -> np.ndarray:
-    """Propagator exp(-i * angle * sum of I_axis over ``spins``)."""
-    half = angle / 2
+    """Propagator exp(-i * angle * sum of I_axis over ``spins``); the angle must be finite."""
+    half = real_in(angle, "angle", -FLOAT_MAX, FLOAT_MAX, "finite") / 2
     single = np.cos(half) * IDENTITY2 - 1j * np.sin(half) * pauli(axis)
     spins = [validate_integer(spin, "spin index", 1, 3) for spin in spins]
     factors = [single if spin in spins else IDENTITY2 for spin in SPINS]

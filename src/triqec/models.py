@@ -31,11 +31,16 @@ def real_number(value) -> bool:
 
 
 def shown(value) -> str:
-    """``repr(value)``, but an int beyond the float range shown as a float would be (1e+400)."""
-    if isinstance(value, int) and not abs(value) <= sys.float_info.max:
-        from decimal import Context  # only here: importing it costs 1.5 ms
+    """``repr(value)``, but a nonzero rational beyond the float range in 17 digits (1e+400, 1e-400).
 
-        return f"{Context(prec=17).create_decimal(value).normalize():e}"
+    Beyond the range is a magnitude outside [``TINY``, ``FLOAT_MAX``], where
+    an int or a fraction has no float of its own.
+    """
+    if isinstance(value, numbers.Rational) and value and not TINY <= abs(value) <= FLOAT_MAX:
+        from decimal import Context, Decimal  # only here: importing it costs 1.5 ms
+
+        quotient = Context(prec=17).divide(Decimal(value.numerator), Decimal(value.denominator))
+        return f"{quotient.normalize():e}"
     return repr(value)
 
 

@@ -151,6 +151,8 @@ class PipelineConfig:
     basis_rotation: str = "none"
 
     def __post_init__(self):
+        if not isinstance(self.channel, NoiseChannel):
+            raise ConfigError(f"channel must be a NoiseChannel, got {self.channel!r}")
         if not isinstance(self.correction, (bool, np.bool_)):
             raise ConfigError(f"correction must be a bool, got {self.correction!r}")
         one_of(self.basis_rotation, BASIS_ROTATIONS, "basis_rotation", ConfigError)
@@ -298,6 +300,13 @@ def run_pipeline_mc(
     return _run(config._constant, replace(config.channel, **settings), t)
 
 
+def _mixture_weights(mix) -> tuple[float, float, float, float]:
+    # The weights of an AncillaMixture; anything else is a ConfigError naming it.
+    if not isinstance(mix, AncillaMixture):
+        raise ConfigError(f"mix must be an AncillaMixture, got {mix!r}")
+    return mix.weights
+
+
 def mixed_ancilla_survival(mix: AncillaMixture, cov, t):
     """Survival of the protected components for a diagonal ancilla mixture.
 
@@ -305,8 +314,9 @@ def mixed_ancilla_survival(mix: AncillaMixture, cov, t):
     mixture gives that sector's survival, and (1, 0, 0, 0) the survival
     factor.  Accepts a scalar or array of times.
     """
+    weights = _mixture_weights(mix)
     c, t = phase_scaled(cov, t)
-    return _decay_law(c, t, *(mix.weights @ SECTOR_SIGNS))
+    return _decay_law(c, t, *(weights @ SECTOR_SIGNS))
 
 
 #: First-order decay coefficients: rows c11, c22, c33, columns the ancilla
@@ -329,7 +339,7 @@ def mixed_ancilla_slope_at_zero(mix: AncillaMixture, cov) -> float:
     regardless of the covariance; any weight on the other sectors couples the
     slope to the variances.
     """
-    return float(_slope(mix.weights, cov))
+    return float(_slope(_mixture_weights(mix), cov))
 
 
 @dataclass(frozen=True)

@@ -177,23 +177,23 @@ def explicit_pipeline(config, t: float, factors=None) -> ExplicitRun:
     return ExplicitRun(reduced, survival, contraction)
 
 
-def gate_derivatives(config, component: str, covs, order: int) -> np.ndarray:
-    """The order-th derivative at t = 0 of the exact route's output ``component`` (oracle).
+_KEYS = [tuple(int(e) for e in eps * np.sign(eps[np.abs(eps).argmax()])) for eps in _EPS]
+#: The 14 classes of eps up to sign, each keyed by its member whose first nonzero entry is +1.
+EPS_CLASSES = sorted(set(_KEYS))
 
-    On the exact route the output's ``component`` (y or z) is sum_e W_e
-    exp(-(t/2) eps_e^T C eps_e) over the 64 frame elements e, where W is Re of
-    that component's observable pulled back through the post-noise gates
-    times the encoded frame state.  So its k-th derivative at t = 0 is
-    sum_e W_e (-(1/2) eps_e^T C eps_e)^k: a polynomial of degree k in the 6
-    entries of C, read here from the gates alone at each of the (n, 3, 3)
-    ``covs``.
+
+def gate_spectrum(config, component: str) -> dict[tuple[int, int, int], float]:
+    """The exact route's output ``component`` as coefficients of 14 exponentials (oracle).
+
+    The 64 weights W_e of exp(-(t/2) eps_e^T C eps_e) in that output, Re of its observable
+    pulled back through the post-noise gates times the encoded frame state, added per class.
     """
     pre, post = _gates(config.correction, config.basis_rotation, config.channel.axis)[:2]
     state = pre @ _initial_state(config) @ pre.conj().T
     observable = np.kron(PAULI[component], np.eye(4))
     weights = ((post.conj().T @ observable @ post).T * state).real.ravel()
-    forms = -0.5 * np.einsum("ej,njk,ek->ne", _EPS, np.asarray(covs, dtype=float), _EPS)
-    return forms**order @ weights
+    classes = np.bincount([EPS_CLASSES.index(key) for key in _KEYS], weights)
+    return dict(zip(EPS_CLASSES, classes.tolist()))
 
 
 def polar_amplitudes(theta: float, phi: float) -> tuple[complex, complex]:

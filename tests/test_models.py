@@ -157,13 +157,13 @@ BEYOND_FLOAT = {
 
 @pytest.mark.parametrize(
     "value, shown",
-    [(10**400, "1e+400"), (10**5000, "1e+5000"), (Fraction(10**400), repr(Fraction(10**400)))],
+    [(10**400, "1e+400"), (10**5000, "1e+5000"), (Fraction(10**400), "1e+400")],
     ids=["10**400", "10**5000", "Fraction(10**400)"],
 )
 @pytest.mark.parametrize("entry", list(BEYOND_FLOAT))
 def test_ints_beyond_the_float_range_get_the_named_error(entry, value, shown):
-    # float(10**400) overflows; the check names the int as a float would show it.
-    # A fraction beyond the float range is named too, as its repr.
+    # float(10**400) overflows; the check names the int, or the fraction, as a
+    # float would show it.
     entry_point, message = BEYOND_FLOAT[entry]
     with pytest.raises(ValueError) as error:
         entry_point(value)
@@ -193,7 +193,7 @@ BAD_ENTRIES = [
     pytest.param(None, "real numbers, got None", id="None"),
     pytest.param([[0.1, 0.2], [0.3]], "real numbers, got a ragged nested sequence", id="ragged"),
     pytest.param(10**400, "finite, got 1e+400", id="10**400"),
-    pytest.param(Fraction(10**400), f"finite, got {Fraction(10**400)!r}", id="Fraction(10**400)"),
+    pytest.param(Fraction(10**400), "finite, got 1e+400", id="Fraction(10**400)"),
 ]
 
 
