@@ -28,6 +28,12 @@ from triqec.operators import ANCILLA_SECTORS
 from triqec.protocol import AncillaMixture, mixed_ancilla_survival
 
 
+def test_survival_is_one_at_time_zero():
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        assert survival_factor(random_psd(rng), 0.0) == pytest.approx(1.0, abs=1e-14)
+
+
 def test_closed_forms_on_a_grid_equal_their_scalar_calls_bit_for_bit():
     # Time runs along the table's last axis, so a grid point is evaluated
     # exactly as the same time alone; ranks 1-3, the four one-hot sectors

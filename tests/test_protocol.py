@@ -324,8 +324,8 @@ LATTICE = np.array(
 )
 
 
-#: 20 covariances (c11, c22, c33, c12, c13, c23) of small integers, PSD: at t = 1 the
-#: 14 exponentials on them are the columns of a design matrix of condition number 11.
+#: 20 covariances (c11, c22, c33, c12, c13, c23) of small integers, PSD: at t = 0.5, 1 and 2
+#: the 14 exponentials on them are the columns of a design matrix of condition number 11.4.
 FIT_COVARIANCES = np.array([symmetric(*row) for row in [
     (0, 3, 3, 0, 0, 1), (2, 2, 2, 1, -2, -1), (2, 2, 2, 1, 1, -1), (2, 2, 2, 2, 2, 2),
     (2, 2, 3, 0, 1, 2), (2, 2, 3, 2, -1, -1), (2, 3, 1, 2, 0, 1), (2, 3, 2, 0, 2, 0),
@@ -389,15 +389,17 @@ def test_the_other_gate_keys_have_one_exponential(correction, basis_rotation, ax
 
 
 def test_the_closed_forms_have_the_papers_spectrum():
-    # Fitted on the 14 exponentials at 20 covariances, each closed form gives
-    # back the paper's table with no residual.
-    design, t = np.exp(exponents(FIT_COVARIANCES)), np.linspace(0.0, 3.0, 7)
+    # Fitted on the 14 exponentials at 20 covariances and 3 times, each closed form
+    # gives back the paper's table with no residual.
+    times = np.array([0.5, 1.0, 2.0])
+    design = np.exp(exponents(FIT_COVARIANCES)[:, None] * times[:, None]).reshape(-1, 14)
     for mix in MIXTURES:
         law = survival_factor if mix is None else partial(mixed_ancilla_survival, mix)
-        values = [law(cov, 1.0) for cov in FIT_COVARIANCES]
+        values = np.concatenate([law(cov, times) for cov in FIT_COVARIANCES])
         fitted = np.linalg.lstsq(design, values, rcond=None)[0]
         assert np.abs(fitted - paper_spectrum(mix)).max() <= 1e-13
         assert np.abs(design @ fitted - values).max() <= 1e-13
+    t = np.linspace(0.0, 3.0, 7)
     for cov in FIT_COVARIANCES:  # the ground mixture, bit for bit
         assert np.array_equal(mixed_ancilla_survival(MIXTURES[1], cov, t), survival_factor(cov, t))
 
